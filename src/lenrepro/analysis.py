@@ -102,13 +102,25 @@ class CohortSummary:
     screening_metric: str = "session_rmse"
 
 
+def _cell(row, rownum: int, col: str, cast):
+    """One numeric cell; errors name the row and the column."""
+    try:
+        value = cast(row[col])
+    except (TypeError, ValueError) as exc:
+        raise IngestionError(f"row {rownum}: non-numeric cell in {col} ({exc})") from exc
+    if not math.isfinite(value):
+        raise IngestionError(f"row {rownum}: {col} must be finite, got {value}")
+    return value
+
+
 def ingest(source) -> list:
     """Read TrialRecords from a CSV path or open text stream.
 
     Requires participant_id, condition, trial_index, nominal_length_cm and
     response_cm columns; actual_length_cm defaults to the nominal with a
     warning when absent.  Rows flagged by an is_practice column are
-    dropped.  Errors name the offending 1-based data row.
+    dropped.  Errors name the offending 1-based data row, and the column
+    of a non-numeric or non-finite cell.
     """
     if isinstance(source, (str, Path)):
         with open(source, newline="", encoding="utf-8") as fh:
@@ -130,13 +142,10 @@ def ingest(source) -> list:
     for rownum, row in enumerate(reader, start=1):
         if "is_practice" in header and (row["is_practice"] or "").strip().lower() in _TRUTHY:
             continue
-        try:
-            trial_index = int(row["trial_index"])
-            nominal = float(row["nominal_length_cm"])
-            actual = float(row["actual_length_cm"]) if has_actual else nominal
-            response = float(row["response_cm"])
-        except (TypeError, ValueError) as exc:
-            raise IngestionError(f"row {rownum}: non-numeric cell ({exc})") from exc
+        trial_index = _cell(row, rownum, "trial_index", int)
+        nominal = _cell(row, rownum, "nominal_length_cm", float)
+        actual = _cell(row, rownum, "actual_length_cm", float) if has_actual else nominal
+        response = _cell(row, rownum, "response_cm", float)
         if response < 0:
             raise IngestionError(f"row {rownum}: response must be >= 0, got {response}")
         key = (row["participant_id"], row["condition"], trial_index)

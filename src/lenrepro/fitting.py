@@ -22,9 +22,10 @@ from .model import (
     MotorNoiseSpec,
     NoiseModel,
     StimulusSet,
-    predict_errors,
-    predict_per_stimulus,
-    predict_regression_index,
+    _closed_form,
+    closed_form,
+    normalized_errors,
+    regression_index,
 )
 
 
@@ -96,13 +97,28 @@ def _sd_deflation(n: int) -> float:
     return math.sqrt(2.0 / n) * math.exp(gammaln(n / 2) - gammaln((n - 1) / 2))
 
 
-def _folded_mean(b: float, s: float) -> float:
-    """E|X| for X ~ N(b, s): what |group mean - stimulus| estimates."""
-    if s == 0:
-        return abs(b)
-    return s * math.sqrt(2.0 / math.pi) * math.exp(-b * b / (2 * s * s)) + b * (
-        1.0 - 2.0 * ndtr(-b / s)
-    )
+def _folded_mean(b, s):
+    """E|X| for X ~ N(b, s), elementwise: what |group mean - stimulus| estimates."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        folded = s * math.sqrt(2.0 / math.pi) * np.exp(-b * b / (2 * s * s)) + b * (
+            1.0 - 2.0 * ndtr(-b / s)
+        )
+    return np.where(s == 0, np.abs(b), folded)
+
+
+def _finite_sample_errors(mean, sd, stimuli: StimulusSet, motor: MotorNoiseSpec,
+                          n: int):
+    """:func:`expected_pipeline_errors` from per-stimulus means and sds
+    on the last axis, which the results drop."""
+    if n < 2:
+        raise ValueError("trials_per_stimulus must be >= 2")
+    s = np.asarray(stimuli.lengths)
+    s_bar = stimuli.mean_stimulus
+    linear = motor.combination is MotorCombination.LINEAR_CV
+    full_sd = np.sqrt(sd**2 + motor.sd_cm**2) if linear else sd
+    bias = np.mean(_folded_mean(mean - s, full_sd / math.sqrt(n)), axis=-1) / s_bar
+    cv = np.mean(sd, axis=-1) * _sd_deflation(n) / s_bar
+    return bias, (cv + motor.sd_cm / s_bar if linear else cv)
 
 
 def expected_pipeline_errors(
@@ -121,51 +137,24 @@ def expected_pipeline_errors(
     quadrature) because motor noise is in the responses regardless of how
     the CV combination is configured.
     """
-    n = trials_per_stimulus
-    if n < 2:
-        raise ValueError("trials_per_stimulus must be >= 2")
-    s_bar = stimuli.mean_stimulus
-    per = predict_per_stimulus(noise, prior, stimuli, motor)
-    s = np.array([p[0] for p in per])
-    means = np.array([p[1] for p in per])
-    sds = np.array([p[2] for p in per])
-    if motor.combination is MotorCombination.LINEAR_CV:
-        full_sd = np.sqrt(sds**2 + motor.sd_cm**2)
-    else:
-        full_sd = sds
-    bias = float(
-        np.mean(
-            [
-                _folded_mean(m - x, f / math.sqrt(n))
-                for x, m, f in zip(s, means, full_sd)
-            ]
-        )
-        / s_bar
+    mean, sd = _closed_form(
+        prior.sd, noise.magnitude, stimuli, motor, prior.mean, noise.mode
     )
-    defl = _sd_deflation(n)
-    cv = float(np.mean(sds) * defl / s_bar)
-    if motor.combination is MotorCombination.LINEAR_CV:
-        cv += motor.sd_cm / s_bar
-    return bias, cv
+    bias, cv = _finite_sample_errors(mean, sd, stimuli, motor, trials_per_stimulus)
+    return float(bias), float(cv)
 
 
-def _model_table(sigma_p: float, wf_values: np.ndarray, stimuli: StimulusSet,
+def _model_table(sigma_ps: np.ndarray, wfs: np.ndarray, stimuli: StimulusSet,
                  cfg: FitConfig):
-    """Model (bias, cv, ri) for every Weber fraction at one prior width."""
-    prior = GaussianBelief(stimuli.mean_stimulus, sigma_p)
-    bias = np.empty(wf_values.size)
-    cv = np.empty(wf_values.size)
-    ri = np.empty(wf_values.size)
-    for i, wf in enumerate(wf_values):
-        noise = NoiseModel.weber(float(wf))
-        if cfg.trials_per_stimulus is None:
-            bias[i], cv[i], _ = predict_errors(noise, prior, stimuli, cfg.motor)
-        else:
-            bias[i], cv[i] = expected_pipeline_errors(
-                noise, prior, stimuli, cfg.motor, cfg.trials_per_stimulus
-            )
-        ri[i] = predict_regression_index(noise, prior, stimuli)
-    return bias, cv, ri
+    """Model (bias, cv, ri) on the whole grid, each of shape (sigma_p, wf)."""
+    mean, sd = closed_form(sigma_ps[:, None], wfs, stimuli, cfg.motor)
+    if cfg.trials_per_stimulus is None:
+        bias, cv = normalized_errors(mean, sd, stimuli, cfg.motor)
+    else:
+        bias, cv = _finite_sample_errors(
+            mean, sd, stimuli, cfg.motor, cfg.trials_per_stimulus
+        )
+    return bias, cv, regression_index(mean, stimuli)
 
 
 def _condition_residuals(observed: ObservedErrors, bias, cv, ri,
@@ -193,39 +182,31 @@ def fit_shared_prior(
                 raise ValueError(f"non-finite observation for condition {label}")
     sigma_ps = grid_values(*cfg.sigma_p_grid)
     wfs = grid_values(*cfg.wf_grid)
-    labels = list(observed)
+    bias, cv, ri = _model_table(sigma_ps, wfs, stimuli, cfg)
 
-    landscape = []
-    best = None
-    for sp in sigma_ps:
-        bias, cv, ri = _model_table(float(sp), wfs, stimuli, cfg)
-        total = 0.0
-        picks = {}
-        resids = {}
-        for label in labels:
-            r = _condition_residuals(observed[label], bias, cv, ri, cfg.objective)
-            k = int(np.argmin(r))
-            picks[label] = float(wfs[k])
-            resids[label] = float(r[k])
-            total += float(r[k])
-        landscape.append((float(sp), total))
-        if best is None or total < best[0]:
-            best = (total, float(sp), picks, resids)
-
-    total, sp, picks, resids = best
-    prior = GaussianBelief(stimuli.mean_stimulus, sp)
-    predicted = {}
-    for label in labels:
-        noise = NoiseModel.weber(picks[label])
-        b, c, _ = predict_errors(noise, prior, stimuli, cfg.motor)
-        predicted[label] = (b, c, predict_regression_index(noise, prior, stimuli))
+    # Each condition picks its best wf at every sigma_p; argmin breaks ties
+    # to the smaller wf, and then to the smaller sigma_p.
+    rows = np.arange(sigma_ps.size)
+    total = np.zeros(sigma_ps.size)
+    best = {}
+    for label in observed:
+        r = _condition_residuals(observed[label], bias, cv, ri, cfg.objective)
+        k = np.argmin(r, axis=1)
+        best[label] = (k, r[rows, k])
+        total += best[label][1]
+    i = int(np.argmin(total))
+    picks = {label: int(k[i]) for label, (k, _) in best.items()}
     return FitResult(
-        shared_sigma_p=sp,
-        per_condition_wf=picks,
-        residual=total,
-        per_condition_residual=resids,
-        per_condition_predicted=predicted,
-        residual_landscape=tuple(landscape),
+        shared_sigma_p=float(sigma_ps[i]),
+        per_condition_wf={label: float(wfs[k]) for label, k in picks.items()},
+        residual=float(total[i]),
+        per_condition_residual={label: float(r[i]) for label, (_, r) in best.items()},
+        # the fitted cell's own values, finite-sample ones included
+        per_condition_predicted={
+            label: (float(bias[i, k]), float(cv[i, k]), float(ri[i, k]))
+            for label, k in picks.items()
+        },
+        residual_landscape=tuple(zip(sigma_ps.tolist(), total.tolist())),
     )
 
 
@@ -247,25 +228,18 @@ def goodness_of_fit(
         )
     sigma_ps = grid_values(*cfg.sigma_p_grid)
     wfs = grid_values(*cfg.wf_grid)
-    labels = list(observed)
-
-    best = None
-    for sp in sigma_ps:
-        bias, cv, ri = _model_table(float(sp), wfs, stimuli, cfg)
-        total = np.zeros(wfs.size)
-        for label in labels:
-            total += _condition_residuals(observed[label], bias, cv, ri, cfg.objective)
-        k = int(np.argmin(total))
-        if best is None or total[k] < best[0]:
-            best = (float(total[k]), float(sp), float(wfs[k]))
-
-    eq_resid, eq_sp, eq_wf = best
+    bias, cv, ri = _model_table(sigma_ps, wfs, stimuli, cfg)
+    total = np.zeros(bias.shape)
+    for label in observed:
+        total += _condition_residuals(observed[label], bias, cv, ri, cfg.objective)
+    # row-major argmin: ties go to the smaller sigma_p, then the smaller wf
+    i, k = np.unravel_index(np.argmin(total), total.shape)
     return GoodnessReport(
         per_condition_residual=dict(result.per_condition_residual),
         total_residual=result.residual,
-        equal_wf_sigma_p=eq_sp,
-        equal_wf=eq_wf,
-        equal_wf_residual=eq_resid,
+        equal_wf_sigma_p=float(sigma_ps[i]),
+        equal_wf=float(wfs[k]),
+        equal_wf_residual=float(total[i, k]),
     )
 
 

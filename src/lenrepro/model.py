@@ -25,6 +25,14 @@ class BracketError(ValueError):
     """Inversion target lies outside the achievable range on the bracket."""
 
 
+def _check_nonnegative(name: str, values) -> None:
+    """Reject negative or NaN entries, naming the first one."""
+    v = np.asarray(values)
+    bad = v[~(v >= 0)]
+    if bad.size:
+        raise ValueError(f"{name} must be >= 0, got {bad[0].item()}")
+
+
 @dataclass(frozen=True)
 class GaussianBelief:
     """A 1-D Gaussian over length (cm); sd == 0 denotes a delta function."""
@@ -35,8 +43,7 @@ class GaussianBelief:
     def __post_init__(self):
         if not math.isfinite(self.mean):
             raise ValueError(f"mean must be finite, got {self.mean}")
-        if not (self.sd >= 0):
-            raise ValueError(f"sd must be >= 0, got {self.sd}")
+        _check_nonnegative("sd", self.sd)
 
 
 class NoiseMode(Enum):
@@ -49,6 +56,15 @@ class NoiseMode(Enum):
 WEBER_SWEEP_MAX = 0.6
 
 
+def _check_noise(mode: NoiseMode, magnitude) -> None:
+    """Reject negative noise magnitudes; warn on unusual Weber fractions."""
+    _check_nonnegative("magnitude", magnitude)
+    high = np.asarray(magnitude)[np.asarray(magnitude) > WEBER_SWEEP_MAX]
+    if mode is NoiseMode.WEBER and high.size:
+        warnings.warn(f"Weber fraction {high[0].item()} is outside the usual "
+                      f"[0, {WEBER_SWEEP_MAX}] sweep range", stacklevel=3)
+
+
 @dataclass(frozen=True)
 class NoiseModel:
     """Sensory noise: sd = magnitude * stimulus (Weber) or magnitude cm."""
@@ -57,14 +73,7 @@ class NoiseModel:
     magnitude: float
 
     def __post_init__(self):
-        if not (self.magnitude >= 0):
-            raise ValueError(f"magnitude must be >= 0, got {self.magnitude}")
-        if self.mode is NoiseMode.WEBER and self.magnitude > WEBER_SWEEP_MAX:
-            warnings.warn(
-                f"Weber fraction {self.magnitude} is outside the usual "
-                f"[0, {WEBER_SWEEP_MAX}] sweep range",
-                stacklevel=2,
-            )
+        _check_noise(self.mode, self.magnitude)
 
     @classmethod
     def weber(cls, fraction: float) -> "NoiseModel":
@@ -130,17 +139,6 @@ class MotorNoiseSpec:
 NO_MOTOR_NOISE = MotorNoiseSpec(0.0, MotorCombination.QUADRATURE)
 
 
-@dataclass(frozen=True)
-class ModelPrediction:
-    """Per-stimulus predictions plus the derived summary quantities."""
-
-    per_stimulus: tuple  # of (stimulus, mean_response, response_sd)
-    regression_index: float
-    bias_norm: float
-    cv_norm: float
-    rmse_norm: float
-
-
 def fuse_gaussians(a: GaussianBelief, b: GaussianBelief) -> GaussianBelief:
     """Product of two Gaussians, renormalized (precision-weighted fusion).
 
@@ -164,33 +162,91 @@ def fuse_gaussians(a: GaussianBelief, b: GaussianBelief) -> GaussianBelief:
     return GaussianBelief(mean, sd)
 
 
-def sigma_l_at(noise: NoiseModel, stimulus: float) -> float:
-    """Sensory sd (cm) at a given stimulus length."""
-    if stimulus <= 0:
-        raise ValueError(f"stimulus must be > 0, got {stimulus}")
-    if noise.mode is NoiseMode.WEBER:
-        return noise.magnitude * stimulus
-    return noise.magnitude
+def _sensory_sd(mode: NoiseMode, magnitude, s):
+    # Weber noise scales with the stimulus; constant noise does not.
+    return magnitude * (s if mode is NoiseMode.WEBER else np.ones_like(s))
 
 
-def fusion_weight(sigma_l: float, sigma_p: float) -> float:
+def sigma_l_at(noise: NoiseModel, stimulus):
+    """Sensory sd (cm) at each stimulus length (array)."""
+    s = np.asarray(stimulus, dtype=float)
+    if np.any(s <= 0):
+        raise ValueError(f"stimulus must be > 0, got {s[s <= 0][0]}")
+    return _sensory_sd(noise.mode, noise.magnitude, s)
+
+
+def fusion_weight(sigma_l, sigma_p):
     """Weight on the sensory measurement; the prior gets 1 - weight.
 
-    A noiseless likelihood dominates regardless of the prior width.
+    Broadcasts over arrays.  A noiseless likelihood dominates regardless of
+    the prior width.
     """
-    if sigma_l == 0:
-        return 1.0
-    if sigma_p == 0:
-        return 0.0
-    return sigma_p**2 / (sigma_p**2 + sigma_l**2)
+    # float_power squares through C pow, as Python's ** does on floats, so
+    # the weights equal the scalar formula bit for bit; x * x rounds
+    # differently for ~0.1 % of inputs.
+    vl = np.float_power(sigma_l, 2)
+    vp = np.float_power(sigma_p, 2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = vp / (vp + vl)
+    return np.where(sigma_l == 0, 1.0, np.where(sigma_p == 0, 0.0, w))
 
 
-def _per_stimulus_arrays(noise, prior, stimuli):
+def _closed_form(sigma_p, wf, stimuli, motor, prior_mean, mode):
+    # closed_form without the argument checks, for any prior mean and noise mode
     s = np.asarray(stimuli.lengths)
-    sig_l = np.array([sigma_l_at(noise, x) for x in s])
-    w = np.array([fusion_weight(sl, prior.sd) for sl in sig_l])
-    means = w * s + (1.0 - w) * prior.mean
-    return s, sig_l, w, means
+    sig_l = _sensory_sd(mode, np.asarray(wf, dtype=float)[..., None], s)
+    w = fusion_weight(sig_l, np.asarray(sigma_p, dtype=float)[..., None])
+    m0 = stimuli.mean_stimulus if prior_mean is None else prior_mean
+    mean = w * s + (1.0 - w) * m0
+    sd = w * sig_l
+    if motor.combination is MotorCombination.QUADRATURE:
+        sd = np.sqrt(sd**2 + motor.sd_cm**2)
+    return mean, sd
+
+
+def closed_form(sigma_p, wf, stimuli: StimulusSet,
+                motor: MotorNoiseSpec = NO_MOTOR_NOISE):
+    """The observer over arrays of prior widths (cm) and Weber fractions.
+
+    They broadcast to a grid shape G; the prior sits on the mean stimulus.
+    Returns the per-stimulus mean response and response sd of
+    :func:`predict_per_stimulus`, each of shape G + (n_stimuli,).  The grid
+    is checked as each GaussianBelief and NoiseModel in it would be."""
+    _check_nonnegative("sd", sigma_p)
+    _check_noise(NoiseMode.WEBER, wf)
+    return _closed_form(sigma_p, wf, stimuli, motor, None, NoiseMode.WEBER)
+
+
+def normalized_errors(mean, sd, stimuli: StimulusSet, motor: MotorNoiseSpec):
+    """The (bias, cv) of :func:`predict_errors` from per-stimulus means and
+    sds on the last axis, as returned by :func:`closed_form`; the results
+    drop that axis."""
+    s_bar = stimuli.mean_stimulus
+    bias = np.mean(np.abs(mean - np.asarray(stimuli.lengths)), axis=-1) / s_bar
+    cv = np.mean(sd, axis=-1) / s_bar
+    if motor.combination is MotorCombination.LINEAR_CV:
+        cv = cv + motor.sd_cm / s_bar
+    return bias, cv
+
+
+def regression_index(mean, stimuli: StimulusSet):
+    """1 minus the OLS slope of predicted mean responses on the stimuli.
+
+    ``mean`` holds per-stimulus means on its last axis, as returned by
+    :func:`closed_form`; the result drops that axis.
+    """
+    s = np.asarray(stimuli.lengths)
+    xc = s - s.mean()
+    denom = float(np.dot(xc, xc))
+    if denom == 0:
+        raise ValueError("degenerate regressor: all x values identical")
+    # vecdot sums each row exactly as np.dot does; @ and einsum do not.
+    return 1.0 - np.vecdot(xc, mean - mean.mean(axis=-1, keepdims=True)) / denom
+
+
+def _ri(sigma_p, wf, stimuli, prior_mean=None, mode=NoiseMode.WEBER):
+    mean = _closed_form(sigma_p, wf, stimuli, NO_MOTOR_NOISE, prior_mean, mode)[0]
+    return regression_index(mean, stimuli)
 
 
 def predict_per_stimulus(
@@ -206,21 +262,10 @@ def predict_per_stimulus(
     constant enters each response sd; under LINEAR_CV the sds here are
     sensory-only and the motor term is applied by :func:`predict_errors`.
     """
-    s, sig_l, w, means = _per_stimulus_arrays(noise, prior, stimuli)
-    sens_sd = w * sig_l
-    if motor.combination is MotorCombination.QUADRATURE:
-        sd = np.sqrt(sens_sd**2 + motor.sd_cm**2)
-    else:
-        sd = sens_sd
-    return tuple(zip(s.tolist(), means.tolist(), sd.tolist()))
-
-
-def _ols_slope(x: np.ndarray, y: np.ndarray) -> float:
-    xc = x - x.mean()
-    denom = float(np.dot(xc, xc))
-    if denom == 0:
-        raise ValueError("degenerate regressor: all x values identical")
-    return float(np.dot(xc, y - y.mean()) / denom)
+    mean, sd = _closed_form(
+        prior.sd, noise.magnitude, stimuli, motor, prior.mean, noise.mode
+    )
+    return tuple(zip(stimuli.lengths, mean.tolist(), sd.tolist()))
 
 
 def predict_regression_index(
@@ -232,8 +277,7 @@ def predict_regression_index(
     noise the predicted means are exactly linear in the stimulus and the
     index reduces to sigma_l^2 / (sigma_l^2 + sigma_p^2).
     """
-    s, _, _, means = _per_stimulus_arrays(noise, prior, stimuli)
-    return 1.0 - _ols_slope(s, means)
+    return float(_ri(prior.sd, noise.magnitude, stimuli, prior.mean, noise.mode))
 
 
 def predict_errors(
@@ -249,35 +293,11 @@ def predict_errors(
     is added to the cv after averaging; under QUADRATURE it is already
     inside each per-stimulus sd.
     """
-    s_bar = stimuli.mean_stimulus
-    per = predict_per_stimulus(noise, prior, stimuli, motor)
-    s = np.array([p[0] for p in per])
-    means = np.array([p[1] for p in per])
-    sds = np.array([p[2] for p in per])
-    bias = float(np.mean(np.abs(means - s)) / s_bar)
-    cv = float(np.mean(sds) / s_bar)
-    if motor.combination is MotorCombination.LINEAR_CV:
-        cv += motor.sd_cm / s_bar
-    rmse = math.hypot(bias, cv)
-    return bias, cv, rmse
-
-
-def predict(
-    noise: NoiseModel,
-    prior: GaussianBelief,
-    stimuli: StimulusSet,
-    motor: MotorNoiseSpec = NO_MOTOR_NOISE,
-) -> ModelPrediction:
-    """Full model prediction for one observer configuration."""
-    per = predict_per_stimulus(noise, prior, stimuli, motor)
-    bias, cv, rmse = predict_errors(noise, prior, stimuli, motor)
-    ri = predict_regression_index(noise, prior, stimuli)
-    return ModelPrediction(per, ri, bias, cv, rmse)
-
-
-def _session_prior(prior_sd: float, stimuli: StimulusSet) -> GaussianBelief:
-    # The session prior sits on the mean stimulus.
-    return GaussianBelief(stimuli.mean_stimulus, prior_sd)
+    mean, sd = _closed_form(
+        prior.sd, noise.magnitude, stimuli, motor, prior.mean, noise.mode
+    )
+    bias, cv = normalized_errors(mean, sd, stimuli, motor)
+    return float(bias), float(cv), math.hypot(bias, cv)
 
 
 def error_curve(
@@ -289,12 +309,10 @@ def error_curve(
     """(wf, bias, cv) along a Weber-fraction sweep at fixed prior width."""
     if len(wf_grid) == 0:
         raise ValueError("wf_grid must be nonempty")
-    prior = _session_prior(prior_sd, stimuli)
-    out = []
-    for wf in wf_grid:
-        bias, cv, _ = predict_errors(NoiseModel.weber(wf), prior, stimuli, motor)
-        out.append((float(wf), bias, cv))
-    return out
+    wf = np.asarray(wf_grid, dtype=float)
+    bias, cv = normalized_errors(*closed_form(prior_sd, wf, stimuli, motor),
+                                 stimuli, motor)
+    return list(zip(wf.tolist(), bias.tolist(), cv.tolist()))
 
 
 def ri_curve(
@@ -305,11 +323,32 @@ def ri_curve(
     """(wf, regression index) along a Weber-fraction sweep."""
     if len(wf_grid) == 0:
         raise ValueError("wf_grid must be nonempty")
-    prior = _session_prior(prior_sd, stimuli)
-    return [
-        (float(wf), predict_regression_index(NoiseModel.weber(wf), prior, stimuli))
-        for wf in wf_grid
-    ]
+    wf = np.asarray(wf_grid, dtype=float)
+    mean = closed_form(prior_sd, wf, stimuli)[0]
+    return list(zip(wf.tolist(), regression_index(mean, stimuli).tolist()))
+
+
+def _bisect(root_above, lo, hi, log_scale=False):
+    """Elementwise bisection; ``root_above(x)`` says where each root lies.
+
+    Each element halves its own [lo, hi] until hi - lo <= 1e-15 * max(1, hi)
+    (on a log scale: geometric midpoints, 1e-15 * hi) or for 200 steps,
+    then stops while the others go on.  Returns the final midpoints.
+    """
+    def mid(lo, hi):
+        return np.sqrt(lo * hi) if log_scale else 0.5 * (lo + hi)
+
+    active = True
+    for _ in range(200):
+        m = mid(lo, hi)
+        up = root_above(m)
+        lo = np.where(active & up, m, lo)
+        hi = np.where(active & ~up, m, hi)
+        tol = 1e-15 * (hi if log_scale else np.maximum(1.0, hi))
+        active = active & ~(hi - lo <= tol)
+        if not np.any(active):
+            break
+    return mid(lo, hi)
 
 
 def wf_from_ri(
@@ -329,31 +368,38 @@ def wf_from_ri(
         raise ValueError(f"prior_sd must be > 0, got {prior_sd}")
     if target_ri == 0:
         return 0.0
-    prior = _session_prior(prior_sd, stimuli)
-
-    def ri(wf):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # bracketing may probe wf > 0.6
-            noise = NoiseModel.weber(wf)
-        return predict_regression_index(noise, prior, stimuli)
-
-    lo, hi = 0.0, 1.0
-    while ri(hi) < target_ri:
+    hi = 1.0
+    while _ri(prior_sd, hi, stimuli) < target_ri:
         hi *= 2.0
         if hi > 1e9:
             raise BracketError(
                 f"target {target_ri} unreachable: achievable range is "
-                f"[0, {ri(1e9):.12f}) on the bracket"
+                f"[0, {_ri(prior_sd, 1e9, stimuli):.12f}) on the bracket"
             )
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if ri(mid) < target_ri:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-15 * max(1.0, hi):
-            break
-    return 0.5 * (lo + hi)
+    return float(_bisect(lambda wf: _ri(prior_sd, wf, stimuli) < target_ri, 0.0, hi))
+
+
+# Prior widths (cm) that sigma_p_from_ri and rmse_surface search.
+SIGMA_P_BRACKET = (1e-3, 1e3)
+
+
+def _sigma_p_for_ri(target_ri, wf, stimuli, prior_mean, mode, bracket):
+    """Elementwise :func:`sigma_p_from_ri`; NaN where the target is
+    unreachable.  Also returns the indices at the wide and narrow ends."""
+    lo, hi = bracket
+    mean = stimuli.mean_stimulus if prior_mean is None else prior_mean
+    for sp in bracket:  # rejects what each probe's prior would reject
+        GaussianBelief(mean, sp)
+
+    def ri(sp):
+        return _ri(sp, wf, stimuli, mean, mode)
+
+    ri_narrow, ri_wide = ri(lo), ri(hi)
+    reachable = (ri_wide <= target_ri) & (target_ri <= ri_narrow)
+    # an unreachable target gets an empty bracket, so it stops at once
+    sp = _bisect(lambda sp: ri(sp) > target_ri, lo, np.where(reachable, hi, lo),
+                 log_scale=True)
+    return np.where(reachable, sp, np.nan), ri_wide, ri_narrow
 
 
 def sigma_p_from_ri(
@@ -361,34 +407,22 @@ def sigma_p_from_ri(
     noise: NoiseModel,
     stimuli: StimulusSet = DEFAULT_STIMULI,
     prior_mean: float | None = None,
-    bracket=(1e-3, 1e3),
+    bracket=SIGMA_P_BRACKET,
 ) -> float:
     """Invert the regression index for the prior width at fixed noise.
 
     The index is strictly decreasing in the prior width when the sensory
     noise is nonzero; bisection on ``bracket`` (cm).
     """
-    lo, hi = bracket
-    mean = stimuli.mean_stimulus if prior_mean is None else prior_mean
-
-    def ri(sp):
-        return predict_regression_index(noise, GaussianBelief(mean, sp), stimuli)
-
-    ri_hi, ri_lo = ri(lo), ri(hi)  # ri_hi at the narrow-prior end
-    if not (ri_lo <= target_ri <= ri_hi):
+    sp, ri_wide, ri_narrow = _sigma_p_for_ri(
+        target_ri, noise.magnitude, stimuli, prior_mean, noise.mode, bracket
+    )
+    if np.isnan(sp):
         raise BracketError(
             f"target {target_ri} unreachable: achievable range is "
-            f"[{ri_lo:.12f}, {ri_hi:.12f}] on the bracket"
+            f"[{ri_wide:.12f}, {ri_narrow:.12f}] on the bracket"
         )
-    for _ in range(200):
-        mid = math.sqrt(lo * hi)  # log-scale bisection over 6 decades
-        if ri(mid) > target_ri:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-15 * hi:
-            break
-    return math.sqrt(lo * hi)
+    return float(sp)
 
 
 def rmse_surface(
@@ -409,32 +443,26 @@ def rmse_surface(
         raise ValueError("grids must be nonempty")
     if any(not (0 <= r < 1) for r in ri_grid):
         raise ValueError("ri_grid values must lie in [0, 1)")
-    mean = stimuli.mean_stimulus if prior_mean is None else prior_mean
-    out = np.full((len(wf_grid), len(ri_grid)), np.nan)
-    for i, wf in enumerate(wf_grid):
-        noise = NoiseModel.weber(wf)
-        for j, ri in enumerate(ri_grid):
-            if wf == 0:
-                if ri == 0:
-                    # Prior width is unidentified at wf=0; rmse is motor-only
-                    # and independent of it.
-                    _, _, out[i, j] = predict_errors(
-                        noise, GaussianBelief(mean, 1.0), stimuli, motor
-                    )
-                continue
-            try:
-                sp = sigma_p_from_ri(ri, noise, stimuli, prior_mean=mean)
-            except BracketError:
-                continue
-            _, _, out[i, j] = predict_errors(
-                noise, GaussianBelief(mean, sp), stimuli, motor
-            )
-        if not np.all(np.isnan(out[i])):
-            lo = np.nanmin(out[i])
-            if lo > 0:
-                out[i] /= lo
-            else:
-                # a zero-minimum slice (no noise at all) still attains 1
-                defined = ~np.isnan(out[i])
-                out[i][defined] = np.where(out[i][defined] == lo, 1.0, np.inf)
-    return out
+    _check_noise(NoiseMode.WEBER, wf_grid)
+    wf = np.asarray(wf_grid, dtype=float)[:, None]
+    ri = np.asarray(ri_grid, dtype=float)
+    sp, _, _ = _sigma_p_for_ri(ri, wf, stimuli, prior_mean, NoiseMode.WEBER,
+                               SIGMA_P_BRACKET)
+    # Prior width is unidentified at wf=0, where only ri=0 is reachable;
+    # rmse is motor-only there and independent of it.
+    sp = np.where(wf == 0, np.where(ri == 0, 1.0, np.nan), sp)
+    defined = ~np.isnan(sp)
+    mean, sd = _closed_form(
+        sp[defined], np.broadcast_to(wf, sp.shape)[defined], stimuli, motor,
+        prior_mean, NoiseMode.WEBER,
+    )
+    bias, cv = normalized_errors(mean, sd, stimuli, motor)
+    out = np.full(sp.shape, np.nan)
+    # math.hypot as in predict_errors; np.hypot rounds differently for ~0.6 %
+    # of inputs.
+    out[defined] = [math.hypot(b, c) for b, c in zip(bias.tolist(), cv.tolist())]
+    lo = np.fmin.reduce(out, axis=1, keepdims=True)  # NaN only for all-NaN rows
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # a zero-minimum slice (no noise at all) still attains 1
+        zero_lo = np.where(out == lo, 1.0, np.where(np.isnan(out), np.nan, np.inf))
+        return np.where(lo > 0, out / lo, zero_lo)

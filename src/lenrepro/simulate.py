@@ -3,12 +3,11 @@
 Randomness contract: all sampling uses numpy's PCG64 generator; per
 (participant, condition) substreams are derived with SeedSequence from
 (master_seed, participant_index, condition_index), so cohort output is
-independent of evaluation order and worker count.
+independent of evaluation order.
 """
 from __future__ import annotations
 
 import dataclasses
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -138,9 +137,9 @@ def simulate_observer(
     n = nominal.size
     actual = nominal + rng.normal(0.0, 1.0, n) * demo.sd
     actual = np.maximum(actual, 1e-9)
-    sig_l = np.array([sigma_l_at(obs.noise, a) for a in actual])
+    sig_l = sigma_l_at(obs.noise, actual)
     m = actual + rng.normal(0.0, 1.0, n) * sig_l
-    w = np.array([fusion_weight(sl, obs.prior_sd) for sl in sig_l])
+    w = fusion_weight(sig_l, obs.prior_sd)
     estimate = w * m + (1.0 - w) * obs.prior_mean
     response = estimate + rng.normal(0.0, 1.0, n) * obs.motor_sd
     response = np.maximum(response, obs.response_floor)
@@ -162,20 +161,6 @@ def _session_seed(master_seed: int, p_idx: int, c_idx: int, stream: int) -> int:
     return int(ss.generate_state(1)[0])
 
 
-def _one_session(args):
-    master_seed, p_idx, pid, c_idx, label, params, cfg, demo = args
-    sched_cfg = dataclasses.replace(cfg, seed=_session_seed(master_seed, p_idx, c_idx, 0))
-    schedule = generate_schedule(sched_cfg)
-    return simulate_observer(
-        schedule,
-        params,
-        demo,
-        seed=_session_seed(master_seed, p_idx, c_idx, 1),
-        participant_id=pid,
-        condition=label,
-    )
-
-
 def simulate_cohort(
     n_participants: int,
     condition_params: Mapping[str, ObserverParams],
@@ -184,11 +169,13 @@ def simulate_cohort(
     master_seed: int = 0,
     workers: int = 1,
 ) -> list:
-    """Simulate a cohort; output is identical for any worker count.
+    """Simulate a cohort, one session per (participant, condition).
 
     ``condition_params`` maps condition label -> ObserverParams; condition
     index follows insertion order.  Accepts a sequence of (label, params)
-    pairs too, in which case duplicate labels are rejected.
+    pairs too, in which case duplicate labels are rejected.  ``workers`` is
+    accepted and has no effect: sessions are bound by the interpreter
+    lock, so they run serially.
     """
     if n_participants < 1:
         raise ConfigError("n_participants must be >= 1")
@@ -202,19 +189,19 @@ def simulate_cohort(
         raise ConfigError("need at least one condition")
 
     width = max(2, len(str(n_participants)))
-    jobs = []
+    records = []
     for p_idx in range(n_participants):
         pid = f"p{p_idx + 1:0{width}d}"
         for c_idx, (label, params) in enumerate(condition_params.items()):
-            jobs.append((master_seed, p_idx, pid, c_idx, label, params, cfg, demo))
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            sessions = list(pool.map(_one_session, jobs))
-    else:
-        sessions = [_one_session(j) for j in jobs]
-
-    records = []
-    for session in sessions:
-        records.extend(session)
+            sched_cfg = dataclasses.replace(
+                cfg, seed=_session_seed(master_seed, p_idx, c_idx, 0)
+            )
+            records.extend(simulate_observer(
+                generate_schedule(sched_cfg),
+                params,
+                demo,
+                seed=_session_seed(master_seed, p_idx, c_idx, 1),
+                participant_id=pid,
+                condition=label,
+            ))
     return records

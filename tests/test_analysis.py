@@ -90,6 +90,22 @@ class TestIngest:
         with pytest.raises(IngestionError, match="duplicate"):
             ingest(io.StringIO(csv_text))
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("column", [
+        "trial_index", "nominal_length_cm", "actual_length_cm", "response_cm",
+    ])
+    def test_non_finite_cell_names_row_and_column(self, column, value):
+        header = ("participant_id", "condition", "trial_index",
+                  "nominal_length_cm", "actual_length_cm", "response_cm")
+        good = {"participant_id": "p01", "condition": "social", "trial_index": "4",
+                "nominal_length_cm": "6.0", "actual_length_cm": "6.0",
+                "response_cm": "7.2"}
+        bad = dict(good, **{column: value})
+        csv_text = ",".join(header) + "\n" + "p01,social,3,6.0,6.0,7.2\n"
+        csv_text += ",".join(bad[c] for c in header) + "\n"
+        with pytest.raises(IngestionError, match=f"row 2: .*{column}"):
+            ingest(io.StringIO(csv_text))
+
     def test_negative_response_rejected(self):
         csv_text = (
             "participant_id,condition,trial_index,nominal_length_cm,"

@@ -4,10 +4,13 @@ import math
 import numpy as np
 import pytest
 
+from scipy.special import ndtr
+
 from lenrepro.fitting import (
     FitConfig,
     Objective,
     ObservedErrors,
+    _model_table,
     expected_pipeline_errors,
     fit_shared_prior,
     goodness_of_fit,
@@ -225,3 +228,145 @@ class TestMotorFreeRecovery:
         res = fit_shared_prior(observed, DEFAULT_STIMULI, cfg)
         assert res.shared_sigma_p == pytest.approx(2.5, abs=1e-12)
         assert res.per_condition_wf["a"] == pytest.approx(0.25, abs=1e-12)
+
+
+class TestReportedPredictions:
+    def test_finite_sample_predictions_are_the_fitted_values(self):
+        # off-grid observations, so every residual is nonzero
+        observed = {
+            "individual": ObservedErrors(bias=0.110696, cv=0.204131),
+            "social": ObservedErrors(bias=0.071402, cv=0.187350),
+        }
+        cfg = FitConfig(trials_per_stimulus=6)
+        res = fit_shared_prior(observed, DEFAULT_STIMULI, cfg)
+        for label, obs in observed.items():
+            b, c, _ = res.per_condition_predicted[label]
+            assert res.per_condition_residual[label] > 1e-8
+            assert (b - obs.bias) ** 2 + (c - obs.cv) ** 2 == pytest.approx(
+                res.per_condition_residual[label], rel=1e-12, abs=1e-18
+            )
+
+
+def _reference_cell(sigma_p, wf, motor, n=None, stimuli=DEFAULT_STIMULI):
+    """(bias, cv, ri) of one grid cell from the scalar closed form."""
+    s_bar = stimuli.mean_stimulus
+    quadrature = motor.combination is MotorCombination.QUADRATURE
+    means, sds, folded = [], [], []
+    for s in stimuli.lengths:
+        sigma_l = wf * s
+        if sigma_l == 0:
+            w = 1.0
+        elif sigma_p == 0:
+            w = 0.0
+        else:
+            w = sigma_p**2 / (sigma_p**2 + sigma_l**2)
+        mean = w * s + (1.0 - w) * s_bar
+        full_sd = math.sqrt((w * sigma_l) ** 2 + motor.sd_cm**2)
+        sd = full_sd if quadrature else w * sigma_l
+        means.append(mean)
+        sds.append(sd)
+        if n is not None:
+            b, f = mean - s, full_sd / math.sqrt(n)
+            folded.append(
+                abs(b) if f == 0 else
+                f * math.sqrt(2.0 / math.pi) * math.exp(-b * b / (2 * f * f))
+                + b * (1.0 - 2.0 * ndtr(-b / f))
+            )
+    if n is None:
+        bias = np.mean(np.abs(np.array(means) - stimuli.lengths)) / s_bar
+        cv = np.mean(sds) / s_bar
+    else:
+        deflation = math.sqrt(2.0 / n) * math.exp(
+            math.lgamma(n / 2) - math.lgamma((n - 1) / 2)
+        )
+        bias = np.mean(folded) / s_bar
+        cv = np.mean(sds) * deflation / s_bar
+    if not quadrature:
+        cv += motor.sd_cm / s_bar
+    x = np.array(stimuli.lengths)
+    y = np.array(means)
+    xc = x - x.mean()
+    ri = 1.0 - np.dot(xc, y - y.mean()) / np.dot(xc, xc)
+    return bias, cv, ri
+
+
+class TestKernelEquivalence:
+    """The broadcast fit table against the scalar closed form, cell by cell."""
+
+    OBSERVED = {
+        "individual": ObservedErrors(bias=0.110696, cv=0.204131, ri=0.41),
+        "mechanical": ObservedErrors(bias=0.093377, cv=0.193514, ri=0.33),
+        "social": ObservedErrors(bias=0.071402, cv=0.187350, ri=0.27),
+    }
+
+    @pytest.mark.parametrize("n", [None, 6])
+    @pytest.mark.parametrize("comb", list(MotorCombination))
+    def test_default_grid_matches_scalar_reference(self, comb, n):
+        cfg = FitConfig(motor=MotorNoiseSpec(1.2, comb), trials_per_stimulus=n)
+        sigma_ps = grid_values(*cfg.sigma_p_grid)
+        wfs = grid_values(*cfg.wf_grid)
+        bias, cv, ri = _model_table(sigma_ps, wfs, DEFAULT_STIMULI, cfg)
+        assert bias.shape == cv.shape == ri.shape == (99, 121)
+        ref = np.array([
+            [_reference_cell(float(sp), float(wf), cfg.motor, n) for wf in wfs]
+            for sp in sigma_ps
+        ])
+        # np.exp and math.exp may differ in the last bit of the folded mean
+        np.testing.assert_allclose(bias, ref[..., 0], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(cv, ref[..., 1], rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(ri, ref[..., 2])
+
+        for objective in Objective:
+            cfg_o = FitConfig(motor=cfg.motor, trials_per_stimulus=n,
+                              objective=objective)
+            res = fit_shared_prior(self.OBSERVED, DEFAULT_STIMULI, cfg_o)
+            good = goodness_of_fit(res, self.OBSERVED, DEFAULT_STIMULI, cfg_o)
+            key = [0, 1] if objective is Objective.BIAS_CV else [2]
+            obs = {
+                label: np.array([(o.bias, o.cv, o.ri)[j] for j in key])
+                for label, o in self.OBSERVED.items()
+            }
+            # scalar scan: first minimum wins, so ties go to the smaller wf
+            # and then to the smaller sigma_p
+            best, best_eq = None, None
+            for i, sp in enumerate(sigma_ps):
+                total, picks = 0.0, {}
+                eq = np.zeros(wfs.size)
+                for label, o in obs.items():
+                    r = ((ref[i][:, key] - o) ** 2).sum(axis=1)
+                    picks[label] = int(np.argmin(r))
+                    total += float(r[picks[label]])
+                    eq += r
+                if best is None or total < best[0]:
+                    best = (total, float(sp), picks)
+                k = int(np.argmin(eq))
+                if best_eq is None or eq[k] < best_eq[0]:
+                    best_eq = (eq[k], float(sp), float(wfs[k]))
+            assert res.shared_sigma_p == best[1]
+            assert res.per_condition_wf == {
+                label: float(wfs[k]) for label, k in best[2].items()
+            }
+            assert (good.equal_wf_sigma_p, good.equal_wf) == best_eq[1:]
+
+
+class TestGridChecks:
+    """Grids are checked as the per-point GaussianBelief/NoiseModel were."""
+
+    @pytest.mark.parametrize("grid,match", [
+        ({"sigma_p_grid": (-0.1, 1.0, 0.05)}, "sd must be >= 0"),
+        ({"wf_grid": (-0.01, 0.3, 0.005)}, "magnitude must be >= 0"),
+    ])
+    @pytest.mark.parametrize("n", [None, 6])
+    def test_negative_grid_values_raise(self, grid, match, n):
+        observed = {"a": _forward(1.5, 0.2)}
+        cfg = FitConfig(trials_per_stimulus=n, **grid)
+        with pytest.raises(ValueError, match=match):
+            fit_shared_prior(observed, DEFAULT_STIMULI, cfg)
+        res = fit_shared_prior(observed, DEFAULT_STIMULI, FitConfig())
+        with pytest.raises(ValueError, match=match):
+            goodness_of_fit(res, observed, DEFAULT_STIMULI, cfg)
+
+    def test_large_weber_fraction_warns(self):
+        cfg = FitConfig(wf_grid=(0.0, 0.65, 0.005))
+        with pytest.warns(UserWarning, match="Weber fraction 0.605"):
+            fit_shared_prior({"a": _forward(1.5, 0.2)}, DEFAULT_STIMULI, cfg)

@@ -18,6 +18,7 @@ from lenrepro.model import (
     StimulusSet,
     error_curve,
     fuse_gaussians,
+    fusion_weight,
     predict_errors,
     predict_per_stimulus,
     predict_regression_index,
@@ -105,6 +106,35 @@ class TestSigmaL:
     def test_negative_magnitude_rejected(self):
         with pytest.raises(ValueError):
             NoiseModel.constant(-1)
+
+    def test_arrays_broadcast(self):
+        s = np.array([6.0, 10.0, 14.0])
+        assert np.array_equal(sigma_l_at(NoiseModel.weber(0.2), s), 0.2 * s)
+        assert np.array_equal(sigma_l_at(NoiseModel.constant(1.5), s), [1.5] * 3)
+        with pytest.raises(ValueError, match="stimulus must be > 0"):
+            sigma_l_at(NoiseModel.weber(0.2), np.array([6.0, 0.0]))
+
+
+class TestFusionWeight:
+    def test_arrays_match_scalar_formula(self):
+        sl = np.array([[0.0], [0.5], [2.0]])
+        sp = np.array([0.0, 1.5, 3.0])
+        w = fusion_weight(sl, sp)
+        assert w.shape == (3, 3)
+        # a noiseless likelihood wins, even against a delta prior
+        assert np.array_equal(w[0], [1.0, 1.0, 1.0])
+        assert np.array_equal(w[1:, 0], [0.0, 0.0])
+        for i in (1, 2):
+            for j in (1, 2):
+                a, b = float(sl[i, 0]), float(sp[j])
+                assert w[i, j] == b**2 / (b**2 + a**2)
+
+    def test_bit_identical_to_scalar_formula(self):
+        rng = np.random.default_rng(7)
+        sl = rng.uniform(0.01, 20.0, 20_000)
+        sp = rng.uniform(0.01, 20.0, 20_000)
+        ref = [b**2 / (b**2 + a**2) for a, b in zip(sl.tolist(), sp.tolist())]
+        assert np.array_equal(fusion_weight(sl, sp), ref)
 
 
 class TestPredictPerStimulus:
@@ -333,6 +363,14 @@ class TestRmseSurface:
         assert 1 < jm < len(ri) - 1
         assert row[jm + 1] > row[jm] and row[jm - 1] > row[jm]
 
+    def test_zero_minimum_and_undefined_rows(self):
+        # no noise at all: the zero-rmse cell is 1; a row with no reachable
+        # cell stays NaN
+        S = rmse_surface([0.0, 0.0], [0.0, 0.3], motor=NO_MOTOR_NOISE)
+        assert np.array_equal(S, [[1.0, np.nan], [1.0, np.nan]], equal_nan=True)
+        S = rmse_surface([0.0, 0.2], [0.5, 0.99], motor=NO_MOTOR_NOISE)
+        assert np.isnan(S[0]).all() and S[1, 0] == 1.0
+
     def test_unreachable_ri_is_bracket_error(self):
         with pytest.raises(BracketError):
             sigma_p_from_ri(0.0, NoiseModel.weber(0.3))
@@ -340,3 +378,63 @@ class TestRmseSurface:
     def test_invalid_ri_grid(self):
         with pytest.raises(ValueError):
             rmse_surface([0.1], [1.0])
+
+
+class TestBroadcastChecks:
+    """Grids are checked as the per-point GaussianBelief/NoiseModel were."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: error_curve(1.5, [0.1, -0.05]),
+        lambda: ri_curve(1.5, [0.1, -0.05]),
+        lambda: rmse_surface([0.1, -0.05], [0.2]),
+    ])
+    def test_negative_wf_raises(self, call):
+        with pytest.raises(ValueError, match="magnitude must be >= 0, got -0.05"):
+            call()
+
+    @pytest.mark.parametrize("curve", [error_curve, ri_curve])
+    def test_negative_sigma_p_raises(self, curve):
+        with pytest.raises(ValueError, match="sd must be >= 0, got -1.5"):
+            curve(-1.5, [0.1])
+
+    @pytest.mark.parametrize("bracket, got", [
+        ((-1, 10), "-1"), ((float("nan"), 10), "nan"), ((1e-3, -5), "-5"),
+    ])
+    def test_bad_sigma_p_bracket_raises(self, bracket, got):
+        with pytest.raises(ValueError, match=f"sd must be >= 0, got {got}$"):
+            sigma_p_from_ri(0.3, NoiseModel.weber(0.2), bracket=bracket)
+
+    @pytest.mark.parametrize("call", [
+        lambda: error_curve(1.5, [0.5, 0.65]),
+        lambda: ri_curve(1.5, [0.5, 0.65]),
+        lambda: rmse_surface([0.5, 0.65], [0.2]),
+    ])
+    def test_large_wf_warns(self, call):
+        with pytest.warns(UserWarning, match="Weber fraction 0.65"):
+            call()
+
+
+def test_rmse_surface_matches_per_cell_inversion():
+    # the CLI's default surface grid, cell by cell through the scalar API
+    wf_grid = np.round(0.005 * np.arange(121), 12)
+    ri_grid = np.round(0.05 * np.arange(19), 12)
+    motor = MotorNoiseSpec(1.2)
+    ref = np.full((wf_grid.size, ri_grid.size), np.nan)
+    for i, wf in enumerate(wf_grid):
+        noise = NoiseModel.weber(float(wf))
+        for j, ri in enumerate(ri_grid):
+            if wf == 0:
+                sp = 1.0 if ri == 0 else None
+            else:
+                try:
+                    sp = sigma_p_from_ri(float(ri), noise)
+                except BracketError:
+                    sp = None
+            if sp is not None:
+                ref[i, j] = predict_errors(
+                    noise, GaussianBelief(10.0, sp), DEFAULT_STIMULI, motor
+                )[2]
+        ref[i] /= np.nanmin(ref[i])
+    S = rmse_surface(wf_grid, ri_grid, DEFAULT_STIMULI, motor)
+    assert np.array_equal(S, ref, equal_nan=True)
+    assert np.count_nonzero(~np.isnan(S)) > S.size // 2
