@@ -13,7 +13,7 @@ from .model import (
     StimulusSet,
     fuse_gaussians,
 )
-from .records import TrialRecord
+from .records import Trials
 from .simulate import DemonstratorNoise, ObserverParams, ScheduleConfig
 
 __all__ = [
@@ -26,7 +26,7 @@ __all__ = [
     "ObserverParams",
     "ScheduleConfig",
     "StimulusSet",
-    "TrialRecord",
+    "Trials",
     "fuse_gaussians",
 ]
 

@@ -12,17 +12,18 @@ Conventions (documented choices):
 from __future__ import annotations
 
 import csv
-import dataclasses
 import math
+import sys
 import warnings
 from dataclasses import dataclass
+from itertools import groupby
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
 from . import stats
-from .records import TRIAL_CSV_HEADER, TrialRecord
+from .records import TRIAL_CSV_HEADER, Trials
 
 _TRUTHY = {"1", "true", "yes"}
 
@@ -102,31 +103,35 @@ class CohortSummary:
     screening_metric: str = "session_rmse"
 
 
-def _cell(row, rownum: int, col: str, cast):
+def _int64(text: str) -> int:
+    return int(np.int64(text))  # OverflowError outside the column's range
+
+
+def _cell(value: str, rownum: int, col: str, cast):
     """One numeric cell; errors name the row and the column."""
     try:
-        value = cast(row[col])
-    except (TypeError, ValueError) as exc:
+        value = cast(value)
+    except (ValueError, OverflowError) as exc:
         raise IngestionError(f"row {rownum}: non-numeric cell in {col} ({exc})") from exc
     if not math.isfinite(value):
         raise IngestionError(f"row {rownum}: {col} must be finite, got {value}")
     return value
 
 
-def ingest(source) -> list:
-    """Read TrialRecords from a CSV path or open text stream.
+def ingest(source) -> Trials:
+    """Read trials from a CSV path or open text stream.
 
     Requires participant_id, condition, trial_index, nominal_length_cm and
     response_cm columns; actual_length_cm defaults to the nominal with a
     warning when absent.  Rows flagged by an is_practice column are
     dropped.  Errors name the offending 1-based data row, and the column
-    of a non-numeric or non-finite cell.
+    of a non-numeric, non-finite or out-of-range cell.
     """
     if isinstance(source, (str, Path)):
         with open(source, newline="", encoding="utf-8") as fh:
             return ingest(fh)
-    reader = csv.DictReader(source)
-    header = reader.fieldnames or []
+    reader = csv.reader(source)
+    header = next(reader, [])
     required = [c for c in TRIAL_CSV_HEADER if c != "actual_length_cm"]
     for col in required:
         if col not in header:
@@ -137,50 +142,63 @@ def ingest(source) -> list:
             "actual_length_cm column absent; defaulting to nominal_length_cm",
             stacklevel=2,
         )
-    records = []
+    # a repeated header name reads its last column, as csv.DictReader does
+    where = {name: i for i, name in enumerate(header)}
+    actual_col = "actual_length_cm" if has_actual else "nominal_length_cm"
+    numeric = [
+        (where[col], col, cast)
+        for col, cast in (("trial_index", _int64), ("nominal_length_cm", float),
+                          (actual_col, float), ("response_cm", float))
+    ]
+    pid, cond = where["participant_id"], where["condition"]
+    practice = where.get("is_practice")
+    columns = ([], [], [], [], [], [])
     seen = set()
-    for rownum, row in enumerate(reader, start=1):
-        if "is_practice" in header and (row["is_practice"] or "").strip().lower() in _TRUTHY:
+    # blank lines are skipped and not counted
+    for rownum, row in enumerate(filter(None, reader), start=1):
+        row += [""] * (len(header) - len(row))  # missing trailing cells read empty
+        if practice is not None and row[practice].strip().lower() in _TRUTHY:
             continue
-        trial_index = _cell(row, rownum, "trial_index", int)
-        nominal = _cell(row, rownum, "nominal_length_cm", float)
-        actual = _cell(row, rownum, "actual_length_cm", float) if has_actual else nominal
-        response = _cell(row, rownum, "response_cm", float)
+        trial_index, nominal, actual, response = [
+            _cell(row[i], rownum, col, cast) for i, col, cast in numeric
+        ]
+        if actual <= 0:
+            raise IngestionError(f"row {rownum}: {actual_col} must be > 0, got {actual}")
         if response < 0:
             raise IngestionError(f"row {rownum}: response must be >= 0, got {response}")
-        key = (row["participant_id"], row["condition"], trial_index)
+        # one shared string per id: a copy per row would dominate peak memory
+        key = (sys.intern(row[pid]), sys.intern(row[cond]), trial_index)
         if key in seen:
             raise IngestionError(f"row {rownum}: duplicate trial key {key}")
         seen.add(key)
-        try:
-            records.append(
-                TrialRecord(
-                    participant_id=row["participant_id"],
-                    condition=row["condition"],
-                    trial_index=trial_index,
-                    nominal_length=nominal,
-                    actual_length=actual,
-                    response=response,
-                )
-            )
-        except ValueError as exc:
-            raise IngestionError(f"row {rownum}: {exc}") from exc
-    return records
+        for column, value in zip(columns, (*key, nominal, actual, response)):
+            column.append(value)
+    return Trials(*columns)
 
 
-def debias_session(records: Sequence[TrialRecord]) -> list:
+def debias_session(trials: Trials) -> Trials:
     """Remove the constant response offset of one participant+condition:
     response' = response - mean(responses) + mean(actual stimuli).
     """
-    if not records:
+    if not len(trials):
         raise DegenerateDataError("empty session")
-    responses = np.array([r.response for r in records])
-    s_bar = float(np.mean([r.actual_length for r in records]))
-    shift = s_bar - float(responses.mean())
-    return [dataclasses.replace(r, response=r.response + shift) for r in records]
+    shift = float(trials.actual_length.mean()) - float(trials.response.mean())
+    return Trials(*trials.columns[:-1], trials.response + shift)
 
 
-def per_stimulus_errors(records: Sequence[TrialRecord]) -> ErrorDecomposition:
+def _groups(codes: np.ndarray) -> list:
+    """Row indices of each distinct code, in code order, each in row order."""
+    order = np.argsort(codes, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(codes[order])) + 1)
+
+
+def _stimulus_groups(trials: Trials):
+    """Distinct nominal lengths, ascending, and the rows of each."""
+    nominals, inverse = np.unique(trials.nominal_length, return_inverse=True)
+    return nominals.tolist(), _groups(inverse)
+
+
+def per_stimulus_errors(trials: Trials) -> ErrorDecomposition:
     """Per-stimulus normalized bias / cv / rmse of an adjusted session.
 
     Groups by nominal length; within each group S_Mi is the mean actually
@@ -188,31 +206,22 @@ def per_stimulus_errors(records: Sequence[TrialRecord]) -> ErrorDecomposition:
     sd of the responses / S-bar.  Session values are unweighted means over
     the groups.
     """
-    if not records:
+    if not len(trials):
         raise DegenerateDataError("empty session")
-    s_bar = float(np.mean([r.actual_length for r in records]))
-    groups = {}
-    for r in records:
-        groups.setdefault(r.nominal_length, []).append(r)
+    s_bar = float(trials.actual_length.mean())
     per = []
-    singletons = []
-    for nominal in sorted(groups):
-        grp = groups[nominal]
-        actual = np.array([r.actual_length for r in grp])
-        resp = np.array([r.response for r in grp])
-        s_mi = float(actual.mean())
+    for nominal, rows in zip(*_stimulus_groups(trials)):
+        resp = trials.response[rows]
+        s_mi = float(trials.actual_length[rows].mean())
         r_mi = float(resp.mean())
         bias = abs(r_mi - s_mi) / s_bar
-        if resp.size == 1:
-            cv = 0.0
-            singletons.append(nominal)
-        else:
-            cv = float(resp.std(ddof=0)) / s_bar
+        cv = float(resp.std(ddof=0)) / s_bar  # exactly 0 for a single trial
         per.append(
             StimulusErrors(
                 nominal, s_mi, r_mi, bias, cv, math.hypot(bias, cv), resp.size
             )
         )
+    singletons = [g.nominal for g in per if g.n == 1]
     if singletons:
         warnings.warn(
             f"stimulus groups with a single trial (cv set to 0): {singletons}",
@@ -228,24 +237,20 @@ def per_stimulus_errors(records: Sequence[TrialRecord]) -> ErrorDecomposition:
     )
 
 
-def fit_regression_index(
-    records: Sequence[TrialRecord], per_group: bool = False
-) -> RegressionFit:
+def fit_regression_index(trials: Trials, per_group: bool = False) -> RegressionFit:
     """OLS of responses on the actually presented stimuli; index = 1 - slope.
 
     Fits trial-level points by default; ``per_group=True`` fits the
-    per-stimulus mean points instead.
+    per-stimulus mean points instead, in ascending nominal order.
     """
-    if not records:
+    if not len(trials):
         raise DegenerateDataError("empty session")
-    x = np.array([r.actual_length for r in records])
-    y = np.array([r.response for r in records])
+    x = trials.actual_length
+    y = trials.response
     if per_group:
-        groups = {}
-        for r in records:
-            groups.setdefault(r.nominal_length, []).append(r)
-        x = np.array([np.mean([r.actual_length for r in g]) for g in groups.values()])
-        y = np.array([np.mean([r.response for r in g]) for g in groups.values()])
+        _, groups = _stimulus_groups(trials)
+        x = np.array([x[rows].mean() for rows in groups])
+        y = np.array([y[rows].mean() for rows in groups])
     xc = x - x.mean()
     denom = float(np.dot(xc, xc))
     if denom == 0:
@@ -282,45 +287,38 @@ def _session_metric(summary: SessionSummary, metric: str) -> float:
     return getattr(summary.errors, f"session_{metric}")
 
 
-def analyze_session(records: Sequence[TrialRecord]) -> SessionSummary:
+def analyze_session(trials: Trials) -> SessionSummary:
     """Debias one session, then decompose errors and fit the index."""
-    adjusted = debias_session(records)
+    adjusted = debias_session(trials)
     return SessionSummary(
-        participant_id=records[0].participant_id,
-        condition=records[0].condition,
+        participant_id=str(trials.participant_id[0]),
+        condition=str(trials.condition[0]),
         fit=fit_regression_index(adjusted),
         errors=per_stimulus_errors(adjusted),
     )
 
 
-def summarize_cohort(records: Sequence[TrialRecord], k: float = 2.5) -> CohortSummary:
+def summarize_cohort(trials: Trials, k: float = 2.5) -> CohortSummary:
     """Full cohort summary: per-session analysis, 2.5-SD screening on the
     per-participant mean session RMSE, per-condition group stats and
     paired contrasts between all condition pairs.
     """
-    if not records:
+    if not len(trials):
         raise DegenerateDataError("empty dataset")
-    by_session = {}
-    for r in records:
-        by_session.setdefault((r.participant_id, r.condition), []).append(r)
-    sessions = {key: analyze_session(by_session[key]) for key in sorted(by_session)}
-
-    participants = sorted({pid for pid, _ in sessions})
-    conditions = sorted({cond for _, cond in sessions})
+    participants, p_code = np.unique(trials.participant_id, return_inverse=True)
+    conditions, c_code = np.unique(trials.condition, return_inverse=True)
+    sessions = {}
+    for rows in _groups(p_code * conditions.size + c_code):
+        s = analyze_session(trials[rows])
+        sessions[(s.participant_id, s.condition)] = s
+    participants = participants.tolist()
+    conditions = conditions.tolist()
 
     excluded = {}
     if len(participants) >= 2 and not math.isinf(k):
         metric = {
-            pid: float(
-                np.mean(
-                    [
-                        s.errors.session_rmse
-                        for (p, _), s in sessions.items()
-                        if p == pid
-                    ]
-                )
-            )
-            for pid in participants
+            pid: float(np.mean([s.errors.session_rmse for _, s in group]))
+            for pid, group in groupby(sessions.items(), key=lambda item: item[0][0])
         }
         _, dropped = screen_outliers(metric, k)
         for pid in dropped:

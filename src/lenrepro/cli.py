@@ -15,7 +15,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, fitting, model, records, simulate
+# `analysis` and `fitting` load scipy, so the commands that use them import
+# them themselves; `schedule`, `simulate` and `curves` do without.
+from . import model, records, simulate
 
 ENV_PREFIX = "LENREPRO_"
 F = "{:.6f}".format
@@ -136,7 +138,6 @@ def cmd_simulate(args) -> int:
     cfg = _schedule_config(res)
     n = res.get("participants", int, 1)
     conditions = res.get("conditions", str, "individual").split(",")
-    workers = res.get("workers", int, 1)
     demo = simulate.DemonstratorNoise(res.get("demo_sd", float, 0.0))
     out = res.get("out", str, "trials.csv")
     base = _observer_params(res)
@@ -144,13 +145,15 @@ def cmd_simulate(args) -> int:
     res.dump(args.dump_config)
     del base  # base keys already resolved into res.effective
     recs = simulate.simulate_cohort(
-        n, params, cfg=cfg, demo=demo, master_seed=cfg.seed, workers=workers
+        n, params, cfg=cfg, demo=demo, master_seed=cfg.seed
     )
     records.write_trial_csv(recs, out)
     return 0
 
 
 def cmd_analyze(args) -> int:
+    from . import analysis
+
     res = _Resolver(args, args.config)
     inp = res.get("input", str, None)
     if inp is None:
@@ -171,6 +174,8 @@ def cmd_analyze(args) -> int:
 
 def _read_observations(path):
     import csv as _csv
+
+    from . import fitting
 
     with open(path, newline="", encoding="utf-8") as fh:
         reader = _csv.DictReader(fh)
@@ -210,6 +215,8 @@ def _stimuli(res):
 
 
 def cmd_fit(args) -> int:
+    from . import fitting
+
     res = _Resolver(args, args.config)
     inp = res.get("input", str, None)
     if inp is None:
@@ -252,12 +259,12 @@ def cmd_curves(args) -> int:
         float(s)
         for s in str(res.get("sigma_p", str, "0.5,1.5,2.5,3.5")).split(",")
     ]
-    wf_grid = fitting.grid_values(
+    wf_grid = model.grid_values(
         res.get("wf_min", float, 0.0),
         res.get("wf_max", float, 0.6),
         res.get("wf_step", float, 0.005),
     )
-    ri_grid = fitting.grid_values(
+    ri_grid = model.grid_values(
         res.get("ri_min", float, 0.0),
         res.get("ri_max", float, 0.9),
         res.get("ri_step", float, 0.05),
@@ -310,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     pm = sub.add_parser("simulate", help="simulate a synthetic cohort")
     _add_common(pm)
     for flag, typ in (
-        ("--participants", int), ("--workers", int),
+        ("--participants", int),
         ("--wf", float), ("--sigma-l", float),
         ("--prior-mean", float), ("--prior-sd", float),
         ("--motor-sd", float), ("--demo-sd", float),

@@ -300,6 +300,17 @@ def predict_errors(
     return float(bias), float(cv), math.hypot(bias, cv)
 
 
+def grid_values(lo: float, hi: float, step: float) -> np.ndarray:
+    """Inclusive arithmetic grid, robust to floating-point step error."""
+    if step <= 0:
+        raise ValueError("grid step must be > 0")
+    n = int(math.floor((hi - lo) / step + 0.5)) + 1
+    if n < 1:
+        raise ValueError(f"empty grid ({lo}, {hi}, {step})")
+    # round so accumulated step error cannot spill past hi (0.05*12 > 0.6)
+    return np.round(lo + step * np.arange(n), 12)
+
+
 def error_curve(
     prior_sd: float,
     wf_grid: Sequence[float],

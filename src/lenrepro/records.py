@@ -1,4 +1,4 @@
-"""Trial record type and its CSV wire format.
+"""Trial table and its CSV wire format.
 
 The CSV contract is bit-exact: UTF-8, ``.`` decimal separator, LF line
 endings, header ``participant_id,condition,trial_index,nominal_length_cm,
@@ -6,10 +6,12 @@ actual_length_cm,response_cm``.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import dataclass, fields
+from itertools import starmap
 from pathlib import Path
-from typing import Iterable
+
+import numpy as np
 
 TRIAL_CSV_HEADER = (
     "participant_id",
@@ -20,46 +22,71 @@ TRIAL_CSV_HEADER = (
     "response_cm",
 )
 
-FLOAT_FMT = "{:.6f}"
 
+@dataclass(frozen=True, eq=False)
+class Trials:
+    """Reproduction trials as a table: one read-only numpy array per column,
+    in the order of :data:`TRIAL_CSV_HEADER`.
 
-@dataclass(frozen=True)
-class TrialRecord:
-    """One reproduction trial."""
+    ``len()`` counts the trials, ``==`` compares every column, indexing with
+    an index array, a boolean mask or a slice selects rows, and iteration
+    yields :class:`TrialRow` tuples.
+    """
 
-    participant_id: str
-    condition: str
-    trial_index: int
-    nominal_length: float  # cm
-    actual_length: float   # cm, as actually presented
-    response: float        # cm
+    participant_id: np.ndarray
+    condition: np.ndarray
+    trial_index: np.ndarray
+    nominal_length: np.ndarray  # cm
+    actual_length: np.ndarray   # cm, as actually presented
+    response: np.ndarray        # cm
 
     def __post_init__(self):
-        # raw responses are nonnegative, but debiasing may shift a record's
-        # response below zero, so only finiteness is enforced here
-        if not math.isfinite(self.response):
-            raise ValueError(f"response must be finite, got {self.response}")
-        if self.actual_length <= 0:
-            raise ValueError(
-                f"actual_length must be > 0, got {self.actual_length}"
-            )
+        for name, dtype in zip(TrialRow._fields, (str, str, np.int64, float, float, float)):
+            column = np.array(getattr(self, name), dtype=dtype)
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        shapes = {c.shape for c in self.columns}
+        if len(shapes) != 1 or self.response.ndim != 1:
+            raise ValueError(f"columns must be 1-d and of equal length, got {sorted(shapes)}")
+        # raw responses are nonnegative, but debiasing may shift a response
+        # below zero, so only finiteness is enforced here
+        bad = self.response[~np.isfinite(self.response)]
+        if bad.size:
+            raise ValueError(f"response must be finite, got {bad[0].item()}")
+        bad = self.actual_length[~(self.actual_length > 0)]
+        if bad.size:
+            raise ValueError(f"actual_length must be > 0, got {bad[0].item()}")
+
+    @property
+    def columns(self) -> tuple:
+        return tuple(getattr(self, name) for name in TrialRow._fields)
+
+    @classmethod
+    def concatenate(cls, tables) -> "Trials":
+        return cls(*map(np.concatenate, zip(*(t.columns for t in tables))))
+
+    def __len__(self) -> int:
+        return self.response.size
+
+    def __eq__(self, other):
+        if not isinstance(other, Trials):
+            return NotImplemented
+        return all(map(np.array_equal, self.columns, other.columns))
+
+    def __getitem__(self, rows) -> "Trials":
+        return Trials(*(c[rows] for c in self.columns))
+
+    def __iter__(self):
+        return starmap(TrialRow, zip(*(c.tolist() for c in self.columns)))
 
 
-def format_trial_row(rec: TrialRecord) -> str:
-    return ",".join(
-        (
-            rec.participant_id,
-            rec.condition,
-            str(rec.trial_index),
-            FLOAT_FMT.format(rec.nominal_length),
-            FLOAT_FMT.format(rec.actual_length),
-            FLOAT_FMT.format(rec.response),
-        )
-    )
+#: One trial of a :class:`Trials` table, with Python scalars for values.
+TrialRow = namedtuple("TrialRow", [f.name for f in fields(Trials)])
 
 
-def write_trial_csv(records: Iterable[TrialRecord], path: str | Path) -> None:
-    """Write records in the bit-exact CSV contract (LF, 6-decimal floats)."""
+def write_trial_csv(trials: Trials, path: str | Path) -> None:
+    """Write trials in the bit-exact CSV contract (LF, 6-decimal floats)."""
     lines = [",".join(TRIAL_CSV_HEADER)]
-    lines.extend(format_trial_row(r) for r in records)
+    rows = zip(*(c.tolist() for c in trials.columns))
+    lines.extend("%s,%s,%d,%.6f,%.6f,%.6f" % row for row in rows)
     Path(path).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))

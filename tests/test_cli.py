@@ -169,13 +169,13 @@ class TestConfigPrecedence:
 class TestPipelineDeterminism:
     def test_full_pipeline_byte_identical(self, tmp_path):
         outputs = []
-        for workers, tag in (("1", "w1"), ("4", "w4")):
+        for tag in ("r1", "r2"):
             trials = tmp_path / f"trials_{tag}.csv"
             adir = tmp_path / f"analysis_{tag}"
             fdir = tmp_path / f"fit_{tag}"
             main(["simulate", "--seed", "11", "--participants", "6",
                   "--conditions", "individual,social", "--wf", "0.25",
-                  "--workers", workers, "--out", str(trials)])
+                  "--out", str(trials)])
             main(["analyze", "--in", str(trials), "--out", str(adir)])
             main(["fit", "--in", str(adir / "conditions.csv"),
                   "--trials-per-stimulus", "6", "--out", str(fdir)])
@@ -186,6 +186,34 @@ class TestPipelineDeterminism:
                 (fdir / "fit_report.txt").read_bytes(),
             ))
         assert outputs[0] == outputs[1]
+
+
+class TestCommandImports:
+    @pytest.mark.parametrize("argv", [
+        ["schedule", "--seed", "3"],
+        ["simulate", "--seed", "3"],
+        ["curves", "--sigma-p", "1.5", "--wf-max", "0", "--ri-max", "0"],
+    ])
+    def test_scipy_and_analysis_not_loaded(self, tmp_path, argv):
+        """Commands that need no statistics load neither scipy nor the
+        analysis and fitting modules."""
+        argv = argv + ["--out", str(tmp_path / "out")]
+        code = (
+            "import sys\n"
+            "from lenrepro.cli import main\n"
+            f"assert main({argv!r}) == 0\n"
+            "print([m for m in ('scipy', 'lenrepro.stats', 'lenrepro.analysis',"
+            " 'lenrepro.fitting') if m in sys.modules])\n"
+        )
+        src_root = str(Path(lenrepro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src_root, env.get("PYTHONPATH")])
+        )
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestExitCodes:

@@ -1,0 +1,54 @@
+"""The Trials table and the trial CSV format."""
+import numpy as np
+import pytest
+
+from lenrepro.records import TrialRow, Trials, write_trial_csv
+
+
+def _table(**columns):
+    base = dict(participant_id=["p01", "p01"], condition=["a", "a"],
+                trial_index=[3, 4], nominal_length=[6.0, 14.0],
+                actual_length=[6.0, 13.9], response=[7.25, 12.5])
+    return Trials(**{**base, **columns})
+
+
+class TestTrials:
+    @pytest.mark.parametrize("column, values, message", [
+        ("response", [7.25, float("nan")], "response must be finite, got nan"),
+        ("response", [float("-inf"), 1.0], "response must be finite, got -inf"),
+        ("actual_length", [6.0, 0.0], "actual_length must be > 0, got 0.0"),
+        ("actual_length", [-1.0, 6.0], "actual_length must be > 0, got -1.0"),
+        ("nominal_length", [6.0], "equal length"),
+    ])
+    def test_columns_checked(self, column, values, message):
+        with pytest.raises(ValueError, match=message):
+            _table(**{column: values})
+
+    def test_rows_and_columns(self):
+        trials = _table()
+        assert len(trials) == 2
+        first = next(iter(trials))
+        assert first == TrialRow("p01", "a", 3, 6.0, 6.0, 7.25)
+        assert type(first.trial_index) is int and type(first.response) is float
+        with pytest.raises(AttributeError):
+            first.response = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            trials.response[0] = 0.0
+
+    def test_equality_selection_and_concatenation(self):
+        trials = _table()
+        assert trials == _table()
+        assert trials != _table(response=[7.25, 12.6])
+        assert trials[np.array([False, True])] == trials[1:]
+        assert Trials.concatenate([trials[:1], trials[1:]]) == trials
+        assert [r.trial_index for r in trials[::-1]] == [4, 3]
+
+    def test_csv_bytes(self, tmp_path):
+        path = tmp_path / "trials.csv"
+        write_trial_csv(_table(), path)
+        assert path.read_bytes() == (
+            b"participant_id,condition,trial_index,nominal_length_cm,"
+            b"actual_length_cm,response_cm\n"
+            b"p01,a,3,6.000000,6.000000,7.250000\n"
+            b"p01,a,4,14.000000,13.900000,12.500000\n"
+        )

@@ -155,11 +155,6 @@ class TestSimulateCohort:
         per_session = Counter((r.participant_id, r.condition) for r in recs)
         assert set(per_session.values()) == {66}
 
-    def test_worker_count_irrelevant(self):
-        one = simulate_cohort(4, self.PARAMS, master_seed=5, workers=1)
-        two = simulate_cohort(4, self.PARAMS, master_seed=5, workers=4)
-        assert one == two
-
     def test_sessions_use_distinct_streams(self):
         recs = simulate_cohort(2, self.PARAMS, master_seed=0)
         by_session = {}
