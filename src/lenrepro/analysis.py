@@ -176,26 +176,222 @@ def ingest(source) -> Trials:
     return Trials(*columns)
 
 
+class _Segments:
+    """Rows grouped by an integer key: groups in key order, the rows of each
+    in table order.
+
+    Groups of equal length form a bucket that is gathered as one (m, k)
+    block.  Reducing a C-contiguous block along its rows sums each group as
+    the 1-d reduction of that group alone does, so the results equal a loop
+    over the groups bit for bit.  ``np.add.reduceat`` sums in another order,
+    and zero-padding the groups to one width would change numpy's pairwise
+    blocking, so neither is used.
+    """
+
+    def __init__(self, keys: np.ndarray):
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+        self.lengths = np.diff(np.r_[starts, keys.size])
+        self.first_rows = order[starts]
+        self.buckets = []  # (group numbers, (m, k) row indices)
+        for k in np.unique(self.lengths):
+            groups = np.flatnonzero(self.lengths == k)
+            self.buckets.append((groups, order[starts[groups, None] + np.arange(k)]))
+
+    def __len__(self) -> int:
+        return self.lengths.size
+
+    def labels(self) -> np.ndarray:
+        """The group number of each row."""
+        label = np.empty(self.lengths.sum(), np.intp)
+        for groups, rows in self.buckets:
+            label[rows] = groups[:, None]
+        return label
+
+    def reduce(self, fn, *columns) -> list:
+        """Apply ``fn`` to each bucket's (m, k) blocks of ``columns``.  It
+        returns arrays of m values, one per group of the bucket; each output
+        is gathered into one array indexed by group number."""
+        out = None
+        for groups, rows in self.buckets:
+            values = fn(*(column[rows] for column in columns))
+            if out is None:
+                out = [np.empty(len(self), v.dtype) for v in values]
+            for o, v in zip(out, values):
+                o[groups] = v
+        return out
+
+
+def _means(*blocks) -> list:
+    return [block.mean(axis=1) for block in blocks]
+
+
+def _sessions(trials: Trials, keys: np.ndarray | None = None) -> tuple:
+    """The sessions of the table by key, or the whole table as one session
+    when ``keys`` is None; the session number of each row; and the mean
+    actual length of each session."""
+    if keys is None:
+        if not len(trials):
+            raise DegenerateDataError("empty session")
+        keys = np.zeros(len(trials), np.intp)
+    sessions = _Segments(keys)
+    s_bar, = sessions.reduce(_means, trials.actual_length)
+    return sessions, sessions.labels(), s_bar
+
+
+def _debiased(trials: Trials, sessions: _Segments, label, s_bar) -> np.ndarray:
+    """Responses shifted so that each session's mean response is its mean
+    actual length ``s_bar``; ``label`` is the session of each row."""
+    mean_response, = sessions.reduce(_means, trials.response)
+    return trials.response + (s_bar - mean_response)[label]
+
+
+def _fit_lines(segments: _Segments, x, y) -> list:
+    """OLS of y on x within each segment: (slope, intercept, r_squared,
+    denominator) arrays.  A zero denominator marks a constant x, which
+    the callers reject."""
+
+    def fit(x, y):
+        x_mean = x.mean(axis=1, keepdims=True)
+        y_mean = y.mean(axis=1, keepdims=True)
+        xc = x - x_mean
+        yc = y - y_mean
+        denom = np.vecdot(xc, xc)  # per row, np.dot's sum
+        with np.errstate(divide="ignore", invalid="ignore"):  # a zero denom
+            slope = np.vecdot(xc, yc) / denom
+        intercept = y_mean[:, 0] - slope * x_mean[:, 0]
+        resid = y - (intercept[:, None] + slope[:, None] * x)
+        ss_tot = np.sum(yc**2, axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):  # r2 = 0 there
+            r2 = np.where(ss_tot > 0, 1.0 - np.sum(resid**2, axis=1) / ss_tot, 0.0)
+        return slope, intercept, r2, denom
+
+    return segments.reduce(fit, x, y)
+
+
+def _regression_fits(slope, intercept, r2, denom) -> list:
+    if (denom == 0).any():
+        raise DegenerateDataError("all stimulus values identical")
+    return [
+        RegressionFit(b, a, 1.0 - b, r)
+        for b, a, r in zip(slope.tolist(), intercept.tolist(), r2.tolist())
+    ]
+
+
+def _stimulus_groups(trials: Trials, label, response):
+    """The stimulus groups of each session (``label`` per row), by ascending
+    nominal length.
+
+    Returns the runs of groups of each session, and per group its
+    nominal, mean actual length, mean response, population sd of the
+    responses and number of trials.
+    """
+    nominals, code = np.unique(trials.nominal_length, return_inverse=True)
+    groups = _Segments(label * nominals.size + code)
+    first = groups.first_rows
+    mean_actual, mean_response, sd = groups.reduce(
+        lambda actual, resp: (*_means(actual, resp), resp.std(axis=1)),
+        trials.actual_length, response,
+    )
+    runs = _Segments(label[first])
+    return runs, nominals[code[first]], mean_actual, mean_response, sd, groups.lengths
+
+
+def _group_errors(trials: Trials, label, s_bar, response) -> tuple:
+    """Normalized errors of the stimulus groups of each session (``label``
+    per row, ``s_bar`` its mean actual length) with these responses.
+
+    Returns the :class:`StimulusErrors` fields per group, the number of
+    groups of each session, each session's mean bias, cv and rmse over its
+    groups, and ``s_bar``: all the arguments of :func:`_decompositions`.
+    """
+    runs, nominal, s_mi, r_mi, sd, n = _stimulus_groups(trials, label, response)
+    s_bar_of_group = np.repeat(s_bar, runs.lengths)
+    bias = np.abs(r_mi - s_mi) / s_bar_of_group
+    cv = sd / s_bar_of_group  # exactly 0 for a single trial
+    rmse = np.array(list(map(math.hypot, bias.tolist(), cv.tolist())))
+    per_group = (nominal, s_mi, r_mi, bias, cv, rmse, n)
+    return per_group, runs.lengths, runs.reduce(_means, bias, cv, rmse), s_bar
+
+
+def _decompositions(per_group, run_lengths, session_means, s_bar) -> list:
+    """ErrorDecomposition of each session from :func:`_group_errors`."""
+    groups = list(map(StimulusErrors, *(column.tolist() for column in per_group)))
+    out, start = [], 0
+    for stop, *values in zip(np.cumsum(run_lengths).tolist(),
+                             *(m.tolist() for m in session_means), s_bar.tolist()):
+        per = tuple(groups[start:stop])
+        out.append(ErrorDecomposition(
+            per, *values, tuple(g.nominal for g in per if g.n == 1)
+        ))
+        start = stop
+    return out
+
+
+def _warn_singletons(errors: ErrorDecomposition, stacklevel: int) -> None:
+    if errors.singleton_groups:
+        warnings.warn(
+            "stimulus groups with a single trial (cv set to 0): "
+            f"{list(errors.singleton_groups)}",
+            stacklevel=stacklevel + 1,
+        )
+
+
+def _reduce_sessions(trials: Trials, keys: np.ndarray | None) -> tuple:
+    """The numbers of each session, in key order: debias the session, fit
+    the index on its trials and reduce its stimulus groups.
+
+    Returns the first row of each session, the :func:`_fit_lines` arrays,
+    the :func:`_group_errors` tuple, and where and how a loop over the
+    sessions would have stopped: the number of the first session with a
+    non-finite debiased response or a constant stimulus (the number of
+    sessions if none), and that session's first non-finite response (None
+    if it has none).  The row-length arrays stay local, so they are freed
+    before the caller builds the per-session objects.
+    """
+    sessions, label, s_bar = _sessions(trials, keys)
+    response = _debiased(trials, sessions, label, s_bar)
+    with np.errstate(invalid="ignore"):  # a non-finite response raises
+        fit = _fit_lines(sessions, trials.actual_length, response)
+        group_errors = _group_errors(trials, label, s_bar, response)
+    nonfinite = np.flatnonzero(~np.isfinite(response))
+    failed = np.union1d(label[nonfinite], np.flatnonzero(fit[-1] == 0))
+    stop = int(failed[0]) if failed.size else len(sessions)
+    bad = response[nonfinite[label[nonfinite] == stop]]
+    return (sessions.first_rows, fit, group_errors, stop,
+            bad[0].item() if bad.size else None)
+
+
+def _analyze(trials: Trials, keys: np.ndarray | None = None) -> list:
+    """SessionSummary of each session (see :func:`_sessions`), in key order.
+
+    Errors and warnings come as a loop over the sessions would raise them:
+    the singleton-group warnings of the sessions before the first one that
+    cannot be analyzed, then its error (a non-finite debiased response
+    before a constant stimulus).
+    """
+    first, lines, group_errors, stop, nonfinite = _reduce_sessions(trials, keys)
+    errors = _decompositions(*group_errors)
+    for e in errors[:stop]:
+        _warn_singletons(e, 1)
+    if nonfinite is not None:
+        raise ValueError(f"response must be finite, got {nonfinite}")
+    return [
+        SessionSummary(pid, cond, fit, e)
+        for pid, cond, fit, e in zip(
+            trials.participant_id[first].tolist(), trials.condition[first].tolist(),
+            _regression_fits(*lines), errors,
+        )
+    ]
+
+
 def debias_session(trials: Trials) -> Trials:
     """Remove the constant response offset of one participant+condition:
     response' = response - mean(responses) + mean(actual stimuli).
     """
-    if not len(trials):
-        raise DegenerateDataError("empty session")
-    shift = float(trials.actual_length.mean()) - float(trials.response.mean())
-    return Trials(*trials.columns[:-1], trials.response + shift)
-
-
-def _groups(codes: np.ndarray) -> list:
-    """Row indices of each distinct code, in code order, each in row order."""
-    order = np.argsort(codes, kind="stable")
-    return np.split(order, np.flatnonzero(np.diff(codes[order])) + 1)
-
-
-def _stimulus_groups(trials: Trials):
-    """Distinct nominal lengths, ascending, and the rows of each."""
-    nominals, inverse = np.unique(trials.nominal_length, return_inverse=True)
-    return nominals.tolist(), _groups(inverse)
+    sessions, label, s_bar = _sessions(trials)
+    return Trials(*trials.columns[:-1], _debiased(trials, sessions, label, s_bar))
 
 
 def per_stimulus_errors(trials: Trials) -> ErrorDecomposition:
@@ -206,35 +402,10 @@ def per_stimulus_errors(trials: Trials) -> ErrorDecomposition:
     sd of the responses / S-bar.  Session values are unweighted means over
     the groups.
     """
-    if not len(trials):
-        raise DegenerateDataError("empty session")
-    s_bar = float(trials.actual_length.mean())
-    per = []
-    for nominal, rows in zip(*_stimulus_groups(trials)):
-        resp = trials.response[rows]
-        s_mi = float(trials.actual_length[rows].mean())
-        r_mi = float(resp.mean())
-        bias = abs(r_mi - s_mi) / s_bar
-        cv = float(resp.std(ddof=0)) / s_bar  # exactly 0 for a single trial
-        per.append(
-            StimulusErrors(
-                nominal, s_mi, r_mi, bias, cv, math.hypot(bias, cv), resp.size
-            )
-        )
-    singletons = [g.nominal for g in per if g.n == 1]
-    if singletons:
-        warnings.warn(
-            f"stimulus groups with a single trial (cv set to 0): {singletons}",
-            stacklevel=2,
-        )
-    return ErrorDecomposition(
-        per_stimulus=tuple(per),
-        session_bias=float(np.mean([g.bias for g in per])),
-        session_cv=float(np.mean([g.cv for g in per])),
-        session_rmse=float(np.mean([g.rmse for g in per])),
-        mean_stimulus=s_bar,
-        singleton_groups=tuple(singletons),
-    )
+    _, label, s_bar = _sessions(trials)
+    errors, = _decompositions(*_group_errors(trials, label, s_bar, trials.response))
+    _warn_singletons(errors, 2)
+    return errors
 
 
 def fit_regression_index(trials: Trials, per_group: bool = False) -> RegressionFit:
@@ -243,24 +414,12 @@ def fit_regression_index(trials: Trials, per_group: bool = False) -> RegressionF
     Fits trial-level points by default; ``per_group=True`` fits the
     per-stimulus mean points instead, in ascending nominal order.
     """
-    if not len(trials):
-        raise DegenerateDataError("empty session")
-    x = trials.actual_length
-    y = trials.response
+    segments, label, _ = _sessions(trials)
+    x, y = trials.actual_length, trials.response
     if per_group:
-        _, groups = _stimulus_groups(trials)
-        x = np.array([x[rows].mean() for rows in groups])
-        y = np.array([y[rows].mean() for rows in groups])
-    xc = x - x.mean()
-    denom = float(np.dot(xc, xc))
-    if denom == 0:
-        raise DegenerateDataError("all stimulus values identical")
-    slope = float(np.dot(xc, y - y.mean()) / denom)
-    intercept = float(y.mean() - slope * x.mean())
-    resid = y - (intercept + slope * x)
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0 else 0.0
-    return RegressionFit(slope, intercept, 1.0 - slope, r2)
+        segments, _, x, y, _, _ = _stimulus_groups(trials, label, y)
+    fit, = _regression_fits(*_fit_lines(segments, x, y))
+    return fit
 
 
 def screen_outliers(metrics: Mapping[str, float], k: float = 2.5):
@@ -289,13 +448,30 @@ def _session_metric(summary: SessionSummary, metric: str) -> float:
 
 def analyze_session(trials: Trials) -> SessionSummary:
     """Debias one session, then decompose errors and fit the index."""
-    adjusted = debias_session(trials)
-    return SessionSummary(
-        participant_id=str(trials.participant_id[0]),
-        condition=str(trials.condition[0]),
-        fit=fit_regression_index(adjusted),
-        errors=per_stimulus_errors(adjusted),
+    summary, = _analyze(trials)
+    return summary
+
+
+def _codes(column: np.ndarray, chunk: int = 8192) -> tuple:
+    """``np.unique(column, return_inverse=True)``, a chunk of rows at a time.
+
+    ``np.unique`` sorts two copies of its input; for the 10-character
+    condition ids of a 79,200-trial cohort they would set the peak memory
+    of ``analyze``.
+    """
+    parts = [np.unique(column[i:i + chunk], return_inverse=True)
+             for i in range(0, column.size, chunk)]
+    values = np.unique(np.concatenate([part for part, _ in parts]))
+    return values, np.concatenate(
+        [np.searchsorted(values, part)[inverse] for part, inverse in parts]
     )
+
+
+def _session_keys(trials: Trials) -> np.ndarray:
+    """Each row's session key, ordered as (participant id, condition)."""
+    _, p_code = _codes(trials.participant_id)
+    conditions, c_code = _codes(trials.condition)
+    return p_code * conditions.size + c_code
 
 
 def summarize_cohort(trials: Trials, k: float = 2.5) -> CohortSummary:
@@ -305,14 +481,11 @@ def summarize_cohort(trials: Trials, k: float = 2.5) -> CohortSummary:
     """
     if not len(trials):
         raise DegenerateDataError("empty dataset")
-    participants, p_code = np.unique(trials.participant_id, return_inverse=True)
-    conditions, c_code = np.unique(trials.condition, return_inverse=True)
-    sessions = {}
-    for rows in _groups(p_code * conditions.size + c_code):
-        s = analyze_session(trials[rows])
-        sessions[(s.participant_id, s.condition)] = s
-    participants = participants.tolist()
-    conditions = conditions.tolist()
+    sessions = {
+        (s.participant_id, s.condition): s for s in _analyze(trials, _session_keys(trials))
+    }
+    participants = list(dict.fromkeys(pid for pid, _ in sessions))  # in key order
+    conditions = sorted({cond for _, cond in sessions})
 
     excluded = {}
     if len(participants) >= 2 and not math.isinf(k):

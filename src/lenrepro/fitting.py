@@ -9,6 +9,7 @@ to the smaller width.  Fully deterministic.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping
@@ -158,12 +159,28 @@ def _condition_residuals(observed: ObservedErrors, bias, cv, ri,
     return (ri - observed.ri) ** 2
 
 
+def _warn_on_grid_edge(name: str, grid: np.ndarray, k: int) -> None:
+    """Warn when the fitted value ``grid[k]`` is the first or last value of
+    a grid with more than one value: the best fit may lie beyond it."""
+    if grid.size > 1 and k in (0, grid.size - 1):
+        edge = "lower" if k == 0 else "upper"
+        warnings.warn(
+            f"fitted {name} = {grid[k]:.6f} lies on the {edge} edge of its grid "
+            f"[{grid[0]:.6f}, {grid[-1]:.6f}]",
+            stacklevel=3,
+        )
+
+
 def fit_shared_prior(
     observed: Mapping[str, ObservedErrors],
     stimuli: StimulusSet,
     cfg: FitConfig = FitConfig(),
 ) -> FitResult:
-    """Exhaustive grid fit of one shared prior width + per-condition WFs."""
+    """Exhaustive grid fit of one shared prior width + per-condition WFs.
+
+    Warns when the fitted sigma_p or a condition's wf lies on the first or
+    last value of its grid.
+    """
     if not observed:
         raise ValueError("need at least one condition")
     for label, obs in observed.items():
@@ -186,6 +203,9 @@ def fit_shared_prior(
         total += best[label][1]
     i = int(np.argmin(total))
     picks = {label: int(k[i]) for label, (k, _) in best.items()}
+    _warn_on_grid_edge("sigma_p", sigma_ps, i)
+    for label, k in picks.items():
+        _warn_on_grid_edge(f"wf of condition {label!r}", wfs, k)
     return FitResult(
         shared_sigma_p=float(sigma_ps[i]),
         per_condition_wf={label: float(wfs[k]) for label, k in picks.items()},

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -59,8 +59,9 @@ class ScheduleConfig:
         return self.min_length + self.step * (self.num_lengths - 1) / 2
 
 
-@dataclass(frozen=True)
-class Trial:
+class Trial(NamedTuple):
+    """One scheduled trial."""
+
     index: int
     nominal_length: float
     first_dot_offset: float
@@ -95,10 +96,9 @@ class DemonstratorNoise:
             raise ConfigError("demonstrator sd must be >= 0")
 
 
-def generate_schedule(cfg: ScheduleConfig) -> list:
-    """Seeded schedule: practice trials first, then a uniform shuffle of
-    each length repeated ``reps`` times; first-dot offsets uniform in range.
-    """
+def _schedule_columns(cfg: ScheduleConfig) -> tuple:
+    """The seeded schedule as columns: index, nominal length, first-dot
+    offset and practice flag."""
     rng = np.random.default_rng(cfg.seed)
     lengths = cfg.lengths
     main = np.repeat(lengths, cfg.reps)
@@ -107,13 +107,34 @@ def generate_schedule(cfg: ScheduleConfig) -> list:
     lo, hi = cfg.first_dot_range
     n_total = cfg.practice + main.size
     offsets = rng.uniform(lo, hi, size=n_total)
-    trials = []
-    for i in range(cfg.practice):
-        trials.append(Trial(i, float(practice[i]), float(offsets[i]), True))
-    for j, nominal in enumerate(main):
-        i = cfg.practice + j
-        trials.append(Trial(i, float(nominal), float(offsets[i]), False))
-    return trials
+    index = np.arange(n_total)
+    return index, np.concatenate([practice, main]), offsets, index < cfg.practice
+
+
+def generate_schedule(cfg: ScheduleConfig) -> list:
+    """Seeded schedule: practice trials first, then a uniform shuffle of
+    each length repeated ``reps`` times; first-dot offsets uniform in range.
+    """
+    return list(map(Trial, *(column.tolist() for column in _schedule_columns(cfg))))
+
+
+def _observe(index, nominal, is_practice, obs: ObserverParams,
+             demo: DemonstratorNoise, seed) -> tuple:
+    """Index, nominal, actual and response columns of the main trials of a
+    schedule given as columns."""
+    rng = np.random.default_rng(seed)
+    main = ~is_practice
+    nominal = nominal[main]
+    n = nominal.size
+    actual = nominal + rng.normal(0.0, 1.0, n) * demo.sd
+    actual = np.maximum(actual, 1e-9)
+    sig_l = sigma_l_at(obs.noise, actual)
+    m = actual + rng.normal(0.0, 1.0, n) * sig_l
+    w = fusion_weight(sig_l, obs.prior_sd)
+    estimate = w * m + (1.0 - w) * obs.prior_mean
+    response = estimate + rng.normal(0.0, 1.0, n) * obs.motor_sd
+    response = np.maximum(response, obs.response_floor)
+    return index[main], nominal, actual, response
 
 
 def simulate_observer(
@@ -131,26 +152,13 @@ def simulate_observer(
     length); motor noise is added to the fused estimate and the response
     is clamped at the floor.
     """
-    rng = np.random.default_rng(seed)
-    main = [t for t in schedule if not t.is_practice]
-    nominal = np.array([t.nominal_length for t in main])
-    n = nominal.size
-    actual = nominal + rng.normal(0.0, 1.0, n) * demo.sd
-    actual = np.maximum(actual, 1e-9)
-    sig_l = sigma_l_at(obs.noise, actual)
-    m = actual + rng.normal(0.0, 1.0, n) * sig_l
-    w = fusion_weight(sig_l, obs.prior_sd)
-    estimate = w * m + (1.0 - w) * obs.prior_mean
-    response = estimate + rng.normal(0.0, 1.0, n) * obs.motor_sd
-    response = np.maximum(response, obs.response_floor)
-    return Trials(
-        participant_id=np.full(n, participant_id),
-        condition=np.full(n, condition),
-        trial_index=[t.index for t in main],
-        nominal_length=nominal,
-        actual_length=actual,
-        response=response,
+    index, nominal, _, is_practice = list(zip(*schedule)) or [()] * 4
+    columns = _observe(
+        np.array(index, dtype=np.int64), np.array(nominal),
+        np.array(is_practice, dtype=bool), obs, demo, seed,
     )
+    n = columns[0].size
+    return Trials(np.full(n, participant_id), np.full(n, condition), *columns)
 
 
 def _session_seed(master_seed: int, p_idx: int, c_idx: int, stream: int) -> int:
@@ -186,19 +194,20 @@ def simulate_cohort(
         raise ConfigError("need at least one condition")
 
     width = max(2, len(str(n_participants)))
-    sessions = []
+    ids, sessions = [], []
     for p_idx in range(n_participants):
         pid = f"p{p_idx + 1:0{width}d}"
         for c_idx, (label, params) in enumerate(condition_params.items()):
-            sched_cfg = dataclasses.replace(
+            index, nominal, _, is_practice = _schedule_columns(dataclasses.replace(
                 cfg, seed=_session_seed(master_seed, p_idx, c_idx, 0)
-            )
-            sessions.append(simulate_observer(
-                generate_schedule(sched_cfg),
-                params,
-                demo,
-                seed=_session_seed(master_seed, p_idx, c_idx, 1),
-                participant_id=pid,
-                condition=label,
             ))
-    return Trials.concatenate(sessions)
+            sessions.append(_observe(
+                index, nominal, is_practice, params, demo,
+                seed=_session_seed(master_seed, p_idx, c_idx, 1),
+            ))
+            ids.append((pid, label))
+    # one table, checked once, instead of one per session
+    counts = [columns[0].size for columns in sessions]
+    pids, labels = zip(*ids)
+    return Trials(np.repeat(pids, counts), np.repeat(labels, counts),
+                  *map(np.concatenate, zip(*sessions)))

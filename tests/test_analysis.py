@@ -469,6 +469,49 @@ def _reference_summary(trials, k=2.5):
     return sessions, condition_stats, tuple(contrasts), excluded
 
 
+def _ragged_cohort(seed=0):
+    """Sessions of unequal length and group count, rows shuffled.
+
+    Stimulus groups have 1, 2, 5, 8, 9, 16, 17, 25, 33 or 130 trials: a
+    reduction copies the first element and sums the rest pairwise in eight
+    lanes from 8 of them (9 trials) and in halves above 128, so these sizes
+    sit on both sides of each change of summation order.  Sessions use 2 to
+    20 of 20 lengths.
+    """
+    rng = np.random.default_rng(seed)
+    nominals = np.arange(20) * 0.5 + 5.0
+    rows = []
+    for p in range(8):
+        for cond in ("individual", "mechanical", "social"):
+            index = 0
+            for nominal in rng.choice(nominals, rng.integers(2, 21), replace=False):
+                k = int(rng.choice([1, 2, 5, 8, 9, 16, 17, 25, 33, 130]))
+                actual = nominal + rng.normal(0.0, 0.2, k)
+                response = np.maximum(0.6 * actual + 4.0 + rng.normal(0.0, 1.0, k), 0.0)
+                for a, r in zip(actual.tolist(), response.tolist()):
+                    rows.append((f"p{p:02d}", cond, index, float(nominal), a, r))
+                    index += 1
+    trials = _trials(*rows)
+    return trials[rng.permutation(len(trials))]
+
+
+class TestCodes:
+    @pytest.mark.parametrize("chunk", [1, 3, 8192])
+    @pytest.mark.parametrize("n", [1, 8, 9, 8191, 8193])
+    def test_matches_unique(self, chunk, n):
+        from lenrepro.analysis import _codes
+
+        rng = np.random.default_rng(n)
+        ids = np.array([f"p{i:03d}" for i in rng.integers(0, 300, n)])
+        conditions = rng.choice(["social", "mechanical", "individual"], n)
+        for column in (ids, conditions):
+            values, inverse = _codes(column, chunk)
+            expected_values, expected_inverse = np.unique(column, return_inverse=True)
+            assert values.dtype == expected_values.dtype
+            assert values.tolist() == expected_values.tolist()
+            assert inverse.tolist() == expected_inverse.tolist()
+
+
 class TestCohortSummary:
     def test_analyze_session_shape(self):
         recs = _cohort(1)
@@ -548,6 +591,56 @@ class TestCohortSummary:
         assert summary.condition_stats == condition_stats
         assert summary.contrasts == contrasts
         assert summary.excluded == excluded
+
+    def test_ragged_sessions_match_row_reference_bit_for_bit(self):
+        recs = _ragged_cohort()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            summary = summarize_cohort(recs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            sessions, condition_stats, contrasts, excluded = _reference_summary(recs)
+        sizes = {g.n for s in sessions.values() for g in s.errors.per_stimulus}
+        assert {1, 8, 9, 16, 17, 130} <= sizes
+        assert len({len(s.errors.per_stimulus) for s in sessions.values()}) > 8
+        assert list(summary.sessions) == list(sessions)
+        for key, session in sessions.items():
+            assert summary.sessions[key] == session
+        assert summary.condition_stats == condition_stats
+        assert summary.contrasts == contrasts
+        assert summary.excluded == excluded
+        # one singleton warning per session that has any, in session order
+        assert [str(w.message) for w in caught] == [
+            f"stimulus groups with a single trial (cv set to 0): "
+            f"{list(s.errors.singleton_groups)}"
+            for s in sessions.values() if s.errors.singleton_groups
+        ]
+        # a session analyzed alone is the cohort's entry for it
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for pid, cond in sessions:
+                alone = recs[(recs.participant_id == pid) & (recs.condition == cond)]
+                assert analyze_session(alone) == summary.sessions[(pid, cond)]
+
+    def test_ragged_group_mean_fit_matches_row_reference(self):
+        recs = _ragged_cohort(seed=1)
+        for cond in ("individual", "mechanical", "social"):
+            session = recs[(recs.participant_id == "p03") & (recs.condition == cond)]
+            groups = {}
+            for r in session:
+                groups.setdefault(r.nominal_length, []).append(r)
+            x = np.array([np.mean([r.actual_length for r in groups[g]])
+                          for g in sorted(groups)])
+            y = np.array([np.mean([r.response for r in groups[g]])
+                          for g in sorted(groups)])
+            xc = x - x.mean()
+            slope = float(np.dot(xc, y - y.mean()) / float(np.dot(xc, xc)))
+            intercept = float(y.mean() - slope * x.mean())
+            ss_res = float(np.sum((y - (intercept + slope * x)) ** 2))
+            r2 = 1.0 - ss_res / float(np.sum((y - y.mean()) ** 2))
+            assert fit_regression_index(session, per_group=True) == RegressionFit(
+                slope, intercept, 1.0 - slope, r2
+            )
 
     def test_single_participant_no_contrasts(self):
         summary = summarize_cohort(_cohort(1))

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -89,6 +90,57 @@ class TestFit:
     def test_fit_requires_input(self, capsys):
         assert main(["fit"]) == 1
         assert "error:" in capsys.readouterr().err
+
+
+def _fitted(report: Path):
+    """Shared sigma_p and per-condition wf from a fit_report.txt."""
+    sigma_p, wf = None, {}
+    for line in report.read_text().splitlines():
+        if line.startswith("shared_sigma_p_cm: "):
+            sigma_p = float(line.split(": ")[1])
+        elif " wf=" in line:
+            label, rest = line.split(": ", 1)
+            wf[label] = float(rest.split()[0].removeprefix("wf="))
+    return sigma_p, wf
+
+
+class TestReadmeRecovery:
+    """The README commands, which simulate wf 0.15 and sigma_p 1.5 with
+    1.2 cm motor noise added in quadrature."""
+
+    @pytest.fixture(scope="class")
+    def conditions_csv(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("readme")
+        assert main(["simulate", "--seed", "11", "--participants", "25",
+                     "--conditions", "individual,mechanical,social",
+                     "--out", str(d / "trials.csv")]) == 0
+        assert main(["analyze", "--in", str(d / "trials.csv"),
+                     "--out", str(d / "analysis_out")]) == 0
+        return d / "analysis_out" / "conditions.csv"
+
+    def _fit(self, conditions_csv, out, *flags):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["fit", "--in", str(conditions_csv),
+                       "--trials-per-stimulus", "6", *flags, "--out", str(out)])
+        assert rc == 0
+        edge = [str(w.message) for w in caught if "edge of its grid" in str(w.message)]
+        return (*_fitted(out / "fit_report.txt"), edge)
+
+    def test_quadrature_fit_recovers_simulated_parameters(self, conditions_csv, tmp_path):
+        sigma_p, wf, edge = self._fit(conditions_csv, tmp_path / "fit_out",
+                                      "--motor-combination", "quadrature")
+        assert sigma_p == pytest.approx(1.5, abs=1e-9)
+        assert sorted(wf) == ["individual", "mechanical", "social"]
+        for value in wf.values():
+            assert value == pytest.approx(0.15, abs=0.01)
+        assert edge == []
+
+    def test_default_linear_cv_fit_warns_on_grid_edge(self, conditions_csv, tmp_path):
+        sigma_p, _, edge = self._fit(conditions_csv, tmp_path / "fit_out")
+        assert sigma_p == pytest.approx(0.1, abs=1e-9)
+        assert edge == ["fitted sigma_p = 0.100000 lies on the lower edge of "
+                        "its grid [0.100000, 5.000000]"]
 
 
 class TestCurves:

@@ -370,3 +370,42 @@ class TestGridChecks:
         cfg = FitConfig(wf_grid=(0.0, 0.65, 0.005))
         with pytest.warns(UserWarning, match="Weber fraction 0.605"):
             fit_shared_prior({"a": _forward(1.5, 0.2)}, DEFAULT_STIMULI, cfg)
+
+
+class TestGridEdgeWarning:
+    def _fit(self, observed, **grids):
+        import warnings
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = fit_shared_prior(observed, DEFAULT_STIMULI, FitConfig(**grids))
+        return res, [str(w.message) for w in caught if "edge" in str(w.message)]
+
+    def test_interior_fit_is_silent(self):
+        observed = {"a": _forward(1.5, 0.3), "b": _forward(1.5, 0.14)}
+        res, edge = self._fit(observed)
+        assert res.shared_sigma_p == pytest.approx(1.5, abs=1e-12)
+        assert edge == []
+
+    def test_sigma_p_on_upper_edge(self):
+        res, edge = self._fit({"a": _forward(1.5, 0.2)},
+                              sigma_p_grid=(0.5, 1.0, 0.05))
+        assert res.shared_sigma_p == pytest.approx(1.0)
+        assert edge == ["fitted sigma_p = 1.000000 lies on the upper edge of "
+                        "its grid [0.500000, 1.000000]"]
+
+    def test_wf_on_lower_edge_names_condition(self):
+        observed = {"a": _forward(1.5, 0.3), "b": _forward(1.5, 0.05)}
+        res, edge = self._fit(observed, wf_grid=(0.1, 0.6, 0.005))
+        assert res.per_condition_wf["b"] == pytest.approx(0.1)
+        assert res.per_condition_wf["a"] != pytest.approx(0.1)
+        assert any(m.startswith("fitted wf of condition 'b' = 0.100000 lies on "
+                                "the lower edge of its grid [0.100000, 0.600000]")
+                   for m in edge)
+        assert not any("'a'" in m for m in edge)
+
+    def test_single_value_grid_is_silent(self):
+        res, edge = self._fit({"a": _forward(1.5, 0.2)},
+                              sigma_p_grid=(1.5, 1.5, 0.05))
+        assert res.shared_sigma_p == pytest.approx(1.5)
+        assert edge == []
