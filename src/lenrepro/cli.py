@@ -15,8 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-# `analysis` and `fitting` load scipy, so the commands that use them import
-# them themselves; `schedule`, `simulate` and `curves` do without.
+# Only `analyze` and `fit` use `analysis` and `fitting`, so those commands
+# import them themselves and `schedule`, `simulate` and `curves` skip them.
 from . import model, records, simulate
 
 ENV_PREFIX = "LENREPRO_"
@@ -240,8 +240,7 @@ def cmd_fit(args) -> int:
     stimuli = _stimuli(res)
     res.dump(args.dump_config)
     observed = _read_observations(inp)
-    result = fitting.fit_shared_prior(observed, stimuli, cfg)
-    goodness = fitting.goodness_of_fit(result, observed, stimuli, cfg)
+    result, goodness = fitting._fit_with_goodness(observed, stimuli, cfg)
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "fit_report.txt").write_bytes(
         fitting.render_fit_report(result, goodness).encode("utf-8")

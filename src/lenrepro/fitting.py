@@ -15,7 +15,6 @@ from enum import Enum
 from typing import Mapping
 
 import numpy as np
-from scipy.special import gammaln, ndtr
 
 from .model import (
     GaussianBelief,
@@ -29,6 +28,7 @@ from .model import (
     normalized_errors,
     regression_index,
 )
+from .stats import _gamma_ratio
 
 
 class Objective(Enum):
@@ -83,17 +83,25 @@ class GoodnessReport:
     equal_wf_residual: float
 
 
+def _erf(z):
+    """math.erf elementwise (numpy has no erf)."""
+    z = np.asarray(z, dtype=float)
+    return np.fromiter(map(math.erf, z.ravel().tolist()), float, z.size).reshape(z.shape)
+
+
 def _sd_deflation(n: int) -> float:
     """E[population sd] / true sd for n normal samples."""
-    return math.sqrt(2.0 / n) * math.exp(gammaln(n / 2) - gammaln((n - 1) / 2))
+    return math.sqrt(2.0 / n) * _gamma_ratio(n)
 
 
 def _folded_mean(b, s):
-    """E|X| for X ~ N(b, s), elementwise: what |group mean - stimulus| estimates."""
+    """E|X| for X ~ N(b, s), elementwise: what |group mean - stimulus| estimates.
+
+    Its second term is b (1 - 2 Phi(-b/s)) = b erf(b / (s sqrt 2)).
+    """
     with np.errstate(divide="ignore", invalid="ignore"):
-        folded = s * math.sqrt(2.0 / math.pi) * np.exp(-b * b / (2 * s * s)) + b * (
-            1.0 - 2.0 * ndtr(-b / s)
-        )
+        folded = s * math.sqrt(2.0 / math.pi) * np.exp(-b * b / (2 * s * s)) \
+            + b * _erf(b / (s * math.sqrt(2.0)))
     return np.where(s == 0, np.abs(b), folded)
 
 
@@ -167,37 +175,38 @@ def _warn_on_grid_edge(name: str, grid: np.ndarray, k: int) -> None:
         warnings.warn(
             f"fitted {name} = {grid[k]:.6f} lies on the {edge} edge of its grid "
             f"[{grid[0]:.6f}, {grid[-1]:.6f}]",
-            stacklevel=3,
+            stacklevel=4,  # the caller of the public fit function
         )
 
 
-def fit_shared_prior(
-    observed: Mapping[str, ObservedErrors],
-    stimuli: StimulusSet,
-    cfg: FitConfig = FitConfig(),
-) -> FitResult:
-    """Exhaustive grid fit of one shared prior width + per-condition WFs.
+def _grid_residuals(observed: Mapping[str, ObservedErrors], stimuli: StimulusSet,
+                    cfg: FitConfig):
+    """The sigma_p and wf grids, the model (bias, cv, ri) table on them, and
+    each condition's squared residual on the table, in observation order."""
+    sigma_ps = grid_values(*cfg.sigma_p_grid)
+    wfs = grid_values(*cfg.wf_grid)
+    table = _model_table(sigma_ps, wfs, stimuli, cfg)
+    residuals = {label: _condition_residuals(obs, *table, cfg.objective)
+                 for label, obs in observed.items()}
+    return sigma_ps, wfs, table, residuals
 
-    Warns when the fitted sigma_p or a condition's wf lies on the first or
-    last value of its grid.
-    """
+
+def _check_observed(observed: Mapping[str, ObservedErrors]) -> None:
     if not observed:
         raise ValueError("need at least one condition")
     for label, obs in observed.items():
         for v in (obs.bias, obs.cv, obs.ri):
             if v is not None and not math.isfinite(v):
                 raise ValueError(f"non-finite observation for condition {label}")
-    sigma_ps = grid_values(*cfg.sigma_p_grid)
-    wfs = grid_values(*cfg.wf_grid)
-    bias, cv, ri = _model_table(sigma_ps, wfs, stimuli, cfg)
 
+
+def _free_fit(sigma_ps, wfs, table, residuals) -> FitResult:
     # Each condition picks its best wf at every sigma_p; argmin breaks ties
     # to the smaller wf, and then to the smaller sigma_p.
     rows = np.arange(sigma_ps.size)
     total = np.zeros(sigma_ps.size)
     best = {}
-    for label in observed:
-        r = _condition_residuals(observed[label], bias, cv, ri, cfg.objective)
+    for label, r in residuals.items():
         k = np.argmin(r, axis=1)
         best[label] = (k, r[rows, k])
         total += best[label][1]
@@ -206,6 +215,7 @@ def fit_shared_prior(
     _warn_on_grid_edge("sigma_p", sigma_ps, i)
     for label, k in picks.items():
         _warn_on_grid_edge(f"wf of condition {label!r}", wfs, k)
+    bias, cv, ri = table
     return FitResult(
         shared_sigma_p=float(sigma_ps[i]),
         per_condition_wf={label: float(wfs[k]) for label, k in picks.items()},
@@ -220,6 +230,35 @@ def fit_shared_prior(
     )
 
 
+def _equal_wf_fit(result: FitResult, sigma_ps, wfs, residuals) -> GoodnessReport:
+    total = sum(residuals.values())
+    # row-major argmin: ties go to the smaller sigma_p, then the smaller wf
+    i, k = np.unravel_index(np.argmin(total), total.shape)
+    _warn_on_grid_edge("equal-wf sigma_p", sigma_ps, i)
+    _warn_on_grid_edge("equal wf", wfs, k)
+    return GoodnessReport(
+        per_condition_residual=dict(result.per_condition_residual),
+        total_residual=result.residual,
+        equal_wf_sigma_p=float(sigma_ps[i]),
+        equal_wf=float(wfs[k]),
+        equal_wf_residual=float(total[i, k]),
+    )
+
+
+def fit_shared_prior(
+    observed: Mapping[str, ObservedErrors],
+    stimuli: StimulusSet,
+    cfg: FitConfig = FitConfig(),
+) -> FitResult:
+    """Exhaustive grid fit of one shared prior width + per-condition WFs.
+
+    Warns when the fitted sigma_p or a condition's wf lies on the first or
+    last value of its grid.
+    """
+    _check_observed(observed)
+    return _free_fit(*_grid_residuals(observed, stimuli, cfg))
+
+
 def goodness_of_fit(
     result: FitResult,
     observed: Mapping[str, ObservedErrors],
@@ -230,27 +269,28 @@ def goodness_of_fit(
 
     The constrained fit forces a single Weber fraction across conditions;
     its residual can never beat the unconstrained fit (nested models).
+    Warns when its sigma_p or wf lies on the first or last value of a grid.
     """
     if set(observed) != set(result.per_condition_wf):
         raise ValueError(
             f"condition labels mismatch: {sorted(observed)} vs "
             f"{sorted(result.per_condition_wf)}"
         )
-    sigma_ps = grid_values(*cfg.sigma_p_grid)
-    wfs = grid_values(*cfg.wf_grid)
-    bias, cv, ri = _model_table(sigma_ps, wfs, stimuli, cfg)
-    total = np.zeros(bias.shape)
-    for label in observed:
-        total += _condition_residuals(observed[label], bias, cv, ri, cfg.objective)
-    # row-major argmin: ties go to the smaller sigma_p, then the smaller wf
-    i, k = np.unravel_index(np.argmin(total), total.shape)
-    return GoodnessReport(
-        per_condition_residual=dict(result.per_condition_residual),
-        total_residual=result.residual,
-        equal_wf_sigma_p=float(sigma_ps[i]),
-        equal_wf=float(wfs[k]),
-        equal_wf_residual=float(total[i, k]),
-    )
+    sigma_ps, wfs, _, residuals = _grid_residuals(observed, stimuli, cfg)
+    return _equal_wf_fit(result, sigma_ps, wfs, residuals)
+
+
+def _fit_with_goodness(
+    observed: Mapping[str, ObservedErrors],
+    stimuli: StimulusSet,
+    cfg: FitConfig = FitConfig(),
+) -> tuple[FitResult, GoodnessReport]:
+    """:func:`fit_shared_prior` and then :func:`goodness_of_fit`, with the
+    same results and warnings, from one model table."""
+    _check_observed(observed)
+    sigma_ps, wfs, table, residuals = _grid_residuals(observed, stimuli, cfg)
+    result = _free_fit(sigma_ps, wfs, table, residuals)
+    return result, _equal_wf_fit(result, sigma_ps, wfs, residuals)
 
 
 def render_fit_report(result: FitResult, goodness: GoodnessReport | None = None) -> str:

@@ -140,7 +140,9 @@ class TestReadmeRecovery:
         sigma_p, _, edge = self._fit(conditions_csv, tmp_path / "fit_out")
         assert sigma_p == pytest.approx(0.1, abs=1e-9)
         assert edge == ["fitted sigma_p = 0.100000 lies on the lower edge of "
-                        "its grid [0.100000, 5.000000]"]
+                        "its grid [0.100000, 5.000000]",
+                        "fitted equal-wf sigma_p = 0.100000 lies on the lower "
+                        "edge of its grid [0.100000, 5.000000]"]
 
 
 class TestCurves:
@@ -240,6 +242,14 @@ class TestPipelineDeterminism:
         assert outputs[0] == outputs[1]
 
 
+def _src_env():
+    """The environment with this checkout's package first on PYTHONPATH."""
+    src_root = str(Path(lenrepro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_root, env.get("PYTHONPATH")]))
+    return env
+
+
 class TestCommandImports:
     @pytest.mark.parametrize("argv", [
         ["schedule", "--seed", "3"],
@@ -266,6 +276,58 @@ class TestCommandImports:
                               capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    @pytest.fixture(scope="class")
+    def pipeline_inputs(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("imports")
+        assert main(["simulate", "--seed", "3", "--participants", "3",
+                     "--conditions", "individual,social",
+                     "--out", str(d / "trials.csv")]) == 0
+        assert main(["analyze", "--in", str(d / "trials.csv"),
+                     "--out", str(d / "analysis_out")]) == 0
+        return d
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--in", "trials.csv"],
+        ["fit", "--in", "analysis_out/conditions.csv", "--trials-per-stimulus", "6"],
+        ["fit", "--in", "analysis_out/conditions.csv", "--objective", "ri",
+         "--motor-combination", "quadrature"],
+    ])
+    def test_statistics_commands_do_not_load_scipy(self, pipeline_inputs, tmp_path, argv):
+        code = (
+            "import sys\n"
+            "from lenrepro.cli import main\n"
+            f"assert main({argv + ['--out', str(tmp_path / 'out')]!r}) == 0\n"
+            "print('scipy' in sys.modules)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], cwd=pipeline_inputs,
+                              capture_output=True, text=True, env=_src_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+    def test_readme_pipeline_runs_without_scipy(self, tmp_path):
+        """The README commands, with every import of scipy failing."""
+        code = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from lenrepro.cli import main\n"
+            "for argv in [\n"
+            "    ['schedule', '--seed', '3', '--out', 'schedule.csv'],\n"
+            "    ['simulate', '--seed', '11', '--participants', '25',\n"
+            "     '--conditions', 'individual,mechanical,social', '--out', 'trials.csv'],\n"
+            "    ['analyze', '--in', 'trials.csv', '--out', 'analysis_out'],\n"
+            "    ['fit', '--in', 'analysis_out/conditions.csv',\n"
+            "     '--trials-per-stimulus', '6', '--out', 'fit_out'],\n"
+            "    ['curves', '--sigma-p', '0.5,1.5,2.5,3.5', '--out', 'curves_out'],\n"
+            "]:\n"
+            "    assert main(argv) == 0, argv\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                              capture_output=True, text=True, env=_src_env())
+        assert proc.returncode == 0, proc.stderr
+        for out in ("schedule.csv", "trials.csv", "analysis_out/report.txt",
+                    "fit_out/fit_report.txt", "curves_out/rmse_surface.csv"):
+            assert (tmp_path / out).stat().st_size > 0
 
 
 class TestExitCodes:

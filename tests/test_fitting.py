@@ -4,13 +4,17 @@ import math
 import numpy as np
 import pytest
 
-from scipy.special import ndtr
+import mpmath
+from scipy.special import gammaln, ndtr
 
 from lenrepro.fitting import (
     FitConfig,
     Objective,
     ObservedErrors,
+    _fit_with_goodness,
+    _folded_mean,
     _model_table,
+    _sd_deflation,
     expected_pipeline_errors,
     fit_shared_prior,
     goodness_of_fit,
@@ -173,6 +177,45 @@ class TestExpectedPipelineErrors:
                 NoiseModel.weber(0.1), GaussianBelief(10, 1.5),
                 DEFAULT_STIMULI, DEFAULT_MOTOR, 1,
             )
+
+
+class TestSpecialFunctions:
+    """The closed forms behind the finite-sample table, against high-precision
+    and scipy references."""
+
+    NS = range(2, 2001)
+
+    def test_sd_deflation_against_oracle(self):
+        with mpmath.workdps(40):
+            want = [float(mpmath.sqrt(mpmath.mpf(2) / n) * mpmath.gamma(mpmath.mpf(n) / 2)
+                          / mpmath.gamma(mpmath.mpf(n - 1) / 2)) for n in self.NS]
+        got = [_sd_deflation(n) for n in self.NS]
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+
+    def test_sd_deflation_against_gammaln_formula(self):
+        # The formula is within 1e-14 of the exact value only while its two
+        # lgamma values are small. Near n = 2000 each is about 5,900, with
+        # ulp 9.1e-13, and the formula is off by up to 1.9e-12.
+        want = [math.sqrt(2.0 / n) * math.exp(gammaln(n / 2) - gammaln((n - 1) / 2))
+                for n in self.NS]
+        got = [_sd_deflation(n) for n in self.NS]
+        small = self.NS.index(50) + 1
+        np.testing.assert_allclose(got[:small], want[:small], rtol=1e-14, atol=0)
+        np.testing.assert_allclose(got, want, rtol=4e-12, atol=0)
+
+    def test_folded_mean_against_ndtr_formula(self):
+        rng = np.random.default_rng(7)
+        b = np.concatenate([rng.normal(0.0, 3.0, 4000), rng.normal(0.0, 1e-4, 1000),
+                            [0.0, 0.0, 1.5, -1.5]])
+        s = np.concatenate([rng.uniform(0.0, 2.0, 5000), [0.0, 1.0, 0.0, 0.0]])
+        s[:500] = 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            folded = s * math.sqrt(2.0 / math.pi) * np.exp(-b * b / (2 * s * s)) + b * (
+                1.0 - 2.0 * ndtr(-b / s))
+        want = np.where(s == 0, np.abs(b), folded)
+        np.testing.assert_allclose(_folded_mean(b, s), want, rtol=1e-14, atol=0)
+        got = _folded_mean(b.reshape(4, -1, 3), s.reshape(4, -1, 3))
+        np.testing.assert_array_equal(got.ravel(), _folded_mean(b, s))
 
 
 class TestGoodness:
@@ -409,3 +452,58 @@ class TestGridEdgeWarning:
                               sigma_p_grid=(1.5, 1.5, 0.05))
         assert res.shared_sigma_p == pytest.approx(1.5)
         assert edge == []
+
+    def _fit_both(self, observed, **grids):
+        import warnings
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res, g = _fit_with_goodness(observed, DEFAULT_STIMULI, FitConfig(**grids))
+        return res, g, [str(w.message) for w in caught if "edge" in str(w.message)]
+
+    def test_equal_wf_sigma_p_on_lower_edge(self):
+        observed = {"a": _forward(1.5, 0.3), "b": _forward(1.5, 0.05)}
+        res, g, edge = self._fit_both(observed, sigma_p_grid=(1.2, 2.0, 0.05))
+        assert res.shared_sigma_p == pytest.approx(1.5, abs=1e-12)
+        assert g.equal_wf_sigma_p == pytest.approx(1.2)
+        assert edge == ["fitted equal-wf sigma_p = 1.200000 lies on the lower edge "
+                        "of its grid [1.200000, 2.000000]"]
+
+    def test_equal_wf_on_lower_edge_follows_free_fit_warnings(self):
+        res, g, edge = self._fit_both({"a": _forward(1.5, 0.2)},
+                                      wf_grid=(0.2, 0.6, 0.005))
+        assert g.equal_wf == pytest.approx(0.2)
+        assert edge == [
+            "fitted wf of condition 'a' = 0.200000 lies on the lower edge of its "
+            "grid [0.200000, 0.600000]",
+            "fitted equal wf = 0.200000 lies on the lower edge of its grid "
+            "[0.200000, 0.600000]",
+        ]
+
+
+class TestOneTable:
+    """`_fit_with_goodness` builds one model table for both fits and returns
+    what `fit_shared_prior` and then `goodness_of_fit` return."""
+
+    @pytest.mark.parametrize("objective", list(Objective))
+    @pytest.mark.parametrize("comb", list(MotorCombination))
+    @pytest.mark.parametrize("n", [None, 6])
+    def test_matches_public_pair(self, objective, comb, n):
+        import warnings
+
+        cfg = FitConfig(motor=MotorNoiseSpec(1.2, comb), objective=objective,
+                        trials_per_stimulus=n)
+        observed = {
+            "individual": ObservedErrors(bias=0.110696, cv=0.204131, ri=0.31),
+            "mechanical": ObservedErrors(bias=0.09, cv=0.17, ri=0.22),
+            "social": ObservedErrors(bias=0.071402, cv=0.187350, ri=0.18),
+        }
+        with warnings.catch_warnings(record=True) as pair:
+            warnings.simplefilter("always")
+            res = fit_shared_prior(observed, DEFAULT_STIMULI, cfg)
+            g = goodness_of_fit(res, observed, DEFAULT_STIMULI, cfg)
+        with warnings.catch_warnings(record=True) as one:
+            warnings.simplefilter("always")
+            assert _fit_with_goodness(observed, DEFAULT_STIMULI, cfg) == (res, g)
+        assert [str(w.message) for w in one] == [str(w.message) for w in pair]
+        assert all(w.filename == __file__ for w in pair + one)  # the caller's line

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from lenrepro.stats import (
     DegenerateTestError,
+    _two_sided_p,
     cohens_d_one_sample,
     cohens_d_paired,
     one_sample_t,
@@ -50,6 +51,26 @@ class TestOneSampleT:
         x = rng.normal(0.2, 1.0, n)
         t, df, p = one_sample_t(x, mu0)
         assert p == pytest.approx(_oracle_p(t, df), abs=1e-4)
+
+    def test_dense_grid_against_oracle(self):
+        """Abs error <= 1e-13 everywhere, and rel error <= 1e-10 wherever
+        p >= 1e-300, so the far tail keeps its relative precision."""
+        worst_abs = worst_rel = 0.0
+        for df in [*range(1, 60), 99, 199, 399, 1199]:
+            for t in np.concatenate([[0.0], np.geomspace(1e-3, 50.0, 64)]):
+                want = _oracle_p(t, df)
+                got = _two_sided_p(t, df)
+                assert _two_sided_p(-t, df) == got
+                worst_abs = max(worst_abs, abs(got - want))
+                if want >= 1e-300:
+                    worst_rel = max(worst_rel, abs(got - want) / want)
+        assert worst_abs <= 1e-13
+        assert worst_rel <= 1e-10
+
+    def test_non_finite_t(self):
+        assert _two_sided_p(math.inf, 5) == 0.0
+        assert _two_sided_p(-math.inf, 5) == 0.0
+        assert math.isnan(_two_sided_p(math.nan, 5))
 
     def test_degenerate_and_short_inputs(self):
         with pytest.raises(DegenerateTestError):
