@@ -1,0 +1,113 @@
+"""Write one BENCH_<n>.json from the benchmark in perfbench/.
+
+Run from the root of a source checkout, or point --root at one:
+
+    python3 scripts/bench_snapshot.py --number 8
+    python3 scripts/bench_snapshot.py --number 7 --root ../parent
+
+For each of the three workloads it runs ``perfbench/run.py --trace 0`` once
+per seed in ``SEEDS`` and ``--trace 1`` once with the first seed, each in
+that checkout and for perfbench's default run length, and reads the result
+files the runs leave in ``.perfbench_work/results/``.  It writes
+``BENCH_<n>.json`` to the current directory.  The snapshot holds, per
+workload, the median over the seeds of each end-to-end metric (each run
+reports its median over passes), the per-command medians of ``main_s`` and
+peak RSS, the per-layer metrics of the traced run, operation counts, the
+environment and the line count of every ``src/lenrepro/*.py`` file (as
+``wc -l`` counts them).
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+WORKLOADS = ("cohort", "fit", "curves")
+SEEDS = (1, 2, 3)
+
+
+def run(root: Path, workload: str, seed: int, trace: int) -> dict:
+    """One benchmark run in ``root``; returns its result record."""
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload,
+            "--seed", str(seed), "--trace", str(trace)]
+    subprocess.run(argv, cwd=root, check=True, stdout=subprocess.DEVNULL)
+    out = root / ".perfbench_work" / "results" / f"{workload}-seed{seed}-trace{trace}.json"
+    return json.loads(out.read_text(encoding="utf-8"))
+
+
+def per_command(records: list) -> dict:
+    """Median ``main_s`` and peak RSS of each CLI command over all passes."""
+    by_name = {}
+    for record in records:
+        for cmd in record["commands"]:
+            if cmd["rc"] == 0 and cmd["name"] != "warmup":
+                by_name.setdefault(cmd["name"], []).append(cmd)
+    return {name: {"main_s": statistics.median(c["main_s"] for c in cmds),
+                   "maxrss_mb": statistics.median(c["maxrss_kb"] / 1024 for c in cmds),
+                   "n": len(cmds)}
+            for name, cmds in by_name.items()}
+
+
+def workload_snapshot(root: Path, workload: str) -> dict:
+    runs = [run(root, workload, seed, 0) for seed in SEEDS]
+    traced = run(root, workload, SEEDS[0], 1)
+    end_to_end = {
+        name: {"median": statistics.median(r["metrics"][name] for r in runs),
+               "per_seed": {str(r["seed"]): r["metrics"][name] for r in runs},
+               "passes": [r["summary"][name]["n"] for r in runs]}
+        for name in runs[0]["metrics"]
+    }
+    return {"seconds": runs[0]["seconds"],
+            "end_to_end": end_to_end,
+            "commands": per_command(runs),
+            "per_layer": traced["metrics"],
+            "attempted": sum(r["attempted"] for r in runs + [traced]),
+            "failed": sum(r["failed"] for r in runs + [traced]),
+            "failed_checks": [c["name"] for r in runs + [traced]
+                              for c in r["checks"] if not c["ok"]]}
+
+
+def uncommitted_changes(root: Path) -> bool | None:
+    """Whether tracked files differ from ``git_commit``, the commit the
+    snapshot names; None outside a git checkout."""
+    try:
+        status = subprocess.run(["git", "status", "--porcelain", "--untracked-files=no"],
+                                cwd=root, capture_output=True, text=True)
+    except OSError:
+        return None
+    return bool(status.stdout.strip()) if status.returncode == 0 else None
+
+
+def source_lines(root: Path) -> dict:
+    files = sorted((root / "src" / "lenrepro").glob("*.py"))
+    lines = {f.name: f.read_bytes().count(b"\n") for f in files}
+    return {**lines, "total": sum(lines.values())}
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--number", type=int, required=True, help="n of BENCH_<n>.json")
+    p.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent,
+                   help="source checkout to measure (default: this one)")
+    args = p.parse_args(argv)
+    root = args.root.resolve()
+
+    workloads = {w: workload_snapshot(root, w) for w in WORKLOADS}
+    env = json.loads((root / ".perfbench_work" / "results"
+                      / f"cohort-seed{SEEDS[0]}-trace0.json").read_text(encoding="utf-8"))["env"]
+    env.pop("seed", None)
+    env["uncommitted_changes"] = uncommitted_changes(root)
+    snapshot = {"number": args.number, "seeds": list(SEEDS),
+                "command": "python3 perfbench/run.py --workload W --seed S --trace T",
+                "env": env, "src_lines": source_lines(root), "workloads": workloads}
+    out = Path(f"BENCH_{args.number}.json")
+    out.write_text(json.dumps(snapshot, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

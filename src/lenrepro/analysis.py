@@ -126,10 +126,94 @@ def ingest(source) -> Trials:
     warning when absent.  Rows flagged by an is_practice column are
     dropped.  Errors name the offending 1-based data row, and the column
     of a non-numeric, non-finite or out-of-range cell.
+
+    A path is read as UTF-8, with or without a byte-order mark.  Files in
+    the ``records`` contract are parsed by numpy's C reader; any other
+    file, or any file that reader or its checks reject, goes through the
+    per-cell reader, which raises the row- and column-named error.
     """
     if isinstance(source, (str, Path)):
-        with open(source, newline="", encoding="utf-8") as fh:
+        with open(source, newline="", encoding="utf-8-sig") as fh:
             return ingest(fh)
+    try:  # a stream read only once, or a list of lines, has no start to return to
+        start = source.tell() if source.seekable() else None
+    except (AttributeError, OSError):
+        start = None
+    if start is not None:
+        trials = _parse_contract(source, start)
+        if trials is not None:
+            return trials
+        source.seek(start)
+    return _read_cells(source)
+
+
+_HEADER_LINE = ",".join(TRIAL_CSV_HEADER) + "\n"
+_PRINTABLE = bytes(range(0x20, 0x7F)).replace(b'"', b"")
+
+
+def _in_contract(fh, chunk: int = 1 << 20) -> bool:
+    """Whether the rest of ``fh`` is a file that ``np.loadtxt`` reads as
+    the per-cell reader does: the exact contract header, then at least one
+    data row, all of it printable ASCII and LF, with no quote and no blank
+    line.
+
+    The C parser strips the separators U+001C-U+001F around numbers, which
+    ``float()`` rejects, and reads some non-ASCII letters as digits of
+    ``trial_index`` (U+01FE as 462), so both go to the per-cell reader.
+    """
+    try:
+        if fh.readline() != _HEADER_LINE:
+            return False
+        text = fh.read(chunk)
+        if not text or text.startswith("\n"):
+            return False
+        while text:
+            if not text.isascii() or "\n\n" in text:
+                return False
+            # printable ASCII but the quote deleted, one LF per line is left
+            if text.encode("ascii").translate(None, _PRINTABLE).strip(b"\n"):
+                return False
+            last, text = text[-1], fh.read(chunk)
+            if last == "\n" and text.startswith("\n"):
+                return False
+    except UnicodeDecodeError:
+        return False  # raised again, by the per-cell reader
+    return True
+
+
+def _parse_contract(fh, start) -> Trials | None:
+    """The trials of a contract file, parsed by numpy's C reader one dtype
+    at a time, or None when the per-cell reader has to decide.
+
+    Every check of the per-cell reader is made in bulk: finite numbers,
+    ``actual > 0``, ``response >= 0`` and unique trial keys.
+    """
+    if not _in_contract(fh):
+        return None
+
+    def load(dtype, usecols):
+        fh.seek(start)
+        return np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None,
+                          skiprows=1, usecols=usecols, ndmin=2)
+
+    try:
+        ids, index, values = load(str, (0, 1)), load(np.int64, (2,)), load(float, (3, 4, 5))
+    except ValueError:
+        return None
+    nominal, actual, response = values.T
+    if not (np.isfinite(values).all() and (actual > 0).all() and (response >= 0).all()):
+        return None
+    trials = Trials(*ids.T, index[:, 0], nominal, actual, response)
+    sessions = _session_keys(trials)
+    order = np.lexsort((trials.trial_index, sessions))
+    sessions, trial_index = sessions[order], trials.trial_index[order]
+    if np.any((sessions[1:] == sessions[:-1]) & (trial_index[1:] == trial_index[:-1])):
+        return None
+    return trials
+
+
+def _read_cells(source) -> Trials:
+    """The per-cell reader: ``csv.reader`` and one Python cast per cell."""
     reader = csv.reader(source)
     header = next(reader, [])
     required = [c for c in TRIAL_CSV_HEADER if c != "actual_length_cm"]
@@ -140,7 +224,7 @@ def ingest(source) -> Trials:
     if not has_actual:
         warnings.warn(
             "actual_length_cm column absent; defaulting to nominal_length_cm",
-            stacklevel=2,
+            stacklevel=3,  # the caller of ingest
         )
     # a repeated header name reads its last column, as csv.DictReader does
     where = {name: i for i, name in enumerate(header)}

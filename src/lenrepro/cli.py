@@ -177,7 +177,8 @@ def _read_observations(path):
 
     from . import fitting
 
-    with open(path, newline="", encoding="utf-8") as fh:
+    # utf-8-sig: spreadsheet programs save "CSV UTF-8" with a byte-order mark
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = _csv.DictReader(fh)
         cols = reader.fieldnames or []
         obs = {}

@@ -84,9 +84,18 @@ class Trials:
 TrialRow = namedtuple("TrialRow", [f.name for f in fields(Trials)])
 
 
+_CHUNK_ROWS = 4096
+
+
 def write_trial_csv(trials: Trials, path: str | Path) -> None:
-    """Write trials in the bit-exact CSV contract (LF, 6-decimal floats)."""
-    lines = [",".join(TRIAL_CSV_HEADER)]
-    rows = zip(*(c.tolist() for c in trials.columns))
-    lines.extend("%s,%s,%d,%.6f,%.6f,%.6f" % row for row in rows)
-    Path(path).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+    """Write trials in the bit-exact CSV contract (LF, 6-decimal floats).
+
+    Rows are formatted and written ``_CHUNK_ROWS`` at a time, so the text
+    of the whole table never sits in memory at once.
+    """
+    with open(path, "wb") as fh:
+        fh.write((",".join(TRIAL_CSV_HEADER) + "\n").encode("utf-8"))
+        for start in range(0, len(trials), _CHUNK_ROWS):
+            rows = zip(*(c[start:start + _CHUNK_ROWS].tolist() for c in trials.columns))
+            text = "".join("%s,%s,%d,%.6f,%.6f,%.6f\n" % row for row in rows)
+            fh.write(text.encode("utf-8"))

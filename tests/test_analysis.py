@@ -2,6 +2,7 @@
 import dataclasses
 import io
 import math
+import re
 import string
 import tempfile
 import warnings
@@ -32,8 +33,9 @@ from lenrepro.analysis import (
     write_condition_csv,
     write_participant_csv,
 )
+from lenrepro.analysis import _in_contract, _parse_contract, _read_cells
 from lenrepro.model import NoiseModel
-from lenrepro.records import Trials, write_trial_csv
+from lenrepro.records import TRIAL_CSV_HEADER, Trials, write_trial_csv
 from lenrepro.simulate import ObserverParams, ScheduleConfig, simulate_cohort
 from lenrepro.stats import cohens_d_paired, paired_t
 
@@ -60,6 +62,11 @@ class TestIngest:
         path = tmp_path / "trials.csv"
         write_trial_csv(recs, path)
         assert ingest(path) == recs
+
+    def test_stream_without_position(self):
+        # an iterable of lines has no start to come back to: per-cell reader
+        lines = [_CONTRACT, "p01,social,3,6.0,6.0,7.2"]
+        assert ingest(lines) == _trials(_rec("p01", "social", 3, 6.0, 7.2))
 
     def test_missing_actual_defaults_with_warning(self):
         csv_text = (
@@ -174,6 +181,18 @@ _ROWS = st.lists(
 _BAD_TOKEN = st.sampled_from(["", "nan", "-inf", "1e999", "1.2.3", "--1"]) | st.text(
     string.ascii_letters, min_size=1, max_size=8
 )
+# Characters an edit may insert: the CSV's own syntax, number spellings,
+# whitespace and control characters, and some non-ASCII.
+_EDIT_CHARS = st.sampled_from(
+    list(',"\n\r\t\x0b\x0c\x1c\x1f\x00 +-._eE0123456789xinfaINF#\ufeff\u01fe\u0663\u2028\xa0')
+)
+# Numbers as float() and the C parser may spell them.
+_FLOAT_TEXT = st.one_of(
+    st.floats(min_value=0, allow_nan=False).map(repr),
+    st.floats(min_value=0, allow_nan=False).map(lambda x: f"{x:.17e}"),
+    st.decimals(min_value=0, max_value=10**6, places=25).map(str),
+    st.text("0123456789.eE+-_", min_size=1, max_size=6),
+)
 
 
 def _csv_lines(trials):
@@ -183,6 +202,94 @@ def _csv_lines(trials):
         return path.read_text(encoding="utf-8").splitlines()
 
 
+def _outcome(read, source):
+    """What a reader makes of a source: the trials or the error, and the
+    messages of the warnings it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = read(source)
+        except Exception as exc:  # compared between the readers, not handled
+            result = f"{type(exc).__name__}: {exc}"
+    return result, [str(w.message) for w in caught]
+
+
+def _read_both(data: bytes) -> tuple:
+    """``ingest`` of a file holding ``data``, checked against the per-cell
+    reader of the same file; returns the outcome and whether numpy's C
+    parser read the file."""
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "trials.csv"
+        path.write_bytes(data)
+        fast = _outcome(ingest, path)
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            slow = _outcome(_read_cells, fh)
+            fh.seek(0)
+            parsed = _parse_contract(fh, 0) is not None
+    assert fast == slow
+    return fast, parsed
+
+
+def _text(*lines, end="\n"):
+    return "".join(line + end for line in lines).encode("utf-8")
+
+
+_ROW = "p01,social,3,6.000000,6.000000,7.200000"
+_CONTRACT = ",".join(TRIAL_CSV_HEADER)
+
+# (file, read by the C parser?, expected: error or number of trials)
+_NAMED_FILES = {
+    "contract": (_text(_CONTRACT, _ROW, "p01,social,4,8.0,8.0,8.5"), True, 2),
+    "quoted ids": (_text(_CONTRACT, '"p01","social",3,6.0,6.0,7.2'), False, 1),
+    "blank line": (_text(_CONTRACT, _ROW, "", "p01,social,4,8.0,8.0,8.5"), False, 2),
+    "short row": (_text(_CONTRACT, _ROW, "p01,social,4,8.0,8.0"), False,
+                  "row 2: non-numeric cell in response_cm"),
+    "trailing comma": (_text(_CONTRACT + ",", _ROW + ",", "p01,social,4,8.0,8.0,8.5,"),
+                       False, 2),
+    "trailing comma on rows": (_text(_CONTRACT, _ROW + ",", "p01,social,4,8.0,8.0,8.5,"),
+                               True, 2),
+    "repeated header name": (_text(_CONTRACT + ",response_cm", _ROW + ",9.5"), False, 1),
+    "spaces around cells": (_text(_CONTRACT, " p01 , social , 3 , 6.0 , 6.0 , 7.2 "), True, 1),
+    "underscore in trial_index": (_text(_CONTRACT, "p01,social,1_0,6.0,6.0,7.2"), False, 1),
+    "underscore in response": (_text(_CONTRACT, "p01,social,3,6.0,6.0,7_2"), False, 1),
+    "plus sign": (_text(_CONTRACT, "p01,social,+3,+6.0,+6.0,+7.2"), True, 1),
+    "decimal trial_index": (_text(_CONTRACT, "p01,social,3.0,6.0,6.0,7.2"), False,
+                            "row 1: non-numeric cell in trial_index"),
+    "CRLF": (_text(_CONTRACT, _ROW, end="\r\n"), False, 1),
+    "header only": (_text(_CONTRACT), False, 0),
+    "empty file": (b"", False, "missing column participant_id"),
+    "is_practice": (_text(_CONTRACT + ",is_practice", _ROW + ",0", "p01,social,4,8,8,8,1"),
+                    False, 1),
+    "missing actual column": (
+        _text("participant_id,condition,trial_index,nominal_length_cm,response_cm",
+              "p01,social,3,6.0,7.2"), False, 1),
+    "byte-order mark": (b"\xef\xbb\xbf" + _text(_CONTRACT, _ROW), True, 1),
+    "byte-order mark, is_practice": (
+        b"\xef\xbb\xbf" + _text(_CONTRACT + ",is_practice", _ROW + ",0"), False, 1),
+    "trial_index beyond int64": (
+        _text(_CONTRACT, _ROW, "p01,social,9223372036854775808,6.0,6.0,7.2"), False,
+        "row 2: non-numeric cell in trial_index"),
+    "trial_index at int64 max": (
+        _text(_CONTRACT, "p01,social,9223372036854775807,6.0,6.0,7.2"), True, 1),
+    "non-finite response": (_text(_CONTRACT, _ROW, "p01,social,4,6.0,6.0,inf"), False,
+                            "row 2: response_cm must be finite"),
+    "negative response": (_text(_CONTRACT, "p01,social,4,6.0,6.0,-0.5"), False,
+                          "row 1: response must be >= 0"),
+    "zero actual": (_text(_CONTRACT, "p01,social,4,6.0,0,6.5"), False,
+                    "row 1: actual_length_cm must be > 0"),
+    "duplicate key": (_text(_CONTRACT, _ROW, "p02,social,3,6,6,6", _ROW), False,
+                      "row 3: duplicate trial key"),
+    "non-ASCII id": (_text(_CONTRACT, "p\u00e9,social,3,6.0,6.0,7.2"), False, 1),
+    "non-ASCII letter as trial_index": (_text(_CONTRACT, "p01,social,\u01fe,6.0,6.0,7.2"),
+                                        False, "row 1: non-numeric cell in trial_index"),
+    "separator control character": (_text(_CONTRACT, "p01,social,3,6.0,6.0,7.2\x1c"), False,
+                                    "row 1: non-numeric cell in response_cm"),
+    "tab around a number": (_text(_CONTRACT, "p01,social,3,6.0,6.0,\t7.2"), False, 1),
+    "invalid UTF-8": (_text(_CONTRACT, _ROW) + b"p\xff,social,4,6,6,6\n", False,
+                      "UnicodeDecodeError"),
+}
+
+
 class TestIngestFuzz:
     @settings(max_examples=60, deadline=None)
     @given(rows=_ROWS)
@@ -190,6 +297,8 @@ class TestIngestFuzz:
         trials = Trials(*zip(*rows))
         lines = _csv_lines(trials)
         assert ingest(io.StringIO("\n".join(lines) + "\n")) == trials
+        (result, caught), parsed = _read_both(_text(*lines))
+        assert result == trials and caught == [] and parsed
 
     @settings(max_examples=100, deadline=None)
     @given(rows=_ROWS, data=st.data())
@@ -203,6 +312,62 @@ class TestIngestFuzz:
         lines[rownum] = ",".join(cells)
         with pytest.raises(IngestionError, match=f"row {rownum}: .*{header[col]}"):
             ingest(io.StringIO("\n".join(lines) + "\n"))
+        (result, _), _ = _read_both(_text(*lines))
+        assert re.match(f"IngestionError: row {rownum}: .*{header[col]}", result)
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=_ROWS, data=st.data())
+    def test_edited_file_reads_as_the_per_cell_reader_reads_it(self, rows, data):
+        text = "\n".join(_csv_lines(Trials(*zip(*rows)))) + "\n"
+        start = data.draw(st.integers(0, len(text)), label="start")
+        stop = data.draw(st.integers(start, min(start + 3, len(text))), label="stop")
+        insert = data.draw(st.text(_EDIT_CHARS, max_size=3), label="insert")
+        _read_both((text[:start] + insert + text[stop:]).encode("utf-8"))
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=_ROWS, values=st.lists(_FLOAT_TEXT, min_size=3, max_size=3))
+    def test_float_spellings_parse_alike(self, rows, values):
+        lines = _csv_lines(Trials(*zip(*rows)))
+        cells = lines[1].split(",")
+        cells[3:] = values
+        lines[1] = ",".join(cells)
+        _read_both(_text(*lines))
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 5, 40, 1 << 20])
+    def test_blank_line_found_at_any_chunk_boundary(self, chunk):
+        blank = _text(_CONTRACT, _ROW, "", _ROW, "").decode()
+        assert not _in_contract(io.StringIO(blank), chunk)
+        assert _in_contract(io.StringIO(_text(_CONTRACT, _ROW, _ROW).decode()), chunk)
+
+    @pytest.mark.parametrize("name", _NAMED_FILES)
+    def test_named_file(self, name):
+        data, parsed_by_c, expected = _NAMED_FILES[name]
+        (result, _), parsed = _read_both(data)
+        assert parsed == parsed_by_c
+        if isinstance(expected, int):
+            assert isinstance(result, Trials) and len(result) == expected
+        else:
+            assert isinstance(result, str) and expected in result
+
+
+class TestIngestWarningState:
+    def test_filters_and_once_per_location_registry_unchanged(self, tmp_path):
+        contract, fallback = tmp_path / "contract.csv", tmp_path / "fallback.csv"
+        contract.write_bytes(_text(_CONTRACT, _ROW))
+        fallback.write_bytes(_text(_CONTRACT, '"p01",social,3,6.0,6.0,7.2'))
+
+        def warn():
+            warnings.warn("once per location")
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")
+            warn()
+            filters = list(warnings.filters)
+            for path in (contract, fallback):
+                assert len(ingest(path)) == 1
+                assert warnings.filters == filters
+                warn()
+        assert [str(w.message) for w in caught] == ["once per location"]
 
 
 class TestDebias:

@@ -87,6 +87,15 @@ class TestFit:
         assert residuals[0] == "sigma_p,total_residual"
         assert len(residuals) == 100
 
+    def test_summary_with_byte_order_mark(self, tmp_path):
+        # "CSV UTF-8" as a spreadsheet program saves it
+        from lenrepro.cli import _read_observations
+        from lenrepro.fitting import ObservedErrors
+
+        summary = tmp_path / "obs.csv"
+        summary.write_bytes("\ufeffcondition,bias,cv\nsolo,0.1,0.2\n".encode("utf-8"))
+        assert _read_observations(summary) == {"solo": ObservedErrors(bias=0.1, cv=0.2, ri=None)}
+
     def test_fit_requires_input(self, capsys):
         assert main(["fit"]) == 1
         assert "error:" in capsys.readouterr().err

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from lenrepro import records
 from lenrepro.records import TrialRow, Trials, write_trial_csv
 
 
@@ -52,3 +53,13 @@ class TestTrials:
             b"p01,a,3,6.000000,6.000000,7.250000\n"
             b"p01,a,4,14.000000,13.900000,12.500000\n"
         )
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3])
+    def test_csv_bytes_in_chunks(self, tmp_path, monkeypatch, chunk):
+        trials = Trials.concatenate([_table(trial_index=[2 * i, 2 * i + 1]) for i in range(3)])
+        whole, chunked = tmp_path / "whole.csv", tmp_path / "chunked.csv"
+        write_trial_csv(trials, whole)
+        monkeypatch.setattr(records, "_CHUNK_ROWS", chunk)
+        write_trial_csv(trials, chunked)
+        assert chunked.read_bytes() == whole.read_bytes()
+        assert whole.read_bytes().count(b"\n") == len(trials) + 1
