@@ -1,7 +1,8 @@
 """Command-line entry point: schedule | simulate | analyze | fit | curves.
 
-Option precedence: command-line flag > LENREPRO_<KEY> environment
-variable > --config file (flat JSON key/value) > built-in default.
+Each option is one row of ``OPTIONS``. Precedence: flag > LENREPRO_<KEY>
+environment variable > --config file (flat JSON key/value) > default;
+``simulate`` also reads ``<condition>.<observer key>`` keys from the file.
 All floating output uses fixed 6-decimal formatting so reruns are
 byte-identical.
 """
@@ -12,6 +13,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,156 +25,200 @@ ENV_PREFIX = "LENREPRO_"
 F = "{:.6f}".format
 
 
-class _Resolver:
-    """flag > env > config-file > default, recording the effective config."""
+def number_list(text) -> str:
+    """Comma-separated numbers, kept as the text that lists them."""
+    [float(s) for s in str(text).split(",")]
+    return str(text)
 
-    def __init__(self, args, config_path):
-        self.args = args
-        self.file = {}
-        if config_path:
-            self.file = json.loads(Path(config_path).read_text(encoding="utf-8"))
-        self.effective = {}
 
-    def get(self, key, cast, default):
-        flag = getattr(self.args, key, None)
+class Option(NamedTuple):
+    key: str
+    type: object       # a cast, or the tuple of allowed strings
+    default: object    # None: the commands require the key
+    commands: str      # space-separated
+    help: str = ""
+
+
+SCHEDULE, GRID = "schedule simulate", "fit curves"
+OPTIONS = (
+    Option("seed", int, 0, "schedule"),
+    Option("seed", int, None, "simulate", "a seed"),
+    Option("input", str, None, "analyze", "an input trials CSV"),
+    Option("input", str, None, "fit", "an input summary CSV"),
+    Option("out", str, "schedule.csv", "schedule", "output file"),
+    Option("out", str, "trials.csv", "simulate", "output file"),
+    Option("out", str, "analysis_out", "analyze", "output directory"),
+    Option("out", str, "fit_out", "fit", "output directory"),
+    Option("out", str, "curves_out", "curves", "output directory"),
+    Option("num_lengths", int, 11, SCHEDULE),
+    Option("min_length", float, 6.0, SCHEDULE, "cm"),
+    Option("step", float, 0.8, SCHEDULE, "cm"),
+    Option("reps", int, 6, SCHEDULE),
+    Option("practice", int, 3, SCHEDULE),
+    Option("first_dot_min", float, 0.5, SCHEDULE, "cm"),
+    Option("first_dot_max", float, 3.5, SCHEDULE, "cm"),
+    Option("participants", int, 1, "simulate"),
+    Option("conditions", str, "individual", "simulate", "comma-separated labels"),
+    Option("wf", float, 0.15, "simulate", "Weber fraction"),
+    Option("sigma_l", float, -1.0, "simulate", "sensory sd (cm); < 0: use wf"),
+    Option("prior_mean", float, 10.0, "simulate", "cm"),
+    Option("prior_sd", float, 1.5, "simulate", "cm"),
+    Option("motor_sd", float, 1.2, "simulate " + GRID, "cm"),
+    Option("demo_sd", float, 0.0, "simulate", "cm"),
+    Option("k", float, 2.5, "analyze", "outlier SD multiplier"),
+    Option("objective", ("biascv", "ri"), "biascv", "fit"),
+    Option("sigma_p_min", float, 0.1, "fit", "cm"),
+    Option("sigma_p_max", float, 5.0, "fit", "cm"),
+    Option("sigma_p_step", float, 0.05, "fit", "cm"),
+    Option("wf_min", float, 0.0, GRID),
+    Option("wf_max", float, 0.6, GRID),
+    Option("wf_step", float, 0.005, GRID),
+    Option("stim_min", float, 6.0, GRID, "cm"),
+    Option("stim_max", float, 14.0, GRID, "cm"),
+    Option("stim_count", int, 11, GRID),
+    Option("trials_per_stimulus", int, 0, "fit", "0: asymptotic model"),
+    Option("motor_combination", ("linear_cv", "quadrature"), "linear_cv", GRID),
+    Option("sigma_p", number_list, "0.5,1.5,2.5,3.5", "curves", "prior widths (cm)"),
+    Option("ri_min", float, 0.0, "curves"),
+    Option("ri_max", float, 0.9, "curves"),
+    Option("ri_step", float, 0.05, "curves"),
+)
+KEYS = {opt.key for opt in OPTIONS}
+# observer keys that a "<condition>.<key>" config entry can set per condition
+OBSERVER_KEYS = ("sigma_l", "wf", "prior_mean", "prior_sd", "motor_sd")
+
+
+def _flag(key: str) -> str:
+    return "--in" if key == "input" else "--" + key.replace("_", "-")
+
+
+def _cast(typ, value, source: str):
+    """An env or config-file value as the key's type; errors name the source."""
+    scalar = isinstance(value, (str, int, float)) and not isinstance(value, bool)
+    try:
+        if isinstance(typ, tuple):
+            if scalar and value in typ:
+                return value
+        elif scalar and not (typ is int and isinstance(value, float)):
+            return typ(value)
+    except ValueError:
+        pass
+    want = "one of " + ", ".join(typ) if isinstance(typ, tuple) else typ.__name__
+    raise ValueError(f"{source}: expected {want}, got {value!r}")
+
+
+def _resolve(args) -> dict:
+    """The command's keys, and the file's keys for the conditions it runs."""
+    path = args.config
+    file = json.loads(Path(path).read_text(encoding="utf-8")) if path else {}
+    if not isinstance(file, dict):
+        raise ValueError(f"--config {path}: expected a JSON object, "
+                         f"got {type(file).__name__}")
+    for key in file:  # keys of other commands are allowed: one file, one pipeline
+        label, _, sub = key.rpartition(".")
+        if key not in KEYS and not (label and sub in OBSERVER_KEYS):
+            raise ValueError(f"config key {key} in {path}: no command takes it")
+    cfg = {}
+    for opt in OPTIONS:
+        if args.command not in opt.commands.split():
+            continue
+        flag, env = getattr(args, opt.key), ENV_PREFIX + opt.key.upper()
         if flag is not None:
-            value = flag
+            cfg[opt.key] = flag
+        elif env in os.environ:
+            cfg[opt.key] = _cast(opt.type, os.environ[env], env)
+        elif opt.key in file:
+            cfg[opt.key] = _cast(opt.type, file[opt.key],
+                                 f"config key {opt.key} in {path}")
+        elif opt.default is None:
+            raise ValueError(f"{args.command} requires {opt.help} ({_flag(opt.key)})")
         else:
-            env = os.environ.get(ENV_PREFIX + key.upper())
-            if env is not None:
-                value = cast(env)
-            elif key in self.file:
-                value = cast(self.file[key])
-            else:
-                value = default
-        self.effective[key] = value
-        return value
-
-    def raw(self, key):
-        return self.file.get(key)
-
-    def dump(self, path):
-        if path:
-            Path(path).write_text(
-                json.dumps(self.effective, indent=2, sort_keys=True) + "\n",
-                encoding="utf-8",
-            )
+            cfg[opt.key] = opt.default
+    for label in cfg["conditions"].split(",") if "conditions" in cfg else ():
+        for key in (f"{label}.{sub}" for sub in OBSERVER_KEYS):
+            if key in file:
+                cfg[key] = _cast(float, file[key], f"config key {key} in {path}")
+    if args.dump_config:
+        dump = json.dumps(cfg, indent=2, sort_keys=True) + "\n"
+        Path(args.dump_config).write_text(dump, encoding="utf-8")
+    return cfg
 
 
-def _write_lines(path, lines):
+def _write_csv(path, header, rows):
+    """Numbers in 6-decimal format, str cells as they are, LF line ends."""
+    lines = [header] + [",".join(v if isinstance(v, str) else F(v) for v in row)
+                        for row in rows]
     Path(path).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
 
 
-def _add_common(p):
-    p.add_argument("--config", help="flat JSON key/value config file")
-    p.add_argument("--dump-config", help="write the effective config as JSON")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out", help="output file or directory")
+def _grid(cfg, name) -> tuple:
+    return tuple(cfg[f"{name}_{end}"] for end in ("min", "max", "step"))
 
 
-def _schedule_config(res) -> simulate.ScheduleConfig:
+def _schedule_config(cfg) -> simulate.ScheduleConfig:
+    keys = ("num_lengths", "min_length", "step", "reps", "practice", "seed")
     return simulate.ScheduleConfig(
-        num_lengths=res.get("num_lengths", int, 11),
-        min_length=res.get("min_length", float, 6.0),
-        step=res.get("step", float, 0.8),
-        reps=res.get("reps", int, 6),
-        practice=res.get("practice", int, 3),
-        first_dot_range=(
-            res.get("first_dot_min", float, 0.5),
-            res.get("first_dot_max", float, 3.5),
-        ),
-        seed=res.get("seed", int, 0),
+        **{key: cfg[key] for key in keys},
+        first_dot_range=(cfg["first_dot_min"], cfg["first_dot_max"]),
     )
 
 
-def cmd_schedule(args) -> int:
-    res = _Resolver(args, args.config)
-    cfg = _schedule_config(res)
-    out = res.get("out", str, "schedule.csv")
-    res.dump(args.dump_config)
-    trials = simulate.generate_schedule(cfg)
-    lines = ["index,nominal_length_cm,first_dot_cm,is_practice"]
-    lines += [
-        f"{t.index},{F(t.nominal_length)},{F(t.first_dot_offset)},"
-        f"{1 if t.is_practice else 0}"
-        for t in trials
-    ]
-    _write_lines(out, lines)
+def cmd_schedule(cfg) -> int:
+    """Generate a seeded trial schedule CSV."""
+    _write_csv(cfg["out"], "index,nominal_length_cm,first_dot_cm,is_practice", (
+        (str(t.index), t.nominal_length, t.first_dot_offset, str(int(t.is_practice)))
+        for t in simulate.generate_schedule(_schedule_config(cfg))
+    ))
     return 0
 
 
-def _observer_params(res, prefix=""):
-    def key(k):
-        return f"{prefix}{k}" if prefix else k
-
-    def get(k, cast, default):
-        # dotted per-condition keys come only from the config file
-        if prefix:
-            raw = res.raw(key(k))
-            if raw is not None:
-                return cast(raw)
-            return get_base(k, cast, default)
-        return res.get(k, cast, default)
-
-    def get_base(k, cast, default):
-        return res.effective.get(k, default)
-
-    sigma_l = get("sigma_l", float, -1.0)
-    if sigma_l >= 0:
-        noise = model.NoiseModel.constant(sigma_l)
-    else:
-        noise = model.NoiseModel.weber(get("wf", float, 0.15))
-    return simulate.ObserverParams(
-        noise=noise,
-        prior_mean=get("prior_mean", float, 10.0),
-        prior_sd=get("prior_sd", float, 1.5),
-        motor_sd=get("motor_sd", float, 1.2),
-    )
+def _observer_params(cfg, label) -> simulate.ObserverParams:
+    p = {key: cfg.get(f"{label}.{key}", cfg[key]) for key in OBSERVER_KEYS}
+    noise = (model.NoiseModel.constant(p["sigma_l"]) if p["sigma_l"] >= 0
+             else model.NoiseModel.weber(p["wf"]))
+    return simulate.ObserverParams(noise=noise, prior_mean=p["prior_mean"],
+                                   prior_sd=p["prior_sd"], motor_sd=p["motor_sd"])
 
 
-def cmd_simulate(args) -> int:
-    res = _Resolver(args, args.config)
-    if getattr(args, "seed", None) is None and "seed" not in res.file \
-            and os.environ.get(ENV_PREFIX + "SEED") is None:
-        raise ValueError("simulate requires a seed (--seed)")
-    cfg = _schedule_config(res)
-    n = res.get("participants", int, 1)
-    conditions = res.get("conditions", str, "individual").split(",")
-    demo = simulate.DemonstratorNoise(res.get("demo_sd", float, 0.0))
-    out = res.get("out", str, "trials.csv")
-    base = _observer_params(res)
-    params = {c: _observer_params(res, prefix=f"{c}.") for c in conditions}
-    res.dump(args.dump_config)
-    del base  # base keys already resolved into res.effective
+def cmd_simulate(cfg) -> int:
+    """Simulate a synthetic cohort."""
+    params = {c: _observer_params(cfg, c) for c in cfg["conditions"].split(",")}
     recs = simulate.simulate_cohort(
-        n, params, cfg=cfg, demo=demo, master_seed=cfg.seed
+        cfg["participants"], params, cfg=_schedule_config(cfg),
+        demo=simulate.DemonstratorNoise(cfg["demo_sd"]), master_seed=cfg["seed"],
     )
-    records.write_trial_csv(recs, out)
+    records.write_trial_csv(recs, cfg["out"])
     return 0
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(cfg) -> int:
+    """Run the analysis pipeline on a trials CSV."""
     from . import analysis
 
-    res = _Resolver(args, args.config)
-    inp = res.get("input", str, None)
-    if inp is None:
-        raise ValueError("analyze requires an input trials CSV (--in)")
-    outdir = Path(res.get("out", str, "analysis_out"))
-    k = res.get("k", float, 2.5)
-    res.dump(args.dump_config)
-    recs = analysis.ingest(inp)
-    summary = analysis.summarize_cohort(recs, k=k)
+    outdir = Path(cfg["out"])
+    recs = analysis.ingest(cfg["input"])
+    summary = analysis.summarize_cohort(recs, k=cfg["k"])
     outdir.mkdir(parents=True, exist_ok=True)
     analysis.write_participant_csv(summary, outdir / "per_participant.csv")
     analysis.write_condition_csv(summary, outdir / "conditions.csv")
-    (outdir / "report.txt").write_bytes(
-        analysis.render_report(summary).encode("utf-8")
-    )
+    report = analysis.render_report(summary)
+    (outdir / "report.txt").write_bytes(report.encode("utf-8"))
     return 0
 
 
+def _number(cell, col, rownum, required):
+    """One summary cell; an empty optional cell reads as None."""
+    if not (cell or required):
+        return None
+    try:
+        return float(cell)
+    except ValueError as exc:
+        raise ValueError(f"row {rownum}: non-numeric cell in {col} ({exc})") from None
+
+
 def _read_observations(path):
+    """condition -> ObservedErrors from `analyze`'s conditions.csv or a plain
+    condition,bias,cv[,ri] file; rows count from 1 after the header."""
     import csv as _csv
 
     from . import fitting
@@ -181,118 +227,69 @@ def _read_observations(path):
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = _csv.DictReader(fh)
         cols = reader.fieldnames or []
-        obs = {}
-        for row in reader:
-            label = row["condition"]
-            if "bias_mean" in cols:  # conditions.csv from `analyze`
-                obs[label] = fitting.ObservedErrors(
-                    bias=float(row["bias_mean"]),
-                    cv=float(row["cv_mean"]),
-                    ri=float(row["ri_mean"]),
-                )
-            else:  # plain condition,bias,cv[,ri]
-                obs[label] = fitting.ObservedErrors(
-                    bias=float(row["bias"]) if row.get("bias") else None,
-                    cv=float(row["cv"]) if row.get("cv") else None,
-                    ri=float(row["ri"]) if row.get("ri") else None,
-                )
-    return obs
+        analyzed = "bias_mean" in cols  # every *_mean column is required
+        fields = {n: n + "_mean" if analyzed else n for n in ("bias", "cv", "ri")}
+        for col in ["condition", *fields.values()] if analyzed else ["condition"]:
+            if col not in cols:
+                raise ValueError(f"missing column {col}")
+        return {
+            row["condition"]: fitting.ObservedErrors(**{
+                n: _number(row.get(col) or "", col, rownum, analyzed)
+                for n, col in fields.items()
+            })
+            for rownum, row in enumerate(reader, start=1)
+        }
 
 
-def _motor_spec(res):
-    comb = res.get("motor_combination", str, "linear_cv")
-    return model.MotorNoiseSpec(
-        res.get("motor_sd", float, 1.2),
-        model.MotorCombination(comb),
-    )
+def _motor_and_stimuli(cfg) -> tuple:
+    combination = model.MotorCombination(cfg["motor_combination"])
+    return (model.MotorNoiseSpec(cfg["motor_sd"], combination),
+            model.StimulusSet.linspace(cfg["stim_min"], cfg["stim_max"],
+                                       cfg["stim_count"]))
 
 
-def _stimuli(res):
-    return model.StimulusSet.linspace(
-        res.get("stim_min", float, 6.0),
-        res.get("stim_max", float, 14.0),
-        res.get("stim_count", int, 11),
-    )
-
-
-def cmd_fit(args) -> int:
+def cmd_fit(cfg) -> int:
+    """Fit a shared prior width to condition summaries."""
     from . import fitting
 
-    res = _Resolver(args, args.config)
-    inp = res.get("input", str, None)
-    if inp is None:
-        raise ValueError("fit requires an input summary CSV (--in)")
-    outdir = Path(res.get("out", str, "fit_out"))
-    cfg = fitting.FitConfig(
-        sigma_p_grid=(
-            res.get("sigma_p_min", float, 0.1),
-            res.get("sigma_p_max", float, 5.0),
-            res.get("sigma_p_step", float, 0.05),
-        ),
-        wf_grid=(
-            res.get("wf_min", float, 0.0),
-            res.get("wf_max", float, 0.6),
-            res.get("wf_step", float, 0.005),
-        ),
-        motor=_motor_spec(res),
-        objective=fitting.Objective(res.get("objective", str, "biascv")),
-        trials_per_stimulus=res.get("trials_per_stimulus", int, 0) or None,
+    outdir = Path(cfg["out"])
+    motor, stimuli = _motor_and_stimuli(cfg)
+    fit_cfg = fitting.FitConfig(
+        sigma_p_grid=_grid(cfg, "sigma_p"), wf_grid=_grid(cfg, "wf"), motor=motor,
+        objective=fitting.Objective(cfg["objective"]),
+        trials_per_stimulus=cfg["trials_per_stimulus"] or None,
     )
-    stimuli = _stimuli(res)
-    res.dump(args.dump_config)
-    observed = _read_observations(inp)
-    result, goodness = fitting._fit_with_goodness(observed, stimuli, cfg)
+    observed = _read_observations(cfg["input"])
+    result, goodness = fitting._fit_with_goodness(observed, stimuli, fit_cfg)
     outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "fit_report.txt").write_bytes(
-        fitting.render_fit_report(result, goodness).encode("utf-8")
-    )
-    lines = ["sigma_p,total_residual"]
-    lines += [f"{F(sp)},{F(r)}" for sp, r in result.residual_landscape]
-    _write_lines(outdir / "residuals.csv", lines)
+    report = fitting.render_fit_report(result, goodness)
+    (outdir / "fit_report.txt").write_bytes(report.encode("utf-8"))
+    _write_csv(outdir / "residuals.csv", "sigma_p,total_residual",
+               result.residual_landscape)
     return 0
 
 
-def cmd_curves(args) -> int:
-    res = _Resolver(args, args.config)
-    outdir = Path(res.get("out", str, "curves_out"))
-    sigma_ps = [
-        float(s)
-        for s in str(res.get("sigma_p", str, "0.5,1.5,2.5,3.5")).split(",")
-    ]
-    wf_grid = model.grid_values(
-        res.get("wf_min", float, 0.0),
-        res.get("wf_max", float, 0.6),
-        res.get("wf_step", float, 0.005),
-    )
-    ri_grid = model.grid_values(
-        res.get("ri_min", float, 0.0),
-        res.get("ri_max", float, 0.9),
-        res.get("ri_step", float, 0.05),
-    )
-    motor = _motor_spec(res)
-    stimuli = _stimuli(res)
-    res.dump(args.dump_config)
+def cmd_curves(cfg) -> int:
+    """Emit plot-ready model curve/surface CSVs."""
+    outdir = Path(cfg["out"])
+    sigma_ps = [float(s) for s in cfg["sigma_p"].split(",")]
+    wf_grid = model.grid_values(*_grid(cfg, "wf"))
+    ri_grid = model.grid_values(*_grid(cfg, "ri"))
+    motor, stimuli = _motor_and_stimuli(cfg)
     outdir.mkdir(parents=True, exist_ok=True)
-
-    lines = ["sigma_p,wf,bias,cv"]
-    for sp in sigma_ps:
-        for wf, bias, cv in model.error_curve(sp, wf_grid, stimuli, motor):
-            lines.append(f"{F(sp)},{F(wf)},{F(bias)},{F(cv)}")
-    _write_lines(outdir / "error_curves.csv", lines)
-
-    lines = ["sigma_p,wf,ri"]
-    for sp in sigma_ps:
-        for wf, ri in model.ri_curve(sp, wf_grid, stimuli):
-            lines.append(f"{F(sp)},{F(wf)},{F(ri)}")
-    _write_lines(outdir / "ri_curves.csv", lines)
-
+    _write_csv(outdir / "error_curves.csv", "sigma_p,wf,bias,cv", (
+        (sp, *point) for sp in sigma_ps
+        for point in model.error_curve(sp, wf_grid, stimuli, motor)
+    ))
+    _write_csv(outdir / "ri_curves.csv", "sigma_p,wf,ri", (
+        (sp, *point) for sp in sigma_ps
+        for point in model.ri_curve(sp, wf_grid, stimuli)
+    ))
     surface = model.rmse_surface(wf_grid, ri_grid, stimuli, motor)
-    lines = ["wf,ri,normalized_rmse"]
-    for i, wf in enumerate(wf_grid):
-        for j, ri in enumerate(ri_grid):
-            cell = "" if np.isnan(surface[i, j]) else F(surface[i, j])
-            lines.append(f"{F(wf)},{F(ri)},{cell}")
-    _write_lines(outdir / "rmse_surface.csv", lines)
+    _write_csv(outdir / "rmse_surface.csv", "wf,ri,normalized_rmse", (
+        (wf, ri, "" if np.isnan(surface[i, j]) else surface[i, j])
+        for i, wf in enumerate(wf_grid) for j, ri in enumerate(ri_grid)
+    ))
     return 0
 
 
@@ -303,77 +300,27 @@ def build_parser() -> argparse.ArgumentParser:
         "experiments: simulate, analyze, fit, and emit plot-ready curves.",
     )
     sub = p.add_subparsers(dest="command", required=True)
-
-    ps = sub.add_parser("schedule", help="generate a seeded trial schedule CSV")
-    _add_common(ps)
-    for flag, typ in (
-        ("--num-lengths", int), ("--min-length", float), ("--step", float),
-        ("--reps", int), ("--practice", int),
-        ("--first-dot-min", float), ("--first-dot-max", float),
-    ):
-        ps.add_argument(flag, type=typ, dest=flag[2:].replace("-", "_"))
-    ps.set_defaults(func=cmd_schedule)
-
-    pm = sub.add_parser("simulate", help="simulate a synthetic cohort")
-    _add_common(pm)
-    for flag, typ in (
-        ("--participants", int),
-        ("--wf", float), ("--sigma-l", float),
-        ("--prior-mean", float), ("--prior-sd", float),
-        ("--motor-sd", float), ("--demo-sd", float),
-        ("--num-lengths", int), ("--min-length", float), ("--step", float),
-        ("--reps", int), ("--practice", int),
-        ("--first-dot-min", float), ("--first-dot-max", float),
-    ):
-        pm.add_argument(flag, type=typ, dest=flag[2:].replace("-", "_"))
-    pm.add_argument("--conditions", help="comma-separated condition labels")
-    pm.set_defaults(func=cmd_simulate)
-
-    pa = sub.add_parser("analyze", help="run the analysis pipeline on a trials CSV")
-    _add_common(pa)
-    pa.add_argument("--in", dest="input")
-    pa.add_argument("--k", type=float, help="outlier SD multiplier")
-    pa.set_defaults(func=cmd_analyze)
-
-    pf = sub.add_parser("fit", help="fit a shared prior width to condition summaries")
-    _add_common(pf)
-    pf.add_argument("--in", dest="input")
-    pf.add_argument("--objective", choices=["biascv", "ri"])
-    for flag, typ in (
-        ("--motor-sd", float),
-        ("--sigma-p-min", float), ("--sigma-p-max", float), ("--sigma-p-step", float),
-        ("--wf-min", float), ("--wf-max", float), ("--wf-step", float),
-        ("--stim-min", float), ("--stim-max", float), ("--stim-count", int),
-        ("--trials-per-stimulus", int),
-    ):
-        pf.add_argument(flag, type=typ, dest=flag[2:].replace("-", "_"))
-    pf.add_argument("--motor-combination", choices=["linear_cv", "quadrature"],
-                    dest="motor_combination")
-    pf.set_defaults(func=cmd_fit)
-
-    pc = sub.add_parser("curves", help="emit plot-ready model curve/surface CSVs")
-    _add_common(pc)
-    pc.add_argument("--sigma-p", dest="sigma_p",
-                    help="comma-separated prior widths (cm)")
-    for flag, typ in (
-        ("--wf-min", float), ("--wf-max", float), ("--wf-step", float),
-        ("--ri-min", float), ("--ri-max", float), ("--ri-step", float),
-        ("--motor-sd", float),
-        ("--stim-min", float), ("--stim-max", float), ("--stim-count", int),
-    ):
-        pc.add_argument(flag, type=typ, dest=flag[2:].replace("-", "_"))
-    pc.add_argument("--motor-combination", choices=["linear_cv", "quadrature"],
-                    dest="motor_combination")
-    pc.set_defaults(func=cmd_curves)
-
+    for func in (cmd_schedule, cmd_simulate, cmd_analyze, cmd_fit, cmd_curves):
+        command = func.__name__.removeprefix("cmd_")
+        pc = sub.add_parser(command, help=func.__doc__)
+        pc.add_argument("--config", help="flat JSON key/value config file")
+        pc.add_argument("--dump-config", help="write the effective config as JSON")
+        for opt in OPTIONS:
+            if command not in opt.commands.split():
+                continue
+            given = "required" if opt.default is None else f"default: {opt.default}"
+            kind = ({"choices": opt.type} if isinstance(opt.type, tuple)
+                    else {"type": opt.type})
+            pc.add_argument(_flag(opt.key), dest=opt.key, **kind,
+                            help=f"{opt.help} ({given})" if opt.help else given)
+        pc.set_defaults(func=func)
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(_resolve(args))
     except Exception as exc:  # single-line diagnostic, exit 1
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,4 +1,5 @@
 """Command-line interface: subcommands, config precedence, exit codes."""
+import argparse
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import lenrepro
+from lenrepro import cli
 from lenrepro.cli import main
 
 
@@ -99,6 +101,21 @@ class TestFit:
     def test_fit_requires_input(self, capsys):
         assert main(["fit"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", [
+        ("cond,bias\na,1\n", "missing column condition"),
+        # an `analyze`-style file needs every *_mean column
+        ("condition,bias_mean,cv_mean\na,1,2\n", "missing column ri_mean"),
+        ("condition,bias,cv\na,0.1,0.2\nb,x,0.1\n",
+         "row 2: non-numeric cell in bias (could not convert string to float: 'x')"),
+        ("condition,bias_mean,cv_mean,ri_mean\na,0.1,0.2,\n",
+         "row 1: non-numeric cell in ri_mean (could not convert string to float: '')"),
+    ])
+    def test_summary_errors_name_column_and_row(self, tmp_path, capsys, text, message):
+        summary = tmp_path / "obs.csv"
+        summary.write_text(text)
+        assert main(["fit", "--in", str(summary), "--out", str(tmp_path / "fit")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def _fitted(report: Path):
@@ -212,6 +229,40 @@ class TestConfigPrecedence:
         main(["schedule", "--config", str(cfg), "--out", str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_simulate_dump_config_round_trip(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "seed": 4, "participants": 2, "conditions": "solo,social",
+            "social.sigma_l": -1.0, "social.wf": 0.1, "social.prior_sd": 2.0,
+            "other.wf": 0.2,
+        }))
+        out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
+        dump = tmp_path / "effective.json"
+        assert main(["simulate", "--config", str(cfg), "--sigma-l", "0.5",
+                     "--out", str(out1), "--dump-config", str(dump)]) == 0
+        effective = json.loads(dump.read_text())
+        # the per-condition keys of the conditions run, and wf although
+        # the base observer has constant noise
+        assert {k: v for k, v in effective.items() if "." in k} == {
+            "social.sigma_l": -1.0, "social.wf": 0.1, "social.prior_sd": 2.0}
+        assert effective["wf"] == 0.15
+        effective.pop("out")
+        cfg.write_text(json.dumps(effective))
+        assert main(["simulate", "--config", str(cfg), "--out", str(out2)]) == 0
+        assert out1.read_bytes() == out2.read_bytes()
+
+    def test_condition_weber_noise_uses_resolved_wf(self, tmp_path):
+        """A condition's sigma_l < 0 switches it to Weber noise at the wf
+        that flag, env and file resolve, not at the built-in 0.15."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"social.sigma_l": -1}))
+        base = ["simulate", "--seed", "4", "--participants", "2",
+                "--conditions", "social", "--wf", "0.3"]
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main([*base, "--sigma-l", "1", "--config", str(cfg), "--out", str(a)]) == 0
+        assert main([*base, "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
     def test_per_condition_config_keys(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
@@ -227,6 +278,141 @@ class TestConfigPrecedence:
             fields = line.split(",")
             rows[fields[0]] = float(fields[2])
         assert rows["social"] < rows["solo"]
+
+
+class TestConfigErrors:
+    """Bad config input fails at the door with one line naming the key and
+    its source."""
+
+    @pytest.mark.parametrize("argv, config, env, message", [
+        (["schedule"], [1, 2], {}, "--config {cfg}: expected a JSON object, got list"),
+        (["schedule"], {"rep": 2}, {}, "config key rep in {cfg}: no command takes it"),
+        (["schedule"], {"social.wff": 0.1}, {},
+         "config key social.wff in {cfg}: no command takes it"),
+        (["schedule"], {}, {"LENREPRO_REPS": "abc"},
+         "LENREPRO_REPS: expected int, got 'abc'"),
+        (["schedule"], {"reps": 2.5}, {}, "config key reps in {cfg}: expected int, got 2.5"),
+        (["schedule"], {"seed": True}, {}, "config key seed in {cfg}: expected int, got True"),
+        (["curves"], {"sigma_p": [0.5, 1.5]}, {},
+         "config key sigma_p in {cfg}: expected number_list, got [0.5, 1.5]"),
+        (["curves"], {"sigma_p": "1.5,x"}, {},
+         "config key sigma_p in {cfg}: expected number_list, got '1.5,x'"),
+        (["simulate", "--seed", "1"], {"conditions": ["a", "b"]}, {},
+         "config key conditions in {cfg}: expected str, got ['a', 'b']"),
+        (["simulate", "--seed", "1", "--conditions", "social"], {"social.wf": "high"}, {},
+         "config key social.wf in {cfg}: expected float, got 'high'"),
+        (["fit", "--in", "obs.csv"], {"objective": "rmse"}, {},
+         "config key objective in {cfg}: expected one of biascv, ri, got 'rmse'"),
+        (["fit", "--in", "obs.csv"], {}, {"LENREPRO_MOTOR_COMBINATION": "sum"},
+         "LENREPRO_MOTOR_COMBINATION: expected one of linear_cv, quadrature, got 'sum'"),
+    ], ids=["not-an-object", "unknown-key", "unknown-condition-key", "env-not-int",
+            "float-for-int", "bool-for-int", "list-for-numbers", "bad-numbers",
+            "list-for-str", "condition-key-not-float", "bad-choice", "env-bad-choice"])
+    def test_bad_config_is_one_named_error(self, tmp_path, monkeypatch, capsys,
+                                           argv, config, env, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        out = tmp_path / "out"
+        assert main([*argv, "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message.format(cfg=cfg)}\n"
+        assert not out.exists()
+
+    def test_keys_of_other_commands_are_allowed(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 3, "k": 3.0, "objective": "ri",
+                                   "social.wf": 0.1, "sigma_p": "1.5"}))
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(["schedule", "--config", str(cfg), "--out", str(a)]) == 0
+        assert main(["schedule", "--seed", "3", "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+
+def _subparsers():
+    parser = cli.build_parser()
+    return next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _rows():
+    return [pytest.param(command, opt, id=f"{command}-{opt.key}")
+            for opt in cli.OPTIONS for command in opt.commands.split()]
+
+
+def _three_values(opt):
+    """Values for the config file, the environment and the flag, each
+    different from the next source down."""
+    if isinstance(opt.type, tuple):
+        other = next(c for c in opt.type if c != opt.default)
+        return other, opt.default, other
+    if opt.type is int:
+        return tuple((opt.default or 0) + i for i in (1, 2, 3))
+    if opt.type is float:
+        return tuple(opt.default + i for i in (0.25, 0.5, 0.75))
+    return "1", "2", "3"
+
+
+class TestOptionTable:
+    # each subcommand's flags at the start of the option table, less the
+    # --seed that analyze, fit and curves took and never read
+    FLAGS = {
+        "schedule": "--first-dot-max --first-dot-min --min-length --num-lengths "
+                    "--out --practice --reps --seed --step",
+        "simulate": "--conditions --demo-sd --first-dot-max --first-dot-min "
+                    "--min-length --motor-sd --num-lengths --out --participants "
+                    "--practice --prior-mean --prior-sd --reps --seed --sigma-l "
+                    "--step --wf",
+        "analyze": "--in --k --out",
+        "fit": "--in --motor-combination --motor-sd --objective --out "
+               "--sigma-p-max --sigma-p-min --sigma-p-step --stim-count --stim-max "
+               "--stim-min --trials-per-stimulus --wf-max --wf-min --wf-step",
+        "curves": "--motor-combination --motor-sd --out --ri-max --ri-min --ri-step "
+                  "--sigma-p --stim-count --stim-max --stim-min --wf-max --wf-min "
+                  "--wf-step",
+    }
+
+    def test_flag_sets_are_pinned(self):
+        subparsers = _subparsers()
+        assert sorted(subparsers) == sorted(self.FLAGS)
+        common = {"-h", "--help", "--config", "--dump-config"}
+        for command, flags in self.FLAGS.items():
+            got = {o for a in subparsers[command]._actions for o in a.option_strings}
+            assert got == common | set(flags.split()), command
+
+    @pytest.mark.parametrize("command, opt", _rows())
+    def test_flag_beats_env_beats_file_beats_default(self, tmp_path, monkeypatch,
+                                                     command, opt):
+        for name in list(os.environ):
+            if name.startswith(cli.ENV_PREFIX):
+                monkeypatch.delenv(name)
+        required = [a for o in cli.OPTIONS
+                    if command in o.commands.split() and o.default is None
+                    and o.key != opt.key
+                    for a in (cli._flag(o.key), "1")]
+        dump, cfg = tmp_path / "dump.json", tmp_path / "cfg.json"
+
+        def resolved(*flags):
+            argv = [command, *required, "--dump-config", str(dump), *flags]
+            cli._resolve(cli.build_parser().parse_args(argv))
+            return json.loads(dump.read_text())[opt.key]
+
+        if opt.default is None:
+            with pytest.raises(ValueError, match=f"^{command} requires "):
+                resolved()
+        else:
+            assert resolved() == opt.default
+        from_file, from_env, from_flag = _three_values(opt)
+        cfg.write_text(json.dumps({opt.key: from_file}))
+        assert resolved("--config", str(cfg)) == from_file
+        monkeypatch.setenv(cli.ENV_PREFIX + opt.key.upper(), str(from_env))
+        assert resolved("--config", str(cfg)) == from_env
+        flag = f"{cli._flag(opt.key)}={from_flag}"
+        assert resolved("--config", str(cfg), flag) == from_flag
+
+        action = next(a for a in _subparsers()[command]._actions if a.dest == opt.key)
+        shown = "required" if opt.default is None else f"default: {opt.default}"
+        assert shown in action.help
 
 
 class TestPipelineDeterminism:
