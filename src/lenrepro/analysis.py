@@ -23,7 +23,7 @@ from typing import Mapping
 import numpy as np
 
 from . import stats
-from .records import TRIAL_CSV_HEADER, Trials
+from .records import TRIAL_CSV_HEADER, Trials, write_csv
 
 _TRUTHY = {"1", "true", "yes"}
 
@@ -664,54 +664,23 @@ def render_report(summary: CohortSummary) -> str:
 
 
 def write_participant_csv(summary: CohortSummary, path) -> None:
-    f = "{:.6f}".format
-    lines = [
-        "participant_id,condition,regression_index,slope,intercept,"
-        "r_squared,bias,cv,rmse,excluded"
-    ]
-    for (pid, cond) in sorted(summary.sessions):
-        s = summary.sessions[(pid, cond)]
-        lines.append(
-            ",".join(
-                (
-                    pid,
-                    cond,
-                    f(s.fit.regression_index),
-                    f(s.fit.slope),
-                    f(s.fit.intercept),
-                    f(s.fit.r_squared),
-                    f(s.errors.session_bias),
-                    f(s.errors.session_cv),
-                    f(s.errors.session_rmse),
-                    "1" if pid in summary.excluded else "0",
-                )
-            )
-        )
-    Path(path).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+    def row(key):
+        fit, errors = summary.sessions[key].fit, summary.sessions[key].errors
+        return (*key, fit.regression_index, fit.slope, fit.intercept, fit.r_squared,
+                errors.session_bias, errors.session_cv, errors.session_rmse,
+                key[0] in summary.excluded)
+
+    write_csv(path, "participant_id,condition,regression_index,slope,intercept,"
+              "r_squared,bias,cv,rmse,excluded",
+              "%s,%s" + ",%.6f" * 7 + ",%d", map(row, sorted(summary.sessions)))
 
 
 def write_condition_csv(summary: CohortSummary, path) -> None:
-    f = "{:.6f}".format
-    lines = [
-        "condition,n,ri_mean,ri_sd,bias_mean,bias_sd,cv_mean,cv_sd,"
-        "rmse_mean,rmse_sd"
-    ]
-    for cond in sorted(summary.condition_stats):
+    def row(cond):
         g = summary.condition_stats[cond]
-        lines.append(
-            ",".join(
-                (
-                    cond,
-                    str(g["regression_index"].n),
-                    f(g["regression_index"].mean),
-                    f(g["regression_index"].sd),
-                    f(g["bias"].mean),
-                    f(g["bias"].sd),
-                    f(g["cv"].mean),
-                    f(g["cv"].sd),
-                    f(g["rmse"].mean),
-                    f(g["rmse"].sd),
-                )
-            )
-        )
-    Path(path).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+        return (cond, g["regression_index"].n,
+                *(v for m in _METRICS for v in (g[m].mean, g[m].sd)))
+
+    write_csv(path, "condition,n,ri_mean,ri_sd,bias_mean,bias_sd,cv_mean,cv_sd,"
+              "rmse_mean,rmse_sd", "%s,%d" + ",%.6f" * 8,
+              map(row, sorted(summary.condition_stats)))

@@ -3,8 +3,8 @@
 Each option is one row of ``OPTIONS``. Precedence: flag > LENREPRO_<KEY>
 environment variable > --config file (flat JSON key/value) > default;
 ``simulate`` also reads ``<condition>.<observer key>`` keys from the file.
-All floating output uses fixed 6-decimal formatting so reruns are
-byte-identical.
+Every CSV goes through ``records.write_csv`` (6-decimal floats, LF line
+ends), so reruns are byte-identical.
 """
 from __future__ import annotations
 
@@ -22,7 +22,6 @@ import numpy as np
 from . import model, records, simulate
 
 ENV_PREFIX = "LENREPRO_"
-F = "{:.6f}".format
 
 
 def number_list(text) -> str:
@@ -144,13 +143,6 @@ def _resolve(args) -> dict:
     return cfg
 
 
-def _write_csv(path, header, rows):
-    """Numbers in 6-decimal format, str cells as they are, LF line ends."""
-    lines = [header] + [",".join(v if isinstance(v, str) else F(v) for v in row)
-                        for row in rows]
-    Path(path).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
-
-
 def _grid(cfg, name) -> tuple:
     return tuple(cfg[f"{name}_{end}"] for end in ("min", "max", "step"))
 
@@ -165,10 +157,8 @@ def _schedule_config(cfg) -> simulate.ScheduleConfig:
 
 def cmd_schedule(cfg) -> int:
     """Generate a seeded trial schedule CSV."""
-    _write_csv(cfg["out"], "index,nominal_length_cm,first_dot_cm,is_practice", (
-        (str(t.index), t.nominal_length, t.first_dot_offset, str(int(t.is_practice)))
-        for t in simulate.generate_schedule(_schedule_config(cfg))
-    ))
+    records.write_csv(cfg["out"], "index,nominal_length_cm,first_dot_cm,is_practice",
+                      "%d,%.6f,%.6f,%d", simulate.generate_schedule(_schedule_config(cfg)))
     return 0
 
 
@@ -182,7 +172,8 @@ def _observer_params(cfg, label) -> simulate.ObserverParams:
 
 def cmd_simulate(cfg) -> int:
     """Simulate a synthetic cohort."""
-    params = {c: _observer_params(cfg, c) for c in cfg["conditions"].split(",")}
+    # pairs, so that simulate_cohort rejects a label given twice
+    params = [(c, _observer_params(cfg, c)) for c in cfg["conditions"].split(",")]
     recs = simulate.simulate_cohort(
         cfg["participants"], params, cfg=_schedule_config(cfg),
         demo=simulate.DemonstratorNoise(cfg["demo_sd"]), master_seed=cfg["seed"],
@@ -232,13 +223,15 @@ def _read_observations(path):
         for col in ["condition", *fields.values()] if analyzed else ["condition"]:
             if col not in cols:
                 raise ValueError(f"missing column {col}")
-        return {
-            row["condition"]: fitting.ObservedErrors(**{
+        observed = {}
+        for rownum, row in enumerate(reader, start=1):
+            if row["condition"] in observed:
+                raise ValueError(f"row {rownum}: duplicate condition {row['condition']}")
+            observed[row["condition"]] = fitting.ObservedErrors(**{
                 n: _number(row.get(col) or "", col, rownum, analyzed)
                 for n, col in fields.items()
             })
-            for rownum, row in enumerate(reader, start=1)
-        }
+        return observed
 
 
 def _motor_and_stimuli(cfg) -> tuple:
@@ -264,8 +257,8 @@ def cmd_fit(cfg) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     report = fitting.render_fit_report(result, goodness)
     (outdir / "fit_report.txt").write_bytes(report.encode("utf-8"))
-    _write_csv(outdir / "residuals.csv", "sigma_p,total_residual",
-               result.residual_landscape)
+    records.write_csv(outdir / "residuals.csv", "sigma_p,total_residual", "%.6f,%.6f",
+                      result.residual_landscape)
     return 0
 
 
@@ -277,17 +270,18 @@ def cmd_curves(cfg) -> int:
     ri_grid = model.grid_values(*_grid(cfg, "ri"))
     motor, stimuli = _motor_and_stimuli(cfg)
     outdir.mkdir(parents=True, exist_ok=True)
-    _write_csv(outdir / "error_curves.csv", "sigma_p,wf,bias,cv", (
+    records.write_csv(outdir / "error_curves.csv", "sigma_p,wf,bias,cv", "%.6f,%.6f,%.6f,%.6f", (
         (sp, *point) for sp in sigma_ps
         for point in model.error_curve(sp, wf_grid, stimuli, motor)
     ))
-    _write_csv(outdir / "ri_curves.csv", "sigma_p,wf,ri", (
+    records.write_csv(outdir / "ri_curves.csv", "sigma_p,wf,ri", "%.6f,%.6f,%.6f", (
         (sp, *point) for sp in sigma_ps
         for point in model.ri_curve(sp, wf_grid, stimuli)
     ))
+    # a cell whose ri is unreachable at its wf is NaN, and is written empty
     surface = model.rmse_surface(wf_grid, ri_grid, stimuli, motor)
-    _write_csv(outdir / "rmse_surface.csv", "wf,ri,normalized_rmse", (
-        (wf, ri, "" if np.isnan(surface[i, j]) else surface[i, j])
+    records.write_csv(outdir / "rmse_surface.csv", "wf,ri,normalized_rmse", "%.6f,%.6f,%s", (
+        (wf, ri, "" if np.isnan(surface[i, j]) else "%.6f" % surface[i, j])
         for i, wf in enumerate(wf_grid) for j, ri in enumerate(ri_grid)
     ))
     return 0

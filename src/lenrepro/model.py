@@ -392,6 +392,8 @@ def wf_from_ri(
 
 # Prior widths (cm) that sigma_p_from_ri and rmse_surface search.
 SIGMA_P_BRACKET = (1e-3, 1e3)
+# wf rows that rmse_surface evaluates at a time
+_SURFACE_ROWS = 32
 
 
 def _sigma_p_for_ri(target_ri, wf, stimuli, prior_mean, mode, bracket):
@@ -457,6 +459,16 @@ def rmse_surface(
     _check_noise(NoiseMode.WEBER, wf_grid)
     wf = np.asarray(wf_grid, dtype=float)[:, None]
     ri = np.asarray(ri_grid, dtype=float)
+    # Each wf row is normalized on its own, so blocks of rows give the same
+    # bits, and they keep the kernel's temporaries small: 32 rows of the
+    # default grid are 53 KB an array, where all 121 are 200 KB.
+    rows = _SURFACE_ROWS
+    return np.concatenate([_surface_rows(wf[i:i + rows], ri, stimuli, motor, prior_mean)
+                           for i in range(0, len(wf), rows)])
+
+
+def _surface_rows(wf, ri, stimuli, motor, prior_mean):
+    """:func:`rmse_surface` of a column of wf values, without the checks."""
     sp, _, _ = _sigma_p_for_ri(ri, wf, stimuli, prior_mean, NoiseMode.WEBER,
                                SIGMA_P_BRACKET)
     # Prior width is unidentified at wf=0, where only ri=0 is reachable;

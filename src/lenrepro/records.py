@@ -1,14 +1,15 @@
-"""Trial table and its CSV wire format.
+"""Trial table, and the one CSV writer for every table lenrepro writes.
 
-The CSV contract is bit-exact: UTF-8, ``.`` decimal separator, LF line
-endings, header ``participant_id,condition,trial_index,nominal_length_cm,
+The CSV format is bit-exact: UTF-8, ``.`` decimal separator, 6-decimal
+floats, LF line endings.  The trial CSV contract adds the header
+``participant_id,condition,trial_index,nominal_length_cm,
 actual_length_cm,response_cm``.
 """
 from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass, fields
-from itertools import starmap
+from itertools import chain, islice, starmap
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,8 @@ TRIAL_CSV_HEADER = (
 @dataclass(frozen=True, eq=False)
 class Trials:
     """Reproduction trials as a table: one read-only numpy array per column,
-    in the order of :data:`TRIAL_CSV_HEADER`.
+    in the order of :data:`TRIAL_CSV_HEADER`.  A string column is stored at
+    the width of its longest value.
 
     ``len()`` counts the trials, ``==`` compares every column, indexing with
     an index array, a boolean mask or a slice selects rows, and iteration
@@ -42,7 +44,10 @@ class Trials:
 
     def __post_init__(self):
         for name, dtype in zip(TrialRow._fields, (str, str, np.int64, float, float, float)):
-            column = np.array(getattr(self, name), dtype=dtype)
+            column = np.asarray(getattr(self, name), dtype=dtype)
+            if dtype is str:  # ids parsed together come at one, common width
+                dtype = f"U{max(1, np.char.str_len(column).max(initial=0))}"
+            column = column.astype(dtype)
             column.flags.writeable = False
             object.__setattr__(self, name, column)
         shapes = {c.shape for c in self.columns}
@@ -87,15 +92,23 @@ TrialRow = namedtuple("TrialRow", [f.name for f in fields(Trials)])
 _CHUNK_ROWS = 4096
 
 
-def write_trial_csv(trials: Trials, path: str | Path) -> None:
-    """Write trials in the bit-exact CSV contract (LF, 6-decimal floats).
+def write_csv(path: str | Path, header: str, row_format: str, rows) -> None:
+    """Write a table in the CSV wire format: UTF-8, LF line ends, and each
+    row as ``row_format % row`` (``%.6f`` for every float column).
 
-    Rows are formatted and written ``_CHUNK_ROWS`` at a time, so the text
-    of the whole table never sits in memory at once.
+    ``rows`` is read lazily, ``_CHUNK_ROWS`` rows at a time, so neither the
+    rows nor the text of the whole table sit in memory at once.
     """
+    line, rows = row_format + "\n", iter(rows)
     with open(path, "wb") as fh:
-        fh.write((",".join(TRIAL_CSV_HEADER) + "\n").encode("utf-8"))
-        for start in range(0, len(trials), _CHUNK_ROWS):
-            rows = zip(*(c[start:start + _CHUNK_ROWS].tolist() for c in trials.columns))
-            text = "".join("%s,%s,%d,%.6f,%.6f,%.6f\n" % row for row in rows)
+        fh.write((header + "\n").encode("utf-8"))
+        while text := "".join(line % row for row in islice(rows, _CHUNK_ROWS)):
             fh.write(text.encode("utf-8"))
+
+
+def write_trial_csv(trials: Trials, path: str | Path) -> None:
+    """Write trials in the bit-exact trial CSV contract."""
+    chunks = (zip(*(c[start:start + _CHUNK_ROWS].tolist() for c in trials.columns))
+              for start in range(0, len(trials), _CHUNK_ROWS))
+    write_csv(path, ",".join(TRIAL_CSV_HEADER), "%s,%s,%d,%.6f,%.6f,%.6f",
+              chain.from_iterable(chunks))

@@ -178,9 +178,9 @@ def simulate_cohort(
 
     ``condition_params`` maps condition label -> ObserverParams; condition
     index follows insertion order.  Accepts a sequence of (label, params)
-    pairs too, in which case duplicate labels are rejected.  ``workers`` is
-    ignored: sessions are bound by the interpreter lock, so they run
-    serially.
+    pairs too, in which case duplicate labels are rejected.  An empty label
+    is rejected either way.  ``workers`` is ignored: sessions are bound by
+    the interpreter lock, so they run serially.
     """
     if n_participants < 1:
         raise ConfigError("n_participants must be >= 1")
@@ -192,6 +192,8 @@ def simulate_cohort(
         condition_params = dict(pairs)
     if not condition_params:
         raise ConfigError("need at least one condition")
+    if "" in condition_params:
+        raise ConfigError("empty condition label")
 
     width = max(2, len(str(n_participants)))
     ids, sessions = [], []

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, config precedence, exit codes."""
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -66,6 +67,18 @@ class TestSimulateAnalyze:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("conditions, message", [
+        ("a,a", "duplicate condition labels in ['a', 'a']"),
+        ("a,,b", "empty condition label"),
+    ])
+    def test_bad_condition_labels_rejected(self, tmp_path, capsys, conditions, message):
+        out = tmp_path / "t.csv"
+        rc = main(["simulate", "--seed", "1", "--participants", "2",
+                   "--conditions", conditions, "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
 
 class TestFit:
     def test_fit_from_plain_summary(self, tmp_path):
@@ -110,6 +123,7 @@ class TestFit:
          "row 2: non-numeric cell in bias (could not convert string to float: 'x')"),
         ("condition,bias_mean,cv_mean,ri_mean\na,0.1,0.2,\n",
          "row 1: non-numeric cell in ri_mean (could not convert string to float: '')"),
+        ("condition,bias,cv\na,0.1,0.1\na,0.5,0.2\n", "row 2: duplicate condition a"),
     ])
     def test_summary_errors_name_column_and_row(self, tmp_path, capsys, text, message):
         summary = tmp_path / "obs.csv"
@@ -435,6 +449,48 @@ class TestPipelineDeterminism:
                 (fdir / "fit_report.txt").read_bytes(),
             ))
         assert outputs[0] == outputs[1]
+
+    # every file a small run of each command writes, as sha256; recorded from
+    # the writers that built their CSV lines by hand, so any rewrite of the
+    # CSV output has to keep these bytes
+    PINNED = {
+        "analysis/conditions.csv": "8f71ac02ba49aaa951680478cb9f5d00fea37d5672a194691e89c4a22a3e105c",
+        "analysis/per_participant.csv": "c702d8441a78ef1c4987ee743dd64df6ce8e8d02c47c05d77d61dc78ec8178f9",
+        "analysis/report.txt": "4969507bc47c5d44d284c1f2b431570da86eceedfdc309e2ab1b7b52f869d77a",
+        "curves/error_curves.csv": "58af36d678af862e1de6ef3b4dbc1bfdabb6b53bc46f5a4c3145dd07faa422f7",
+        "curves/ri_curves.csv": "a2c307f65b646e7f39fe8fbfcfb1b8373d1bdf1c073321cb9340e67525fcae08",
+        "curves/rmse_surface.csv": "f17f17da0dce9ce876b1f752b75a42420a3e1a0d3cb62993aff56599bbe03576",
+        "fit/fit_report.txt": "1abbe832ca2e4513572557d67fbab238d57bc9a53e7f771fe15151db46482e8e",
+        "fit/residuals.csv": "877ba64cc8fa4f61575735d3852d7072b51d9edf3db25c1a05907ffceefe1c9e",
+        "fit_ri/fit_report.txt": "36af30249d4f060a1da03c9db9eaa863ed4cd4a45770f1262b5b1cc030ab92b1",
+        "fit_ri/residuals.csv": "03755392bec8521ed63f6ba444c2a2c86db90a0fae76a9183c5e55288eba208e",
+        "schedule.csv": "483a563b1664dc82877fbe2425abd9eefecca3f03130c6456d2732ff2d64f111",
+        "trials.csv": "efebe2798f8ba2419c4bdd94a1c09b51c389484dab1b807bfba34faf61962f7f",
+    }
+
+    def test_every_output_matches_pinned_digest(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        for argv in (
+            ["schedule", "--seed", "5", "--out", "schedule.csv"],
+            ["simulate", "--seed", "11", "--participants", "6", "--conditions",
+             "individual,social", "--wf", "0.25", "--out", "trials.csv"],
+            # k = 1 excludes two participants, so the excluded column holds a 1
+            ["analyze", "--in", "trials.csv", "--k", "1", "--out", "analysis"],
+            ["fit", "--in", "analysis/conditions.csv", "--trials-per-stimulus", "6",
+             "--out", "fit"],
+            ["fit", "--in", "analysis/conditions.csv", "--objective", "ri",
+             "--motor-combination", "quadrature", "--out", "fit_ri"],
+            # the default wf grid: 121 rows, more than one block of rmse_surface
+            ["curves", "--ri-step", "0.1", "--out", "curves"],
+        ):
+            assert main(argv) == 0, argv
+        digests = {
+            path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in tmp_path.rglob("*") if path.is_file()
+        }
+        assert digests == self.PINNED
+        # the surface has undefined cells, written empty
+        assert b",\n" in (tmp_path / "curves/rmse_surface.csv").read_bytes()
 
 
 def _src_env():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lenrepro import model
 from lenrepro.model import (
     DEFAULT_STIMULI,
     BracketError,
@@ -414,7 +415,7 @@ class TestBroadcastChecks:
             call()
 
 
-def test_rmse_surface_matches_per_cell_inversion():
+def test_rmse_surface_matches_per_cell_inversion(monkeypatch):
     # the CLI's default surface grid, cell by cell through the scalar API
     wf_grid = np.round(0.005 * np.arange(121), 12)
     ri_grid = np.round(0.05 * np.arange(19), 12)
@@ -438,3 +439,8 @@ def test_rmse_surface_matches_per_cell_inversion():
     S = rmse_surface(wf_grid, ri_grid, DEFAULT_STIMULI, motor)
     assert np.array_equal(S, ref, equal_nan=True)
     assert np.count_nonzero(~np.isnan(S)) > S.size // 2
+    # any block of wf rows gives the same bits
+    for rows in (1, 7, wf_grid.size):
+        monkeypatch.setattr(model, "_SURFACE_ROWS", rows)
+        assert np.array_equal(rmse_surface(wf_grid, ri_grid, DEFAULT_STIMULI, motor),
+                              ref, equal_nan=True)

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from lenrepro import records
-from lenrepro.records import TrialRow, Trials, write_trial_csv
+from lenrepro.records import TrialRow, Trials, write_csv, write_trial_csv
 
 
 def _table(**columns):
@@ -35,6 +35,8 @@ class TestTrials:
             first.response = 0.0
         with pytest.raises(ValueError, match="read-only"):
             trials.response[0] = 0.0
+        wide = _table(participant_id=np.array(["p01", "p01"], dtype="U10"))
+        assert wide.participant_id.dtype == np.dtype("U3") and wide == trials
 
     def test_equality_selection_and_concatenation(self):
         trials = _table()
@@ -59,7 +61,27 @@ class TestTrials:
         trials = Trials.concatenate([_table(trial_index=[2 * i, 2 * i + 1]) for i in range(3)])
         whole, chunked = tmp_path / "whole.csv", tmp_path / "chunked.csv"
         write_trial_csv(trials, whole)
+
+        def rows():  # a generator, so the writer cannot take its length
+            yield from ((f"s{i}", i, i / 3, -i / 7) for i in range(5))
+
+        write_csv(tmp_path / "rows_whole.csv", "s,i,x,y", "%s,%d,%.6f,%.6f", rows())
         monkeypatch.setattr(records, "_CHUNK_ROWS", chunk)
         write_trial_csv(trials, chunked)
         assert chunked.read_bytes() == whole.read_bytes()
         assert whole.read_bytes().count(b"\n") == len(trials) + 1
+        write_csv(tmp_path / "rows.csv", "s,i,x,y", "%s,%d,%.6f,%.6f", rows())
+        assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "rows_whole.csv").read_bytes()
+        assert (tmp_path / "rows.csv").read_bytes().splitlines()[1:3] == [
+            b"s0,0,0.000000,0.000000", b"s1,1,0.333333,-0.142857"]
+        write_csv(tmp_path / "empty.csv", "s,i,x,y", "%s,%d,%.6f,%.6f", iter(()))
+        assert (tmp_path / "empty.csv").read_bytes() == b"s,i,x,y\n"
+
+    def test_csv_floats_as_str_format(self, tmp_path):
+        """%.6f writes what "{:.6f}".format writes, for every number type the
+        tables hold, nan and infinities included."""
+        values = [1 / 3, -0.0, float("nan"), float("inf"), -2.5e-7, np.float64(2 / 3), 7,
+                  np.int64(-4)]
+        write_csv(tmp_path / "x.csv", "x", "%.6f", ((v,) for v in values))
+        assert (tmp_path / "x.csv").read_text().splitlines()[1:] == list(
+            map("{:.6f}".format, values))

@@ -180,3 +180,6 @@ class TestSimulateCohort:
             simulate_cohort(0, self.PARAMS)
         with pytest.raises(ConfigError):
             simulate_cohort(2, {})
+        for params in ({"": self.PARAMS["social"]}, [("", self.PARAMS["social"])]):
+            with pytest.raises(ConfigError, match="empty condition label"):
+                simulate_cohort(2, params)
