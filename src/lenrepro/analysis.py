@@ -1,6 +1,11 @@
 """Empirical pipeline: ingestion, constant-bias removal, per-stimulus
 error decomposition, regression index, outlier screening, cohort summary.
 
+``summarize_cohort`` reduces all sessions at once, straight to one table
+of columns (:class:`SessionTable`) and the condition statistics and
+contrasts computed from it.  Only the per-session functions
+(``analyze_session`` and the three steps it chains) build result objects.
+
 Conventions (documented choices):
   * per-stimulus CV uses the population sd (divide by N);
   * the regression index is fitted on trial-level points;
@@ -15,8 +20,8 @@ import csv
 import math
 import sys
 import warnings
-from dataclasses import dataclass
-from itertools import groupby
+from dataclasses import dataclass, fields
+from itertools import combinations
 from pathlib import Path
 from typing import Mapping
 
@@ -94,13 +99,33 @@ class PairedContrast:
     d: float
 
 
+@dataclass(frozen=True, eq=False)
+class SessionTable:
+    """The results of a cohort's sessions as columns, one array each and
+    in the column order of ``per_participant.csv``, the rows in
+    (participant id, condition) key order.  ``len()`` counts the
+    sessions."""
+
+    participant_id: np.ndarray
+    condition: np.ndarray
+    regression_index: np.ndarray
+    slope: np.ndarray
+    intercept: np.ndarray
+    r_squared: np.ndarray
+    bias: np.ndarray
+    cv: np.ndarray
+    rmse: np.ndarray
+
+    def __len__(self) -> int:
+        return self.participant_id.size
+
+
 @dataclass(frozen=True)
 class CohortSummary:
-    sessions: Mapping          # (participant_id, condition) -> SessionSummary
+    sessions: SessionTable
     condition_stats: Mapping   # condition -> metric -> GroupStats
     contrasts: tuple           # of PairedContrast
     excluded: Mapping          # participant_id -> reason
-    screening_metric: str = "session_rmse"
 
 
 def _int64(text: str) -> int:
@@ -204,10 +229,15 @@ def _parse_contract(fh, start) -> Trials | None:
     if not (np.isfinite(values).all() and (actual > 0).all() and (response >= 0).all()):
         return None
     trials = Trials(*ids.T, index[:, 0], nominal, actual, response)
-    sessions = _session_keys(trials)
-    order = np.lexsort((trials.trial_index, sessions))
-    sessions, trial_index = sessions[order], trials.trial_index[order]
-    if np.any((sessions[1:] == sessions[:-1]) & (trial_index[1:] == trial_index[:-1])):
+    del ids, index, values, nominal, actual, response  # the table holds copies
+    # sorted by key, a repeated key sits next to itself; compare the ids
+    # only where the trial indices of two neighbours are equal
+    order = np.lexsort((trials.trial_index, trials.condition, trials.participant_id))
+    first, second = order[:-1], order[1:]
+    same = trials.trial_index[first] == trials.trial_index[second]
+    first, second = first[same], second[same]
+    if np.any((trials.participant_id[first] == trials.participant_id[second])
+              & (trials.condition[first] == trials.condition[second])):
         return None
     return trials
 
@@ -354,15 +384,6 @@ def _fit_lines(segments: _Segments, x, y) -> list:
     return segments.reduce(fit, x, y)
 
 
-def _regression_fits(slope, intercept, r2, denom) -> list:
-    if (denom == 0).any():
-        raise DegenerateDataError("all stimulus values identical")
-    return [
-        RegressionFit(b, a, 1.0 - b, r)
-        for b, a, r in zip(slope.tolist(), intercept.tolist(), r2.tolist())
-    ]
-
-
 def _stimulus_groups(trials: Trials, label, response):
     """The stimulus groups of each session (``label`` per row), by ascending
     nominal length.
@@ -387,87 +408,24 @@ def _group_errors(trials: Trials, label, s_bar, response) -> tuple:
     per row, ``s_bar`` its mean actual length) with these responses.
 
     Returns the :class:`StimulusErrors` fields per group, the number of
-    groups of each session, each session's mean bias, cv and rmse over its
-    groups, and ``s_bar``: all the arguments of :func:`_decompositions`.
+    groups of each session, and each session's mean bias, cv and rmse over
+    its groups.
     """
     runs, nominal, s_mi, r_mi, sd, n = _stimulus_groups(trials, label, response)
     s_bar_of_group = np.repeat(s_bar, runs.lengths)
     bias = np.abs(r_mi - s_mi) / s_bar_of_group
     cv = sd / s_bar_of_group  # exactly 0 for a single trial
     rmse = np.array(list(map(math.hypot, bias.tolist(), cv.tolist())))
-    per_group = (nominal, s_mi, r_mi, bias, cv, rmse, n)
-    return per_group, runs.lengths, runs.reduce(_means, bias, cv, rmse), s_bar
+    return ((nominal, s_mi, r_mi, bias, cv, rmse, n), runs.lengths,
+            runs.reduce(_means, bias, cv, rmse))
 
 
-def _decompositions(per_group, run_lengths, session_means, s_bar) -> list:
-    """ErrorDecomposition of each session from :func:`_group_errors`."""
-    groups = list(map(StimulusErrors, *(column.tolist() for column in per_group)))
-    out, start = [], 0
-    for stop, *values in zip(np.cumsum(run_lengths).tolist(),
-                             *(m.tolist() for m in session_means), s_bar.tolist()):
-        per = tuple(groups[start:stop])
-        out.append(ErrorDecomposition(
-            per, *values, tuple(g.nominal for g in per if g.n == 1)
-        ))
-        start = stop
-    return out
-
-
-def _warn_singletons(errors: ErrorDecomposition, stacklevel: int) -> None:
-    if errors.singleton_groups:
+def _warn_singletons(nominals, stacklevel: int) -> None:
+    if nominals:
         warnings.warn(
-            "stimulus groups with a single trial (cv set to 0): "
-            f"{list(errors.singleton_groups)}",
+            f"stimulus groups with a single trial (cv set to 0): {list(nominals)}",
             stacklevel=stacklevel + 1,
         )
-
-
-def _reduce_sessions(trials: Trials, keys: np.ndarray | None) -> tuple:
-    """The numbers of each session, in key order: debias the session, fit
-    the index on its trials and reduce its stimulus groups.
-
-    Returns the first row of each session, the :func:`_fit_lines` arrays,
-    the :func:`_group_errors` tuple, and where and how a loop over the
-    sessions would have stopped: the number of the first session with a
-    non-finite debiased response or a constant stimulus (the number of
-    sessions if none), and that session's first non-finite response (None
-    if it has none).  The row-length arrays stay local, so they are freed
-    before the caller builds the per-session objects.
-    """
-    sessions, label, s_bar = _sessions(trials, keys)
-    response = _debiased(trials, sessions, label, s_bar)
-    with np.errstate(invalid="ignore"):  # a non-finite response raises
-        fit = _fit_lines(sessions, trials.actual_length, response)
-        group_errors = _group_errors(trials, label, s_bar, response)
-    nonfinite = np.flatnonzero(~np.isfinite(response))
-    failed = np.union1d(label[nonfinite], np.flatnonzero(fit[-1] == 0))
-    stop = int(failed[0]) if failed.size else len(sessions)
-    bad = response[nonfinite[label[nonfinite] == stop]]
-    return (sessions.first_rows, fit, group_errors, stop,
-            bad[0].item() if bad.size else None)
-
-
-def _analyze(trials: Trials, keys: np.ndarray | None = None) -> list:
-    """SessionSummary of each session (see :func:`_sessions`), in key order.
-
-    Errors and warnings come as a loop over the sessions would raise them:
-    the singleton-group warnings of the sessions before the first one that
-    cannot be analyzed, then its error (a non-finite debiased response
-    before a constant stimulus).
-    """
-    first, lines, group_errors, stop, nonfinite = _reduce_sessions(trials, keys)
-    errors = _decompositions(*group_errors)
-    for e in errors[:stop]:
-        _warn_singletons(e, 1)
-    if nonfinite is not None:
-        raise ValueError(f"response must be finite, got {nonfinite}")
-    return [
-        SessionSummary(pid, cond, fit, e)
-        for pid, cond, fit, e in zip(
-            trials.participant_id[first].tolist(), trials.condition[first].tolist(),
-            _regression_fits(*lines), errors,
-        )
-    ]
 
 
 def debias_session(trials: Trials) -> Trials:
@@ -478,6 +436,15 @@ def debias_session(trials: Trials) -> Trials:
     return Trials(*trials.columns[:-1], _debiased(trials, sessions, label, s_bar))
 
 
+def _decomposition(trials: Trials) -> ErrorDecomposition:
+    """:func:`per_stimulus_errors` without its warning."""
+    _, label, s_bar = _sessions(trials)
+    per_group, _, means = _group_errors(trials, label, s_bar, trials.response)
+    groups = tuple(map(StimulusErrors, *(column.tolist() for column in per_group)))
+    return ErrorDecomposition(groups, *(m.item() for m in means), s_bar.item(),
+                              tuple(g.nominal for g in groups if g.n == 1))
+
+
 def per_stimulus_errors(trials: Trials) -> ErrorDecomposition:
     """Per-stimulus normalized bias / cv / rmse of an adjusted session.
 
@@ -486,9 +453,8 @@ def per_stimulus_errors(trials: Trials) -> ErrorDecomposition:
     sd of the responses / S-bar.  Session values are unweighted means over
     the groups.
     """
-    _, label, s_bar = _sessions(trials)
-    errors, = _decompositions(*_group_errors(trials, label, s_bar, trials.response))
-    _warn_singletons(errors, 2)
+    errors = _decomposition(trials)
+    _warn_singletons(errors.singleton_groups, 2)
     return errors
 
 
@@ -502,8 +468,20 @@ def fit_regression_index(trials: Trials, per_group: bool = False) -> RegressionF
     x, y = trials.actual_length, trials.response
     if per_group:
         segments, _, x, y, _, _ = _stimulus_groups(trials, label, y)
-    fit, = _regression_fits(*_fit_lines(segments, x, y))
-    return fit
+    slope, intercept, r2, denom = (v.item() for v in _fit_lines(segments, x, y))
+    if denom == 0:
+        raise DegenerateDataError("all stimulus values identical")
+    return RegressionFit(slope, intercept, 1.0 - slope, r2)
+
+
+def analyze_session(trials: Trials) -> SessionSummary:
+    """Debias one session, then fit the index and decompose errors."""
+    trials = debias_session(trials)
+    fit = fit_regression_index(trials)
+    errors = _decomposition(trials)
+    _warn_singletons(errors.singleton_groups, 2)
+    return SessionSummary(trials.participant_id[0].item(), trials.condition[0].item(),
+                          fit, errors)
 
 
 def screen_outliers(metrics: Mapping[str, float], k: float = 2.5):
@@ -524,18 +502,6 @@ def screen_outliers(metrics: Mapping[str, float], k: float = 2.5):
 _METRICS = ("regression_index", "bias", "cv", "rmse")
 
 
-def _session_metric(summary: SessionSummary, metric: str) -> float:
-    if metric == "regression_index":
-        return summary.fit.regression_index
-    return getattr(summary.errors, f"session_{metric}")
-
-
-def analyze_session(trials: Trials) -> SessionSummary:
-    """Debias one session, then decompose errors and fit the index."""
-    summary, = _analyze(trials)
-    return summary
-
-
 def _codes(column: np.ndarray, chunk: int = 8192) -> tuple:
     """``np.unique(column, return_inverse=True)``, a chunk of rows at a time.
 
@@ -551,11 +517,43 @@ def _codes(column: np.ndarray, chunk: int = 8192) -> tuple:
     )
 
 
-def _session_keys(trials: Trials) -> np.ndarray:
-    """Each row's session key, ordered as (participant id, condition)."""
-    _, p_code = _codes(trials.participant_id)
+def _session_keys(trials: Trials) -> tuple:
+    """The sorted participant ids and conditions, and each row's session
+    key, which orders the sessions as (participant id, condition)."""
+    participants, p_code = _codes(trials.participant_id)
     conditions, c_code = _codes(trials.condition)
-    return p_code * conditions.size + c_code
+    return participants, conditions, p_code * conditions.size + c_code
+
+
+def _session_columns(trials: Trials, keys: np.ndarray) -> tuple:
+    """Debias each session of ``keys``, fit its index on its trials and
+    reduce its stimulus groups, in key order.
+
+    Returns each session's key, slope, intercept, r_squared, bias, cv and
+    rmse.  Errors and warnings come as a loop over the sessions would
+    raise them: the singleton-group warnings of the sessions before the
+    first one that cannot be analyzed, each pointing at the caller of
+    :func:`summarize_cohort`, then that session's error (a non-finite
+    debiased response before a constant stimulus).
+    """
+    sessions, label, s_bar = _sessions(trials, keys)
+    response = _debiased(trials, sessions, label, s_bar)
+    with np.errstate(invalid="ignore"):  # a non-finite response raises
+        slope, intercept, r2, denom = _fit_lines(sessions, trials.actual_length, response)
+        (nominal, *_, n), run_lengths, errors = _group_errors(trials, label, s_bar, response)
+    nonfinite = np.flatnonzero(~np.isfinite(response))
+    failed = np.union1d(label[nonfinite], np.flatnonzero(denom == 0))
+    stop = failed[0] if failed.size else len(sessions)
+    session = np.repeat(np.arange(len(sessions)), run_lengths)  # of each group
+    single = np.flatnonzero((n == 1) & (session < stop))
+    for nominals in np.split(nominal[single], np.flatnonzero(np.diff(session[single])) + 1):
+        _warn_singletons(nominals.tolist(), 3)
+    bad = response[nonfinite[label[nonfinite] == stop]]
+    if bad.size:
+        raise ValueError(f"response must be finite, got {bad[0].item()}")
+    if failed.size:
+        raise DegenerateDataError("all stimulus values identical")
+    return keys[sessions.first_rows], slope, intercept, r2, *errors
 
 
 def summarize_cohort(trials: Trials, k: float = 2.5) -> CohortSummary:
@@ -565,70 +563,47 @@ def summarize_cohort(trials: Trials, k: float = 2.5) -> CohortSummary:
     """
     if not len(trials):
         raise DegenerateDataError("empty dataset")
-    sessions = {
-        (s.participant_id, s.condition): s for s in _analyze(trials, _session_keys(trials))
-    }
-    participants = list(dict.fromkeys(pid for pid, _ in sessions))  # in key order
-    conditions = sorted({cond for _, cond in sessions})
+    participants, conditions, keys = _session_keys(trials)
+    key, slope, intercept, r2, bias, cv, rmse = _session_columns(trials, keys)
+    pid, cond = np.divmod(key, conditions.size)
+    sessions = SessionTable(participants[pid], conditions[cond], 1.0 - slope, slope,
+                            intercept, r2, bias, cv, rmse)
 
     excluded = {}
-    if len(participants) >= 2 and not math.isinf(k):
-        metric = {
-            pid: float(np.mean([s.errors.session_rmse for _, s in group]))
-            for pid, group in groupby(sessions.items(), key=lambda item: item[0][0])
-        }
-        _, dropped = screen_outliers(metric, k)
-        for pid in dropped:
-            excluded[pid] = (
-                f"session_rmse {metric[pid]:.6f} exceeds mean + {k} * SD"
-            )
-    kept = [p for p in participants if p not in excluded]
+    if participants.size >= 2 and not math.isinf(k):
+        mean_rmse, = _Segments(pid).reduce(_means, rmse)
+        metric = dict(zip(participants.tolist(), mean_rmse.tolist()))
+        for p in screen_outliers(metric, k)[1]:
+            excluded[p] = f"session_rmse {metric[p]:.6f} exceeds mean + {k} * SD"
+    # the row of each kept session by (participant, condition); -1 for none
+    kept = np.array([p not in excluded for p in participants.tolist()])[pid]
+    rows = np.full((participants.size, conditions.size), -1)
+    rows[pid[kept], cond[kept]] = np.flatnonzero(kept)
+    names = conditions.tolist()
 
-    condition_stats = {}
-    for cond in conditions:
-        per_metric = {}
-        for m in _METRICS:
-            vals = [
-                _session_metric(sessions[(pid, cond)], m)
-                for pid in kept
-                if (pid, cond) in sessions
-            ]
-            arr = np.array(vals)
-            per_metric[m] = GroupStats(
-                n=arr.size,
-                mean=float(arr.mean()) if arr.size else float("nan"),
-                sd=float(arr.std(ddof=1)) if arr.size > 1 else float("nan"),
-            )
-        condition_stats[cond] = per_metric
+    def group_stats(values):
+        return GroupStats(values.size, float(values.mean()) if values.size else math.nan,
+                          float(values.std(ddof=1)) if values.size > 1 else math.nan)
 
+    condition_stats = {
+        name: {m: group_stats(getattr(sessions, m)[rows[rows[:, c] >= 0, c]])
+               for m in _METRICS}
+        for c, name in enumerate(names)
+    }
     contrasts = []
-    for i, ca in enumerate(conditions):
-        for cb in conditions[i + 1:]:
-            common = [
-                pid
-                for pid in kept
-                if (pid, ca) in sessions and (pid, cb) in sessions
-            ]
-            if len(common) < 2:
+    for a, b in combinations(range(len(names)), 2):
+        both = rows[(rows[:, a] >= 0) & (rows[:, b] >= 0)]
+        if len(both) < 2:
+            continue
+        for m in _METRICS:
+            x, y = getattr(sessions, m)[both[:, a]], getattr(sessions, m)[both[:, b]]
+            try:
+                t, df, p = stats.paired_t(x, y)
+                d = stats.cohens_d_paired(x, y)
+            except stats.DegenerateTestError:
                 continue
-            for m in _METRICS:
-                a = [_session_metric(sessions[(pid, ca)], m) for pid in common]
-                b = [_session_metric(sessions[(pid, cb)], m) for pid in common]
-                try:
-                    t, df, p = stats.paired_t(a, b)
-                    d = stats.cohens_d_paired(a, b)
-                except stats.DegenerateTestError:
-                    continue
-                contrasts.append(
-                    PairedContrast(ca, cb, m, len(common), t, df, p, d)
-                )
-
-    return CohortSummary(
-        sessions=sessions,
-        condition_stats=condition_stats,
-        contrasts=tuple(contrasts),
-        excluded=excluded,
-    )
+            contrasts.append(PairedContrast(names[a], names[b], m, len(both), t, df, p, d))
+    return CohortSummary(sessions, condition_stats, tuple(contrasts), excluded)
 
 
 def render_report(summary: CohortSummary) -> str:
@@ -664,15 +639,11 @@ def render_report(summary: CohortSummary) -> str:
 
 
 def write_participant_csv(summary: CohortSummary, path) -> None:
-    def row(key):
-        fit, errors = summary.sessions[key].fit, summary.sessions[key].errors
-        return (*key, fit.regression_index, fit.slope, fit.intercept, fit.r_squared,
-                errors.session_bias, errors.session_cv, errors.session_rmse,
-                key[0] in summary.excluded)
-
+    s = summary.sessions
+    excluded = [pid in summary.excluded for pid in s.participant_id.tolist()]
     write_csv(path, "participant_id,condition,regression_index,slope,intercept,"
-              "r_squared,bias,cv,rmse,excluded",
-              "%s,%s" + ",%.6f" * 7 + ",%d", map(row, sorted(summary.sessions)))
+              "r_squared,bias,cv,rmse,excluded", "%s,%s" + ",%.6f" * 7 + ",%d",
+              zip(*(getattr(s, f.name).tolist() for f in fields(s)), excluded))
 
 
 def write_condition_csv(summary: CohortSummary, path) -> None:

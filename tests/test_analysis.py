@@ -279,6 +279,8 @@ _NAMED_FILES = {
                     "row 1: actual_length_cm must be > 0"),
     "duplicate key": (_text(_CONTRACT, _ROW, "p02,social,3,6,6,6", _ROW), False,
                       "row 3: duplicate trial key"),
+    "trial_index repeated in other sessions": (
+        _text(_CONTRACT, _ROW, "p02,social,3,6,6,6", "p01,solo,3,6,6,6"), True, 3),
     "non-ASCII id": (_text(_CONTRACT, "p\u00e9,social,3,6.0,6.0,7.2"), False, 1),
     "non-ASCII letter as trial_index": (_text(_CONTRACT, "p01,social,\u01fe,6.0,6.0,7.2"),
                                         False, "row 1: non-numeric cell in trial_index"),
@@ -634,6 +636,37 @@ def _reference_summary(trials, k=2.5):
     return sessions, condition_stats, tuple(contrasts), excluded
 
 
+_SESSION_COLUMNS = {  # SessionTable column: its value in a SessionSummary
+    "regression_index": lambda s: s.fit.regression_index,
+    "slope": lambda s: s.fit.slope,
+    "intercept": lambda s: s.fit.intercept,
+    "r_squared": lambda s: s.fit.r_squared,
+    "bias": lambda s: s.errors.session_bias,
+    "cv": lambda s: s.errors.session_cv,
+    "rmse": lambda s: s.errors.session_rmse,
+}
+
+
+def _assert_session_table(table, sessions):
+    """The SessionTable holds the values of the reference's SessionSummary
+    dict, bit for bit and in its key order."""
+    assert len(table) == len(sessions)
+    assert list(zip(table.participant_id.tolist(), table.condition.tolist())) == list(sessions)
+    for name, value in _SESSION_COLUMNS.items():
+        expected = np.array([value(s) for s in sessions.values()])
+        assert getattr(table, name).tobytes() == expected.tobytes(), name
+
+
+def _assert_sessions_alone(trials, sessions):
+    """Each session analyzed alone is the reference's SessionSummary,
+    per-stimulus groups included."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # singleton groups warn
+        for pid, cond in sessions:
+            alone = trials[(trials.participant_id == pid) & (trials.condition == cond)]
+            assert analyze_session(alone) == sessions[(pid, cond)]
+
+
 def _ragged_cohort(seed=0):
     """Sessions of unequal length and group count, rows shuffled.
 
@@ -706,7 +739,10 @@ class TestCohortSummary:
         unscreened = summarize_cohort(recs, k=math.inf)
         assert unscreened.excluded == {}
         # session-level analysis is unaffected by the screening threshold
-        assert screened.sessions == unscreened.sessions
+        assert len(screened.sessions) == len(unscreened.sessions) == 10 * 3
+        for field in dataclasses.fields(screened.sessions):
+            assert np.array_equal(getattr(screened.sessions, field.name),
+                                  getattr(unscreened.sessions, field.name))
 
     def test_noisy_participant_excluded(self):
         import warnings as _warnings
@@ -750,12 +786,11 @@ class TestCohortSummary:
             sessions, condition_stats, contrasts, excluded = _reference_summary(recs)
         assert "p99" in excluded
         assert sessions[("p01", "individual")].errors.singleton_groups == (6.0,)
-        assert list(summary.sessions) == list(sessions)
-        for key, session in sessions.items():
-            assert summary.sessions[key] == session
+        _assert_session_table(summary.sessions, sessions)
         assert summary.condition_stats == condition_stats
         assert summary.contrasts == contrasts
         assert summary.excluded == excluded
+        _assert_sessions_alone(recs, sessions)
 
     def test_ragged_sessions_match_row_reference_bit_for_bit(self):
         recs = _ragged_cohort()
@@ -768,9 +803,7 @@ class TestCohortSummary:
         sizes = {g.n for s in sessions.values() for g in s.errors.per_stimulus}
         assert {1, 8, 9, 16, 17, 130} <= sizes
         assert len({len(s.errors.per_stimulus) for s in sessions.values()}) > 8
-        assert list(summary.sessions) == list(sessions)
-        for key, session in sessions.items():
-            assert summary.sessions[key] == session
+        _assert_session_table(summary.sessions, sessions)
         assert summary.condition_stats == condition_stats
         assert summary.contrasts == contrasts
         assert summary.excluded == excluded
@@ -780,12 +813,7 @@ class TestCohortSummary:
             f"{list(s.errors.singleton_groups)}"
             for s in sessions.values() if s.errors.singleton_groups
         ]
-        # a session analyzed alone is the cohort's entry for it
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            for pid, cond in sessions:
-                alone = recs[(recs.participant_id == pid) & (recs.condition == cond)]
-                assert analyze_session(alone) == summary.sessions[(pid, cond)]
+        _assert_sessions_alone(recs, sessions)
 
     def test_ragged_group_mean_fit_matches_row_reference(self):
         recs = _ragged_cohort(seed=1)
@@ -837,6 +865,84 @@ class TestCohortSummary:
     def test_empty_rejected(self):
         with pytest.raises(DegenerateDataError):
             summarize_cohort(_trials())
+
+    _CONSTANT = ([10.0] * 3, None)
+    _OVERFLOW = ([6.0, 6.0, 10.0, 10.0, 14.0, 14.0], [1e308] * 6)  # debiased to -inf
+
+    @pytest.mark.parametrize("replace, error, message, warned", [
+        ({"p02_b": _CONSTANT}, DegenerateDataError, "all stimulus values identical",
+         [[6.0], [6.0, 14.0]]),
+        ({"p02_b": _OVERFLOW}, ValueError, "response must be finite, got -inf",
+         [[6.0], [6.0, 14.0]]),
+        # the first failing session decides, whichever its failure
+        ({"p01_b": _CONSTANT, "p02_a": _OVERFLOW}, DegenerateDataError,
+         "all stimulus values identical", [[6.0]]),
+        ({"p01_b": _OVERFLOW, "p02_a": _CONSTANT}, ValueError,
+         "response must be finite, got -inf", [[6.0]]),
+        # within one session a non-finite response comes before a constant stimulus
+        ({"p02_b": ([10.0] * 3, [1e308] * 3)}, ValueError,
+         "response must be finite, got -inf", [[6.0], [6.0, 14.0]]),
+    ])
+    def test_failing_session_stops_the_cohort(self, replace, error, message, warned):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError) as failure:
+                summarize_cohort(_degenerate_cohort(replace))
+        assert type(failure.value) is error
+        assert str(failure.value) == message
+        # the singleton warnings of the sessions before the failing one, in order
+        assert [str(w.message) for w in caught if w.category is UserWarning] == [
+            f"stimulus groups with a single trial (cv set to 0): {nominals}"
+            for nominals in warned
+        ]
+
+    def test_builds_no_session_objects(self, monkeypatch):
+        import lenrepro.analysis as analysis
+
+        def forbidden(*args):
+            raise AssertionError("summarize_cohort built a per-session object")
+
+        for name in ("StimulusErrors", "ErrorDecomposition", "RegressionFit", "SessionSummary"):
+            monkeypatch.setattr(analysis, name, forbidden)
+        assert len(summarize_cohort(_cohort(3, master_seed=1)).sessions) == 3 * 3
+
+    def test_singleton_warnings_point_at_the_caller(self):
+        trials = _degenerate_cohort()
+        alone = trials[(trials.participant_id == "p01") & (trials.condition == "a")]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            summarize_cohort(trials)
+            analyze_session(alone)
+            per_stimulus_errors(alone)
+        assert len(caught) == 3 + 1 + 1
+        assert all(w.filename == __file__ for w in caught)  # the caller's line
+
+
+def _degenerate_cohort(replace=None):
+    """Sessions p01-p03 x conditions a, b, rows in shuffled file order.
+
+    p01/a has a single-trial stimulus group at 6 cm, p02/a two (6 and
+    14 cm) and p03/a one (14 cm).  ``replace`` maps a session, such as
+    ``"p02_b"``, to its nominal lengths and responses (None for the
+    default responses).
+    """
+    nominals = {
+        "p01_a": [6.0, 10.0, 10.0, 14.0, 14.0],
+        "p01_b": [6.0, 6.0, 10.0, 10.0, 14.0, 14.0],
+        "p02_a": [6.0, 10.0, 10.0, 14.0],
+        "p02_b": [6.0, 6.0, 10.0, 10.0, 14.0, 14.0],
+        "p03_a": [6.0, 6.0, 10.0, 10.0, 14.0],
+        "p03_b": [6.0, 6.0, 10.0, 10.0, 14.0, 14.0],
+    }
+    rows = []
+    for name, nominal in nominals.items():
+        nominal, response = (replace or {}).get(name, (nominal, None))
+        if response is None:
+            response = [0.8 * x + 2.0 + 0.1 * i for i, x in enumerate(nominal)]
+        pid, cond = name.split("_")
+        rows += [_rec(pid, cond, i, x, r) for i, (x, r) in enumerate(zip(nominal, response))]
+    trials = _trials(*rows)
+    return trials[np.random.default_rng(3).permutation(len(trials))]
 
 
 class TestOutputs:
