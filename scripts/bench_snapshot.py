@@ -1,20 +1,28 @@
-"""Write one BENCH_<n>.json from the benchmark in perfbench/.
+"""Write BENCH_<n>.json files from the benchmark in perfbench/.
 
 Run from the root of a source checkout, or point --root at one:
 
     python3 scripts/bench_snapshot.py --number 8
     python3 scripts/bench_snapshot.py --number 7 --root ../parent
 
+Give several --number/--root pairs to measure checkouts side by side:
+
+    python3 scripts/bench_snapshot.py --number 11 --root ../parent \
+        --number 12 --root ../change
+
 For each of the three workloads it runs ``perfbench/run.py --trace 0`` once
 per seed in ``SEEDS`` and ``--trace 1`` once with the first seed, each in
-that checkout and for perfbench's default run length, and reads the result
-files the runs leave in ``.perfbench_work/results/``.  It writes
-``BENCH_<n>.json`` to the current directory.  The snapshot holds, per
-workload, the median over the seeds of each end-to-end metric (each run
-reports its median over passes), the per-command medians of ``main_s`` and
-peak RSS, the per-layer metrics of the traced run, operation counts, the
-environment and the line count of every ``src/lenrepro/*.py`` file (as
-``wc -l`` counts them).
+each checkout and for perfbench's default run length, and reads the result
+files the runs leave in ``.perfbench_work/results/``.  With several
+checkouts, each (workload, seed, trace) run goes to every checkout in turn,
+in reversed order on every other run, so that a drift of the machine's
+speed falls on all of them alike instead of reading as a change.  It writes
+one ``BENCH_<n>.json`` per checkout to the current directory.  A snapshot
+holds, per workload, the median over the seeds of each end-to-end metric
+(each run reports its median over passes), the per-command medians of
+``main_s`` and peak RSS, the per-layer metrics of the traced run, operation
+counts, the environment and the line count of every ``src/lenrepro/*.py``
+file (as ``wc -l`` counts them).
 """
 from __future__ import annotations
 
@@ -51,9 +59,19 @@ def per_command(records: list) -> dict:
             for name, cmds in by_name.items()}
 
 
-def workload_snapshot(root: Path, workload: str) -> dict:
-    runs = [run(root, workload, seed, 0) for seed in SEEDS]
-    traced = run(root, workload, SEEDS[0], 1)
+def workload_snapshots(roots: list, workload: str) -> list:
+    """The snapshot of ``workload`` in each of ``roots``, from runs that
+    alternate between them."""
+    records = [[] for _ in roots]
+    steps = [(seed, 0) for seed in SEEDS] + [(SEEDS[0], 1)]
+    for step, (seed, trace) in enumerate(steps):
+        order = list(enumerate(roots))
+        for j, root in order if step % 2 == 0 else order[::-1]:
+            records[j].append(run(root, workload, seed, trace))
+    return [workload_snapshot(r[:-1], r[-1]) for r in records]
+
+
+def workload_snapshot(runs: list, traced: dict) -> dict:
     end_to_end = {
         name: {"median": statistics.median(r["metrics"][name] for r in runs),
                "per_seed": {str(r["seed"]): r["metrics"][name] for r in runs},
@@ -89,23 +107,30 @@ def source_lines(root: Path) -> dict:
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--number", type=int, required=True, help="n of BENCH_<n>.json")
-    p.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent,
+    p.add_argument("--number", type=int, action="append", required=True,
+                   help="n of BENCH_<n>.json; repeat it with --root for each checkout")
+    p.add_argument("--root", type=Path, action="append",
                    help="source checkout to measure (default: this one)")
     args = p.parse_args(argv)
-    root = args.root.resolve()
+    roots = [r.resolve() for r in args.root or [Path(__file__).resolve().parent.parent]]
+    if len(roots) != len(args.number):
+        p.error("give one --root for each --number")
+    if len(set(roots)) != len(roots) or len(set(args.number)) != len(args.number):
+        p.error("each --number and each --root may be given only once")
 
-    workloads = {w: workload_snapshot(root, w) for w in WORKLOADS}
-    env = json.loads((root / ".perfbench_work" / "results"
-                      / f"cohort-seed{SEEDS[0]}-trace0.json").read_text(encoding="utf-8"))["env"]
-    env.pop("seed", None)
-    env["uncommitted_changes"] = uncommitted_changes(root)
-    snapshot = {"number": args.number, "seeds": list(SEEDS),
-                "command": "python3 perfbench/run.py --workload W --seed S --trace T",
-                "env": env, "src_lines": source_lines(root), "workloads": workloads}
-    out = Path(f"BENCH_{args.number}.json")
-    out.write_text(json.dumps(snapshot, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"wrote {out}")
+    by_workload = {w: workload_snapshots(roots, w) for w in WORKLOADS}
+    for j, (number, root) in enumerate(zip(args.number, roots)):
+        env = json.loads((root / ".perfbench_work" / "results"
+                          / f"cohort-seed{SEEDS[0]}-trace0.json").read_text(encoding="utf-8"))["env"]
+        env.pop("seed", None)
+        env["uncommitted_changes"] = uncommitted_changes(root)
+        snapshot = {"number": number, "seeds": list(SEEDS),
+                    "command": "python3 perfbench/run.py --workload W --seed S --trace T",
+                    "env": env, "src_lines": source_lines(root),
+                    "workloads": {w: snaps[j] for w, snaps in by_workload.items()}}
+        out = Path(f"BENCH_{number}.json")
+        out.write_text(json.dumps(snapshot, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+        print(f"wrote {out}")
     return 0
 
 

@@ -20,10 +20,12 @@ from .model import (
     GaussianBelief,
     MotorCombination,
     MotorNoiseSpec,
+    NoiseMode,
     NoiseModel,
     StimulusSet,
+    _check_noise,
+    _check_nonnegative,
     _closed_form,
-    closed_form,
     grid_values,
     normalized_errors,
     regression_index,
@@ -45,7 +47,9 @@ class FitConfig:
     estimators at that group size (folded-normal mean for the per-stimulus
     bias, small-sample-deflated population sd for the CV).  Use it when the
     observations come from few repetitions per stimulus; with 6 reps the
-    raw estimators are biased enough to derail the fit.
+    raw estimators are biased enough to derail the fit.  Either table is
+    built in blocks of sigma_p rows, so a longer sigma_p grid costs time,
+    not peak memory.
     """
 
     sigma_p_grid: tuple = (0.1, 5.0, 0.05)
@@ -143,17 +147,28 @@ def expected_pipeline_errors(
     return float(bias), float(cv)
 
 
+# sigma_p rows that _model_table evaluates at a time
+_TABLE_ROWS = 8
+
+
 def _model_table(sigma_ps: np.ndarray, wfs: np.ndarray, stimuli: StimulusSet,
                  cfg: FitConfig):
-    """Model (bias, cv, ri) on the whole grid, each of shape (sigma_p, wf)."""
-    mean, sd = closed_form(sigma_ps[:, None], wfs, stimuli, cfg.motor)
-    if cfg.trials_per_stimulus is None:
-        bias, cv = normalized_errors(mean, sd, stimuli, cfg.motor)
-    else:
-        bias, cv = _finite_sample_errors(
-            mean, sd, stimuli, cfg.motor, cfg.trials_per_stimulus
-        )
-    return bias, cv, regression_index(mean, stimuli)
+    """Model (bias, cv, ri) on the whole grid, each of shape (sigma_p, wf).
+
+    The grids are checked once, as ``model.closed_form`` checks them.  Each
+    cell is elementwise work plus reductions over the stimuli, so blocks of
+    ``_TABLE_ROWS`` sigma_p rows give the same bits, and the peak no longer
+    grows with the sigma_p grid."""
+    _check_nonnegative("sd", sigma_ps)
+    _check_noise(NoiseMode.WEBER, wfs)
+    n, blocks = cfg.trials_per_stimulus, []
+    for i in range(0, sigma_ps.size, _TABLE_ROWS):
+        mean, sd = _closed_form(sigma_ps[i:i + _TABLE_ROWS, None], wfs, stimuli,
+                                cfg.motor, None, NoiseMode.WEBER)
+        bias, cv = (normalized_errors(mean, sd, stimuli, cfg.motor) if n is None
+                    else _finite_sample_errors(mean, sd, stimuli, cfg.motor, n))
+        blocks.append((bias, cv, regression_index(mean, stimuli)))
+    return tuple(np.concatenate(column) for column in zip(*blocks))
 
 
 def _condition_residuals(observed: ObservedErrors, bias, cv, ri,
@@ -191,13 +206,22 @@ def _grid_residuals(observed: Mapping[str, ObservedErrors], stimuli: StimulusSet
     return sigma_ps, wfs, table, residuals
 
 
-def _check_observed(observed: Mapping[str, ObservedErrors]) -> None:
+def _check_observed(observed: Mapping[str, ObservedErrors],
+                    objective: Objective) -> None:
+    """Reject empty or non-finite observations; warn when the objective has
+    no more observations than free parameters, as ``ri`` always has."""
     if not observed:
         raise ValueError("need at least one condition")
     for label, obs in observed.items():
         for v in (obs.bias, obs.cv, obs.ri):
             if v is not None and not math.isfinite(v):
                 raise ValueError(f"non-finite observation for condition {label}")
+    n_obs = (2 if objective is Objective.BIAS_CV else 1) * len(observed)
+    if n_obs <= len(observed) + 1:
+        warnings.warn(f"the {objective.value!r} objective fits {n_obs} observations with "
+                      f"{len(observed) + 1} free parameters (a shared sigma_p and one wf "
+                      "per condition), so the data cannot identify them all",
+                      stacklevel=3)  # the caller of the public fit function
 
 
 def _free_fit(sigma_ps, wfs, table, residuals) -> FitResult:
@@ -255,7 +279,7 @@ def fit_shared_prior(
     Warns when the fitted sigma_p or a condition's wf lies on the first or
     last value of its grid.
     """
-    _check_observed(observed)
+    _check_observed(observed, cfg.objective)
     return _free_fit(*_grid_residuals(observed, stimuli, cfg))
 
 
@@ -287,7 +311,7 @@ def _fit_with_goodness(
 ) -> tuple[FitResult, GoodnessReport]:
     """:func:`fit_shared_prior` and then :func:`goodness_of_fit`, with the
     same results and warnings, from one model table."""
-    _check_observed(observed)
+    _check_observed(observed, cfg.objective)
     sigma_ps, wfs, table, residuals = _grid_residuals(observed, stimuli, cfg)
     result = _free_fit(sigma_ps, wfs, table, residuals)
     return result, _equal_wf_fit(result, sigma_ps, wfs, residuals)

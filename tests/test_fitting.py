@@ -1,5 +1,7 @@
 """Grid fit of the shared prior width and per-condition Weber fractions."""
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ import pytest
 import mpmath
 from scipy.special import gammaln, ndtr
 
+from lenrepro import fitting
 from lenrepro.fitting import (
     FitConfig,
     Objective,
@@ -414,6 +417,15 @@ class TestGridChecks:
         with pytest.warns(UserWarning, match="Weber fraction 0.605"):
             fit_shared_prior({"a": _forward(1.5, 0.2)}, DEFAULT_STIMULI, cfg)
 
+    def test_large_weber_fraction_warns_once(self):
+        # once for the whole grid, not once per block of sigma_p rows
+        cfg = FitConfig(wf_grid=(0.0, 0.65, 0.005))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fit_shared_prior({"a": _forward(1.5, 0.2)}, DEFAULT_STIMULI, cfg)
+        assert [str(w.message) for w in caught if "Weber fraction" in str(w.message)] \
+            == ["Weber fraction 0.605 is outside the usual [0, 0.6] sweep range"]
+
 
 class TestGridEdgeWarning:
     def _fit(self, observed, **grids):
@@ -507,3 +519,90 @@ class TestOneTable:
             assert _fit_with_goodness(observed, DEFAULT_STIMULI, cfg) == (res, g)
         assert [str(w.message) for w in one] == [str(w.message) for w in pair]
         assert all(w.filename == __file__ for w in pair + one)  # the caller's line
+
+
+def _fit_recorded(observed, cfg):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = _fit_with_goodness(observed, DEFAULT_STIMULI, cfg)
+    return out, [str(w.message) for w in caught]
+
+
+class TestBlockedTable:
+    """`_model_table` evaluates `_TABLE_ROWS` sigma_p rows at a time; any
+    block size gives the same bits, the same fits and the same warnings."""
+
+    OBSERVED = TestKernelEquivalence.OBSERVED
+
+    @pytest.mark.parametrize("sigma_p_grid", [FitConfig.sigma_p_grid, (1.5, 1.5, 0.05)])
+    @pytest.mark.parametrize("comb", list(MotorCombination))
+    @pytest.mark.parametrize("n", [None, 6])
+    def test_any_block_size_gives_the_same_bits(self, monkeypatch, sigma_p_grid,
+                                                comb, n):
+        cfgs = [FitConfig(sigma_p_grid=sigma_p_grid, motor=MotorNoiseSpec(1.2, comb),
+                          objective=objective, trials_per_stimulus=n)
+                for objective in Objective]
+        sigma_ps = grid_values(*sigma_p_grid)
+        wfs = grid_values(*cfgs[0].wf_grid)
+        table = _model_table(sigma_ps, wfs, DEFAULT_STIMULI, cfgs[0])
+        fits = [_fit_recorded(self.OBSERVED, cfg) for cfg in cfgs]
+        # 99 rows is not a multiple of 7 or of the default 8: a short last block
+        for rows in (1, 7, 99):
+            monkeypatch.setattr(fitting, "_TABLE_ROWS", rows)
+            blocked = _model_table(sigma_ps, wfs, DEFAULT_STIMULI, cfgs[0])
+            assert all(np.array_equal(a, b) for a, b in zip(blocked, table))
+            assert [a.shape for a in blocked] == [(sigma_ps.size, wfs.size)] * 3
+            assert [_fit_recorded(self.OBSERVED, cfg) for cfg in cfgs] == fits
+
+    def test_peak_memory_does_not_grow_with_the_sigma_p_grid(self, monkeypatch):
+        cfg = FitConfig(trials_per_stimulus=6)
+
+        def peak():
+            tracemalloc.start()
+            try:
+                _fit_recorded(self.OBSERVED, cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        blocked = peak()
+        monkeypatch.setattr(fitting, "_TABLE_ROWS", grid_values(*cfg.sigma_p_grid).size)
+        assert blocked <= peak() / 4
+
+
+class TestIdentifiabilityWarning:
+    """A fit warns when its objective has no more observations than free
+    parameters: one shared sigma_p and a wf per condition."""
+
+    @staticmethod
+    def _messages(observed, objective):
+        cfg = FitConfig(objective=objective)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fit_shared_prior(observed, DEFAULT_STIMULI, cfg)
+        assert all(w.filename == __file__ for w in caught)  # the caller's line
+        return [str(w.message) for w in caught if "identify" in str(w.message)]
+
+    def test_ri_objective_always_warns(self):
+        observed = {"a": _forward(1.5, 0.3), "b": _forward(1.5, 0.14),
+                    "c": _forward(1.5, 0.2)}
+        assert self._messages(observed, Objective.RI) == [
+            "the 'ri' objective fits 3 observations with 4 free parameters (a shared "
+            "sigma_p and one wf per condition), so the data cannot identify them all"
+        ]
+        assert len(self._messages({"a": _forward(1.5, 0.3)}, Objective.RI)) == 1
+
+    def test_bias_cv_objective_warns_only_for_one_condition(self):
+        one = {"a": _forward(1.5, 0.3)}
+        assert self._messages(one, Objective.BIAS_CV) == [
+            "the 'biascv' objective fits 2 observations with 2 free parameters (a "
+            "shared sigma_p and one wf per condition), so the data cannot identify "
+            "them all"
+        ]
+        two = {"a": _forward(1.5, 0.3), "b": _forward(1.5, 0.14)}
+        assert self._messages(two, Objective.BIAS_CV) == []
+
+    def test_fit_with_goodness_warns_once(self):
+        cfg = FitConfig(objective=Objective.RI)
+        _, messages = _fit_recorded({"a": _forward(1.5, 0.3)}, cfg)
+        assert sum("cannot identify" in m for m in messages) == 1
