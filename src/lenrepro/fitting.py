@@ -217,10 +217,11 @@ def _check_observed(observed: Mapping[str, ObservedErrors],
             if v is not None and not math.isfinite(v):
                 raise ValueError(f"non-finite observation for condition {label}")
     n_obs = (2 if objective is Objective.BIAS_CV else 1) * len(observed)
-    if n_obs <= len(observed) + 1:
+    n_free = len(observed) + 1
+    if n_obs <= n_free:
         warnings.warn(f"the {objective.value!r} objective fits {n_obs} observations with "
-                      f"{len(observed) + 1} free parameters (a shared sigma_p and one wf "
-                      "per condition), so the data cannot identify them all",
+                      f"{n_free} free parameters (a shared sigma_p and one wf per "
+                      "condition), so the data cannot identify them all",
                       stacklevel=3)  # the caller of the public fit function
 
 
@@ -277,7 +278,8 @@ def fit_shared_prior(
     """Exhaustive grid fit of one shared prior width + per-condition WFs.
 
     Warns when the fitted sigma_p or a condition's wf lies on the first or
-    last value of its grid.
+    last value of its grid, and when the objective has no more observations
+    than free parameters.
     """
     _check_observed(observed, cfg.objective)
     return _free_fit(*_grid_residuals(observed, stimuli, cfg))
