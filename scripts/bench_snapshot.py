@@ -21,8 +21,9 @@ one ``BENCH_<n>.json`` per checkout to the current directory.  A snapshot
 holds, per workload, the median over the seeds of each end-to-end metric
 (each run reports its median over passes), the per-command medians of
 ``main_s`` and peak RSS, the per-layer metrics of the traced run, operation
-counts, the environment and the line count of every ``src/lenrepro/*.py``
-file (as ``wc -l`` counts them).
+counts, the environment (with whether Python writes bytecode files) and
+the line count of every ``src/lenrepro/*.py`` file (as ``wc -l`` counts
+them).
 """
 from __future__ import annotations
 
@@ -124,6 +125,9 @@ def main(argv=None) -> int:
                           / f"cohort-seed{SEEDS[0]}-trace0.json").read_text(encoding="utf-8"))["env"]
         env.pop("seed", None)
         env["uncommitted_changes"] = uncommitted_changes(root)
+        # the runs' CLI processes inherit the flag; when it is set, each one
+        # compiles lenrepro from source, and setup_s holds that time
+        env["dont_write_bytecode"] = bool(sys.flags.dont_write_bytecode)
         snapshot = {"number": number, "seeds": list(SEEDS),
                     "command": "python3 perfbench/run.py --workload W --seed S --trace T",
                     "env": env, "src_lines": source_lines(root),

@@ -176,34 +176,57 @@ _HEADER_LINE = ",".join(TRIAL_CSV_HEADER) + "\n"
 _PRINTABLE = bytes(range(0x20, 0x7F)).replace(b'"', b"")
 
 
-def _in_contract(fh, chunk: int = 1 << 20) -> bool:
-    """Whether the rest of ``fh`` is a file that ``np.loadtxt`` reads as
-    the per-cell reader does: the exact contract header, then at least one
-    data row, all of it printable ASCII and LF, with no quote and no blank
-    line.
+def _in_contract(fh, chunk: int = 1 << 16) -> tuple | None:
+    """The length of the longest participant id and of the longest
+    condition in the rest of ``fh``, if it is a file that ``np.loadtxt``
+    reads as the per-cell reader does: the exact contract header, then at
+    least one data row, all of it printable ASCII and LF, with no quote and
+    every line of at least six fields.  None for any other file.
 
     The C parser strips the separators U+001C-U+001F around numbers, which
     ``float()`` rejects, and reads some non-ASCII letters as digits of
     ``trial_index`` (U+01FE as 462), so both go to the per-cell reader.
+    ``np.loadtxt`` cuts a string longer than its dtype without a word, so
+    the ids are parsed at the widths found here.
     """
     try:
         if fh.readline() != _HEADER_LINE:
-            return False
-        text = fh.read(chunk)
-        if not text or text.startswith("\n"):
-            return False
+            return None
+        widths, rest, text = (0, 0), b"", fh.read(chunk)
+        if not text:
+            return None
         while text:
-            if not text.isascii() or "\n\n" in text:
-                return False
+            if not text.isascii():
+                return None
+            data = text.encode("ascii")
             # printable ASCII but the quote deleted, one LF per line is left
-            if text.encode("ascii").translate(None, _PRINTABLE).strip(b"\n"):
-                return False
-            last, text = text[-1], fh.read(chunk)
-            if last == "\n" and text.startswith("\n"):
-                return False
+            if data.translate(None, _PRINTABLE).strip(b"\n"):
+                return None
+            data = rest + data
+            end = data.rfind(b"\n") + 1  # a line cut by the chunk waits for the next
+            widths, rest = _id_widths(memoryview(data)[:end], widths), data[end:]
+            if widths is None:
+                return None
+            text = fh.read(chunk)
+        # the last line may lack its LF
+        return _id_widths(rest + b"\n", widths) if rest else widths
     except UnicodeDecodeError:
-        return False  # raised again, by the per-cell reader
-    return True
+        return None  # raised again, by the per-cell reader
+
+
+def _id_widths(lines, widths: tuple) -> tuple | None:
+    """``widths`` widened to the longest first and second field of these
+    LF-ended lines, or None when a line has fewer than six fields."""
+    text = np.frombuffer(lines, np.uint8)
+    ends = np.flatnonzero((text == ord(",")) | (text == ord("\n")))  # of every field
+    lf = np.flatnonzero(text[ends] == ord("\n"))
+    first = np.r_[0, lf + 1][:-1]  # each line's first field end, as an index of ends
+    if np.any(lf - first < 5):
+        return None
+    start = np.r_[0, ends[lf] + 1][:-1]
+    comma1, comma2 = ends[first], ends[first + 1]
+    return ((comma1 - start).max(initial=widths[0]).item(),
+            (comma2 - comma1 - 1).max(initial=widths[1]).item())
 
 
 def _parse_contract(fh, start) -> Trials | None:
@@ -211,25 +234,36 @@ def _parse_contract(fh, start) -> Trials | None:
     at a time, or None when the per-cell reader has to decide.
 
     Every check of the per-cell reader is made in bulk: finite numbers,
-    ``actual > 0``, ``response >= 0`` and unique trial keys.
+    ``actual > 0``, ``response >= 0`` and unique trial keys.  Each id
+    column is parsed at the width of its longest value, and the table
+    adopts every parsed column without a copy.
     """
-    if not _in_contract(fh):
+    widths = _in_contract(fh)
+    if widths is None:
         return None
 
-    def load(dtype, usecols):
+    def load(dtype, *usecols):
+        """Columns ``usecols`` of the file as the rows of a read-only array."""
         fh.seek(start)
-        return np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None,
-                          skiprows=1, usecols=usecols, ndmin=2)
+        table = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None,
+                           skiprows=1, usecols=usecols, ndmin=2)
+        table.flags.writeable = False
+        # one column is a contiguous view of the parse; several are copied
+        # once, so that each is contiguous
+        columns = table.T if len(usecols) == 1 else table.T.copy()
+        columns.flags.writeable = False
+        return columns
 
     try:
-        ids, index, values = load(str, (0, 1)), load(np.int64, (2,)), load(float, (3, 4, 5))
+        (index,), values = load(np.int64, 2), load(float, 3, 4, 5)
+        if not (np.isfinite(values).all() and (values[1] > 0).all()
+                and (values[2] >= 0).all()):
+            return None
+        (participant_id,), (condition,) = (load(f"U{max(1, width)}", column)
+                                           for column, width in enumerate(widths))
     except ValueError:
         return None
-    nominal, actual, response = values.T
-    if not (np.isfinite(values).all() and (actual > 0).all() and (response >= 0).all()):
-        return None
-    trials = Trials(*ids.T, index[:, 0], nominal, actual, response)
-    del ids, index, values, nominal, actual, response  # the table holds copies
+    trials = Trials(participant_id, condition, index, *values)
     # sorted by key, a repeated key sits next to itself; compare the ids
     # only where the trial indices of two neighbours are equal
     order = np.lexsort((trials.trial_index, trials.condition, trials.participant_id))
@@ -290,28 +324,37 @@ def _read_cells(source) -> Trials:
     return Trials(*columns)
 
 
+# values of a column that _Segments.reduce gathers at a time
+_BLOCK_SIZE = 1 << 14
+
+
 class _Segments:
     """Rows grouped by an integer key: groups in key order, the rows of each
     in table order.
 
-    Groups of equal length form a bucket that is gathered as one (m, k)
-    block.  Reducing a C-contiguous block along its rows sums each group as
-    the 1-d reduction of that group alone does, so the results equal a loop
-    over the groups bit for bit.  ``np.add.reduceat`` sums in another order,
-    and zero-padding the groups to one width would change numpy's pairwise
-    blocking, so neither is used.
+    Groups of equal length form a bucket that is gathered as (m, k) blocks.
+    Reducing a C-contiguous block along its rows sums each group as the 1-d
+    reduction of that group alone does, so the results equal a loop over
+    the groups bit for bit, whatever the size of the block; bounding it
+    bounds the memory of every reduction.  ``np.add.reduceat`` sums in
+    another order, and zero-padding the groups to one width would change
+    numpy's pairwise blocking, so neither is used.
     """
 
     def __init__(self, keys: np.ndarray):
         order = np.argsort(keys, kind="stable")
         keys = keys[order]
         starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-        self.lengths = np.diff(np.r_[starts, keys.size])
+        del keys
+        self.lengths = np.diff(np.r_[starts, order.size])
         self.first_rows = order[starts]
         self.buckets = []  # (group numbers, (m, k) row indices)
         for k in np.unique(self.lengths):
             groups = np.flatnonzero(self.lengths == k)
-            self.buckets.append((groups, order[starts[groups, None] + np.arange(k)]))
+            # groups all of one length: their rows are the order itself
+            rows = (order.reshape(-1, k) if groups.size == starts.size
+                    else order[starts[groups, None] + np.arange(k)])
+            self.buckets.append((groups, rows))
 
     def __len__(self) -> int:
         return self.lengths.size
@@ -324,16 +367,19 @@ class _Segments:
         return label
 
     def reduce(self, fn, *columns) -> list:
-        """Apply ``fn`` to each bucket's (m, k) blocks of ``columns``.  It
-        returns arrays of m values, one per group of the bucket; each output
-        is gathered into one array indexed by group number."""
+        """Apply ``fn`` to each bucket's (m, k) blocks of ``columns``, at
+        most ``_BLOCK_SIZE`` values a block.  It returns arrays of m values,
+        one per group of the block; each output is gathered into one array
+        indexed by group number."""
         out = None
         for groups, rows in self.buckets:
-            values = fn(*(column[rows] for column in columns))
-            if out is None:
-                out = [np.empty(len(self), v.dtype) for v in values]
-            for o, v in zip(out, values):
-                o[groups] = v
+            m = max(1, _BLOCK_SIZE // rows.shape[1])
+            for i in range(0, groups.size, m):
+                values = fn(*(column[rows[i:i + m]] for column in columns))
+                if out is None:
+                    out = [np.empty(len(self), v.dtype) for v in values]
+                for o, v in zip(out, values):
+                    o[groups[i:i + m]] = v
         return out
 
 
@@ -341,15 +387,14 @@ def _means(*blocks) -> list:
     return [block.mean(axis=1) for block in blocks]
 
 
-def _sessions(trials: Trials, keys: np.ndarray | None = None) -> tuple:
-    """The sessions of the table by key, or the whole table as one session
-    when ``keys`` is None; the session number of each row; and the mean
+def _sessions(trials: Trials, sessions: _Segments | None = None) -> tuple:
+    """The sessions of the table, or the whole table as one session when
+    ``sessions`` is None; the session number of each row; and the mean
     actual length of each session."""
-    if keys is None:
+    if sessions is None:
         if not len(trials):
             raise DegenerateDataError("empty session")
-        keys = np.zeros(len(trials), np.intp)
-    sessions = _Segments(keys)
+        sessions = _Segments(np.zeros(len(trials), np.intp))
     s_bar, = sessions.reduce(_means, trials.actual_length)
     return sessions, sessions.labels(), s_bar
 
@@ -358,7 +403,8 @@ def _debiased(trials: Trials, sessions: _Segments, label, s_bar) -> np.ndarray:
     """Responses shifted so that each session's mean response is its mean
     actual length ``s_bar``; ``label`` is the session of each row."""
     mean_response, = sessions.reduce(_means, trials.response)
-    return trials.response + (s_bar - mean_response)[label]
+    shift = (s_bar - mean_response)[label]
+    return np.add(trials.response, shift, out=shift)
 
 
 def _fit_lines(segments: _Segments, x, y) -> list:
@@ -392,15 +438,24 @@ def _stimulus_groups(trials: Trials, label, response):
     nominal, mean actual length, mean response, population sd of the
     responses and number of trials.
     """
-    nominals, code = np.unique(trials.nominal_length, return_inverse=True)
-    groups = _Segments(label * nominals.size + code)
+    nominals = np.unique(trials.nominal_length)
+    # session * nominals + nominal number, found as np.unique's inverse
+    # without the sorted copies that np.unique makes to find it
+    keys = label * nominals.size
+    keys += np.searchsorted(nominals, trials.nominal_length)
+    groups = _Segments(keys)
     first = groups.first_rows
+    nominal = nominals[keys[first] % nominals.size]
+    del keys
     mean_actual, mean_response, sd = groups.reduce(
         lambda actual, resp: (*_means(actual, resp), resp.std(axis=1)),
         trials.actual_length, response,
     )
     runs = _Segments(label[first])
-    return runs, nominals[code[first]], mean_actual, mean_response, sd, groups.lengths
+    return runs, nominal, mean_actual, mean_response, sd, groups.lengths
+
+
+_hypot = np.frompyfunc(math.hypot, 2, 1)
 
 
 def _group_errors(trials: Trials, label, s_bar, response) -> tuple:
@@ -415,7 +470,8 @@ def _group_errors(trials: Trials, label, s_bar, response) -> tuple:
     s_bar_of_group = np.repeat(s_bar, runs.lengths)
     bias = np.abs(r_mi - s_mi) / s_bar_of_group
     cv = sd / s_bar_of_group  # exactly 0 for a single trial
-    rmse = np.array(list(map(math.hypot, bias.tolist(), cv.tolist())))
+    # math.hypot, one value at a time instead of through lists of them
+    rmse = _hypot(bias, cv).astype(float)
     return ((nominal, s_mi, r_mi, bias, cv, rmse, n), runs.lengths,
             runs.reduce(_means, bias, cv, rmse))
 
@@ -509,42 +565,45 @@ def _codes(column: np.ndarray, chunk: int = 8192) -> tuple:
     condition ids of a 79,200-trial cohort they would set the peak memory
     of ``analyze``.
     """
-    parts = [np.unique(column[i:i + chunk], return_inverse=True)
-             for i in range(0, column.size, chunk)]
-    values = np.unique(np.concatenate([part for part, _ in parts]))
-    return values, np.concatenate(
-        [np.searchsorted(values, part)[inverse] for part, inverse in parts]
-    )
+    values = np.unique(np.concatenate([np.unique(column[i:i + chunk])
+                                       for i in range(0, column.size, chunk)]))
+    codes = np.empty(column.size, np.intp)
+    for i in range(0, column.size, chunk):
+        codes[i:i + chunk] = np.searchsorted(values, column[i:i + chunk])
+    return values, codes
 
 
-def _session_keys(trials: Trials) -> tuple:
-    """The sorted participant ids and conditions, and each row's session
-    key, which orders the sessions as (participant id, condition)."""
-    participants, p_code = _codes(trials.participant_id)
-    conditions, c_code = _codes(trials.condition)
-    return participants, conditions, p_code * conditions.size + c_code
+def _session_columns(trials: Trials) -> tuple:
+    """Debias each session of the table, fit its index on its trials and
+    reduce its stimulus groups, in (participant id, condition) order.
 
-
-def _session_columns(trials: Trials, keys: np.ndarray) -> tuple:
-    """Debias each session of ``keys``, fit its index on its trials and
-    reduce its stimulus groups, in key order.
-
-    Returns each session's key, slope, intercept, r_squared, bias, cv and
-    rmse.  Errors and warnings come as a loop over the sessions would
-    raise them: the singleton-group warnings of the sessions before the
-    first one that cannot be analyzed, each pointing at the caller of
-    :func:`summarize_cohort`, then that session's error (a non-finite
-    debiased response before a constant stimulus).
+    Returns the sorted participant ids and conditions, and each session's
+    key (participant number * conditions + condition number), slope,
+    intercept, r_squared, bias, cv and rmse.  Errors and warnings come as
+    a loop over the sessions would raise them: the singleton-group
+    warnings of the sessions before the first one that cannot be
+    analyzed, each pointing at the caller of :func:`summarize_cohort`,
+    then that session's error (a non-finite debiased response before a
+    constant stimulus).  Each row-sized array is dropped once it is used.
     """
-    sessions, label, s_bar = _sessions(trials, keys)
+    participants, keys = _codes(trials.participant_id)
+    conditions, code = _codes(trials.condition)
+    keys *= conditions.size
+    keys += code
+    del code
+    sessions = _Segments(keys)
+    key, n_sessions = keys[sessions.first_rows], len(sessions)
+    del keys
+    label, s_bar = _sessions(trials, sessions)[1:]
     response = _debiased(trials, sessions, label, s_bar)
     with np.errstate(invalid="ignore"):  # a non-finite response raises
         slope, intercept, r2, denom = _fit_lines(sessions, trials.actual_length, response)
+        del sessions
         (nominal, *_, n), run_lengths, errors = _group_errors(trials, label, s_bar, response)
     nonfinite = np.flatnonzero(~np.isfinite(response))
     failed = np.union1d(label[nonfinite], np.flatnonzero(denom == 0))
-    stop = failed[0] if failed.size else len(sessions)
-    session = np.repeat(np.arange(len(sessions)), run_lengths)  # of each group
+    stop = failed[0] if failed.size else n_sessions
+    session = np.repeat(np.arange(n_sessions), run_lengths)  # of each group
     single = np.flatnonzero((n == 1) & (session < stop))
     for nominals in np.split(nominal[single], np.flatnonzero(np.diff(session[single])) + 1):
         _warn_singletons(nominals.tolist(), 3)
@@ -553,7 +612,7 @@ def _session_columns(trials: Trials, keys: np.ndarray) -> tuple:
         raise ValueError(f"response must be finite, got {bad[0].item()}")
     if failed.size:
         raise DegenerateDataError("all stimulus values identical")
-    return keys[sessions.first_rows], slope, intercept, r2, *errors
+    return participants, conditions, key, slope, intercept, r2, *errors
 
 
 def summarize_cohort(trials: Trials, k: float = 2.5) -> CohortSummary:
@@ -563,8 +622,8 @@ def summarize_cohort(trials: Trials, k: float = 2.5) -> CohortSummary:
     """
     if not len(trials):
         raise DegenerateDataError("empty dataset")
-    participants, conditions, keys = _session_keys(trials)
-    key, slope, intercept, r2, bias, cv, rmse = _session_columns(trials, keys)
+    participants, conditions, key, slope, intercept, r2, bias, cv, rmse = (
+        _session_columns(trials))
     pid, cond = np.divmod(key, conditions.size)
     sessions = SessionTable(participants[pid], conditions[cond], 1.0 - slope, slope,
                             intercept, r2, bias, cv, rmse)

@@ -160,7 +160,8 @@ def _model_table(sigma_ps: np.ndarray, wfs: np.ndarray, stimuli: StimulusSet,
     ``_TABLE_ROWS`` sigma_p rows give the same bits, and the peak no longer
     grows with the sigma_p grid."""
     _check_nonnegative("sd", sigma_ps)
-    _check_noise(NoiseMode.WEBER, wfs)
+    # the warning points at the caller of the public fit function
+    _check_noise(NoiseMode.WEBER, wfs, stacklevel=4)
     n, blocks = cfg.trials_per_stimulus, []
     for i in range(0, sigma_ps.size, _TABLE_ROWS):
         mean, sd = _closed_form(sigma_ps[i:i + _TABLE_ROWS, None], wfs, stimuli,
@@ -219,7 +220,8 @@ def _check_observed(observed: Mapping[str, ObservedErrors],
     n_obs = (2 if objective is Objective.BIAS_CV else 1) * len(observed)
     n_free = len(observed) + 1
     if n_obs <= n_free:
-        warnings.warn(f"the {objective.value!r} objective fits {n_obs} observations with "
+        warnings.warn(f"the {objective.value!r} objective fits {n_obs} "
+                      f"observation{'s' if n_obs > 1 else ''} with "
                       f"{n_free} free parameters (a shared sigma_p and one wf per "
                       "condition), so the data cannot identify them all",
                       stacklevel=3)  # the caller of the public fit function

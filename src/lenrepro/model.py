@@ -56,13 +56,14 @@ class NoiseMode(Enum):
 WEBER_SWEEP_MAX = 0.6
 
 
-def _check_noise(mode: NoiseMode, magnitude) -> None:
-    """Reject negative noise magnitudes; warn on unusual Weber fractions."""
+def _check_noise(mode: NoiseMode, magnitude, stacklevel: int = 2) -> None:
+    """Reject negative noise magnitudes; warn on unusual Weber fractions.
+    The warning points ``stacklevel`` frames above the caller's own."""
     _check_nonnegative("magnitude", magnitude)
     high = np.asarray(magnitude)[np.asarray(magnitude) > WEBER_SWEEP_MAX]
     if mode is NoiseMode.WEBER and high.size:
         warnings.warn(f"Weber fraction {high[0].item()} is outside the usual "
-                      f"[0, {WEBER_SWEEP_MAX}] sweep range", stacklevel=3)
+                      f"[0, {WEBER_SWEEP_MAX}] sweep range", stacklevel=stacklevel + 1)
 
 
 @dataclass(frozen=True)

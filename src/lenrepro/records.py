@@ -33,6 +33,12 @@ class Trials:
     ``len()`` counts the trials, ``==`` compares every column, indexing with
     an index array, a boolean mask or a slice selects rows, and iteration
     yields :class:`TrialRow` tuples.
+
+    A column is copied only when the table could not hold it as given: a
+    C-contiguous array at the column's dtype and width is adopted as it is
+    when no array can write to it (it and every array it views are
+    read-only), or when it was built for the table from another value.  So
+    a table never aliases an array its caller can still write.
     """
 
     participant_id: np.ndarray
@@ -44,10 +50,17 @@ class Trials:
 
     def __post_init__(self):
         for name, dtype in zip(TrialRow._fields, (str, str, np.int64, float, float, float)):
-            column = np.asarray(getattr(self, name), dtype=dtype)
+            value = getattr(self, name)
+            column = np.asarray(value, dtype=dtype)
+            built = column is not value and column.base is None
+            if not column.flags.c_contiguous:
+                column, built = column.copy(order="C"), True
             if dtype is str:  # ids parsed together come at one, common width
-                dtype = f"U{max(1, np.char.str_len(column).max(initial=0))}"
-            column = column.astype(dtype)
+                dtype = np.dtype(f"U{max(1, _longest(column))}")
+                if column.dtype != dtype:
+                    column, built = column.astype(dtype), True
+            if not (built or _read_only(column)):
+                column = column.copy()
             column.flags.writeable = False
             object.__setattr__(self, name, column)
         shapes = {c.shape for c in self.columns}
@@ -89,7 +102,29 @@ class Trials:
 TrialRow = namedtuple("TrialRow", [f.name for f in fields(Trials)])
 
 
-_CHUNK_ROWS = 4096
+def _longest(column: np.ndarray) -> int:
+    """The length of the longest string of a C-contiguous string column:
+    the last character position that some value fills.  It reads one
+    position of each value at a time, where ``np.char.str_len`` would make
+    an int64 array of all the lengths."""
+    width = column.itemsize // 4
+    chars = column.reshape(-1).view(np.uint32).reshape(-1, width) if width else None
+    while width and not chars[:, width - 1].any():
+        width -= 1
+    return width
+
+
+def _read_only(column: np.ndarray) -> bool:
+    """Whether no array can write to ``column``: it and every array whose
+    memory it views are read-only, and the last of them owns its memory."""
+    while isinstance(column, np.ndarray):
+        if column.flags.writeable:
+            return False
+        column = column.base
+    return column is None
+
+
+_CHUNK_ROWS = 1024  # rows formatted at a time; more rows add memory, not speed
 
 
 def write_csv(path: str | Path, header: str, row_format: str, rows) -> None:

@@ -195,21 +195,26 @@ def simulate_cohort(
     if "" in condition_params:
         raise ConfigError("empty condition label")
 
-    width = max(2, len(str(n_participants)))
-    ids, sessions = [], []
+    # every session has the same main trials, so each fills the next n rows
+    # of one table, which is checked once and adopts the columns it is given
+    n, n_conditions = cfg.num_lengths * cfg.reps, len(condition_params)
+    size = n_participants * n_conditions * n
+    columns = (np.empty(size, np.int64), np.empty(size), np.empty(size), np.empty(size))
     for p_idx in range(n_participants):
-        pid = f"p{p_idx + 1:0{width}d}"
-        for c_idx, (label, params) in enumerate(condition_params.items()):
+        for c_idx, params in enumerate(condition_params.values()):
             index, nominal, _, is_practice = _schedule_columns(dataclasses.replace(
                 cfg, seed=_session_seed(master_seed, p_idx, c_idx, 0)
             ))
-            sessions.append(_observe(
-                index, nominal, is_practice, params, demo,
-                seed=_session_seed(master_seed, p_idx, c_idx, 1),
-            ))
-            ids.append((pid, label))
-    # one table, checked once, instead of one per session
-    counts = [columns[0].size for columns in sessions]
-    pids, labels = zip(*ids)
-    return Trials(np.repeat(pids, counts), np.repeat(labels, counts),
-                  *map(np.concatenate, zip(*sessions)))
+            observed = _observe(index, nominal, is_practice, params, demo,
+                                seed=_session_seed(master_seed, p_idx, c_idx, 1))
+            start = (p_idx * n_conditions + c_idx) * n
+            for column, values in zip(columns, observed):
+                column[start:start + n] = values
+    width = max(2, len(str(n_participants)))
+    pids = np.array([f"p{p + 1:0{width}d}" for p in range(n_participants)])
+    labels = np.array(list(condition_params))
+    columns = (np.repeat(pids, n_conditions * n),
+               np.repeat(np.tile(labels, n_participants), n), *columns)
+    for column in columns:
+        column.flags.writeable = False  # so the table adopts it
+    return Trials(*columns)

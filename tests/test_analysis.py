@@ -1,10 +1,13 @@
 """Ingestion, debiasing, error decomposition and cohort summary."""
+import contextlib
 import dataclasses
+import functools
 import io
 import math
 import re
 import string
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -13,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lenrepro import analysis
 from lenrepro.analysis import (
     DegenerateDataError,
     ErrorDecomposition,
@@ -170,7 +174,8 @@ class TestIngest:
 # Cell values in cm with at most 6 decimals, so they survive the CSV's
 # 6-decimal formatting exactly.
 _CM = st.integers(1, 30_000_000).map(lambda k: k / 1e6)
-_LABEL = st.text(string.ascii_lowercase + string.digits + "_", min_size=1, max_size=4)
+_LABEL_CHARS = string.ascii_lowercase + string.digits + "_"
+_LABEL = st.text(_LABEL_CHARS, min_size=1, max_size=4)
 _ROWS = st.lists(
     st.tuples(_LABEL, _LABEL, st.integers(0, 10_000), _CM, _CM,
               st.integers(0, 30_000_000).map(lambda k: k / 1e6)),
@@ -228,6 +233,14 @@ def _read_both(data: bytes) -> tuple:
             parsed = _parse_contract(fh, 0) is not None
     assert fast == slow
     return fast, parsed
+
+
+@contextlib.contextmanager
+def _scan_chunk(chunk):
+    """``ingest`` with the contract scan reading ``chunk`` characters at a time."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(analysis, "_in_contract", functools.partial(_in_contract, chunk=chunk))
+        yield
 
 
 def _text(*lines, end="\n"):
@@ -341,6 +354,38 @@ class TestIngestFuzz:
         assert not _in_contract(io.StringIO(blank), chunk)
         assert _in_contract(io.StringIO(_text(_CONTRACT, _ROW, _ROW).decode()), chunk)
 
+    @settings(max_examples=60, deadline=None)
+    @given(rows=_ROWS, wide=st.text(_LABEL_CHARS, min_size=5, max_size=40),
+           column=st.integers(0, 1), chunk=st.sampled_from([1, 3, 16, 1 << 16]),
+           final_lf=st.booleans())
+    def test_widest_id_in_the_last_row_is_not_cut(self, rows, wide, column, chunk,
+                                                  final_lf):
+        lines = _csv_lines(Trials(*zip(*rows)))
+        cells = lines[-1].split(",")
+        cells[column] = wide  # longer than every _LABEL, so the key stays unique
+        lines[-1] = ",".join(cells)
+        data = _text(*lines)
+        with _scan_chunk(chunk):
+            (result, _), parsed = _read_both(data if final_lf else data[:-1])
+        assert parsed and isinstance(result, Trials)
+        assert result.columns[column][-1] == wide
+        assert result.columns[column].dtype == np.dtype(f"U{len(wide)}")
+
+    @pytest.mark.parametrize("chunk", [1, 5, 64, 1 << 16])
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_widest_id_after_the_first_chunk(self, chunk, column):
+        rows = [[f"p{i:03d}", "solo", str(i), "6.0", "6.0", "7.0"] for i in range(150)]
+        rows[-1][column] = "x" * 30
+        with _scan_chunk(chunk):
+            (result, _), parsed = _read_both(_text(_CONTRACT, *map(",".join, rows)))
+            assert parsed and result.columns[column][-1] == "x" * 30
+            # that row with a bad response, or without one: the same errors
+            for last in (rows[-1][:5] + ["x"], rows[-1][:5]):
+                lines = map(",".join, rows[:-1] + [last])
+                (error, _), parsed = _read_both(_text(_CONTRACT, *lines))
+                assert not parsed
+                assert error.startswith("IngestionError: row 150: non-numeric cell in response")
+
     @pytest.mark.parametrize("name", _NAMED_FILES)
     def test_named_file(self, name):
         data, parsed_by_c, expected = _NAMED_FILES[name]
@@ -350,6 +395,25 @@ class TestIngestFuzz:
             assert isinstance(result, Trials) and len(result) == expected
         else:
             assert isinstance(result, str) and expected in result
+
+
+class TestIngestMemory:
+    def test_contract_ingest_peaks_near_its_table(self, tmp_path):
+        params = {c: ObserverParams(NoiseModel.weber(0.15), 10.0, 1.5, 1.2)
+                  for c in ("individual", "mechanical", "social")}
+        path = tmp_path / "trials.csv"
+        write_trial_csv(simulate_cohort(1, params), path)
+        ingest(path)  # first-call imports are not the table's
+        write_trial_csv(simulate_cohort(100, params, master_seed=5), path)
+        tracemalloc.start()
+        try:
+            trials = ingest(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        with open(path) as fh:
+            assert _parse_contract(fh, 0) is not None  # the C reader's path
+        assert peak <= 1.5 * sum(c.nbytes for c in trials.columns)
 
 
 class TestIngestWarningState:
@@ -792,7 +856,11 @@ class TestCohortSummary:
         assert summary.excluded == excluded
         _assert_sessions_alone(recs, sessions)
 
-    def test_ragged_sessions_match_row_reference_bit_for_bit(self):
+    # blocks of single groups, of 100 values (below the 130-trial groups),
+    # and the default
+    @pytest.mark.parametrize("block", [1, 100, analysis._BLOCK_SIZE])
+    def test_ragged_sessions_match_row_reference_bit_for_bit(self, monkeypatch, block):
+        monkeypatch.setattr(analysis, "_BLOCK_SIZE", block)
         recs = _ragged_cohort()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

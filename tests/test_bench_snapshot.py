@@ -2,6 +2,7 @@
 with perfbench's runs stubbed out."""
 import importlib.util
 import json
+import types
 from pathlib import Path
 
 import pytest
@@ -73,3 +74,14 @@ def test_unpaired_or_repeated_arguments_rejected(snap, argv):
     with pytest.raises(SystemExit):
         module.main(argv)
     assert calls == []
+
+
+@pytest.mark.parametrize("flag", [0, 1])
+def test_bytecode_flag_recorded(snap, monkeypatch, flag):
+    # PYTHONDONTWRITEBYTECODE makes every CLI process compile lenrepro again
+    module, _, tmp_path = snap
+    flags = types.SimpleNamespace(dont_write_bytecode=flag)
+    monkeypatch.setattr(module, "sys", types.SimpleNamespace(flags=flags))
+    assert module.main(["--number", "9", "--root", str(tmp_path / "a")]) == 0
+    env = json.loads((tmp_path / "BENCH_9.json").read_text())["env"]
+    assert env["dont_write_bytecode"] is bool(flag)

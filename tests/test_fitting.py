@@ -1,4 +1,5 @@
 """Grid fit of the shared prior width and per-condition Weber fractions."""
+import contextlib
 import math
 import tracemalloc
 import warnings
@@ -31,8 +32,10 @@ from lenrepro.model import (
     MotorNoiseSpec,
     NO_MOTOR_NOISE,
     NoiseModel,
+    closed_form,
     predict_errors,
     predict_regression_index,
+    rmse_surface,
 )
 
 DEFAULT_MOTOR = MotorNoiseSpec(1.2, MotorCombination.LINEAR_CV)
@@ -81,7 +84,8 @@ class TestSelfConsistency:
         truth = {"a": 0.25, "b": 0.1}
         observed = {k: _forward(2.0, wf) for k, wf in truth.items()}
         cfg = FitConfig(objective=Objective.RI)
-        res = fit_shared_prior(observed, DEFAULT_STIMULI, cfg)
+        with pytest.warns(UserWarning, match="cannot identify them all"):
+            res = fit_shared_prior(observed, DEFAULT_STIMULI, cfg)
         prior = GaussianBelief(10.0, res.shared_sigma_p)
         for k in truth:
             ri_fit = predict_regression_index(
@@ -95,7 +99,9 @@ class TestSelfConsistency:
         # tie must resolve to the first (smallest) grid value
         observed = {"a": ObservedErrors(ri=0.0)}
         cfg = FitConfig(objective=Objective.RI)
-        res = fit_shared_prior(observed, DEFAULT_STIMULI, cfg)
+        # both picks lie on the lower edge of their grids
+        with pytest.warns(UserWarning, match="cannot identify them all|lower edge"):
+            res = fit_shared_prior(observed, DEFAULT_STIMULI, cfg)
         assert res.shared_sigma_p == pytest.approx(0.1, abs=1e-12)
         assert res.per_condition_wf["a"] == 0.0
 
@@ -109,13 +115,15 @@ class TestSelfConsistency:
         observed = {"a": _forward(1.62, 0.213)}  # off-grid truth
         coarse = FitConfig(sigma_p_grid=(0.1, 5.0, 0.1), wf_grid=(0.0, 0.6, 0.02))
         fine = FitConfig(sigma_p_grid=(0.1, 5.0, 0.02), wf_grid=(0.0, 0.6, 0.004))
-        rc = fit_shared_prior(observed, DEFAULT_STIMULI, coarse)
-        rf = fit_shared_prior(observed, DEFAULT_STIMULI, fine)
+        with pytest.warns(UserWarning, match="cannot identify them all"):
+            rc = fit_shared_prior(observed, DEFAULT_STIMULI, coarse)
+            rf = fit_shared_prior(observed, DEFAULT_STIMULI, fine)
         assert rf.residual <= rc.residual + 1e-15
 
     def test_landscape_covers_grid_and_contains_minimum(self):
         observed = {"a": _forward(1.5, 0.2)}
-        res = fit_shared_prior(observed, DEFAULT_STIMULI)
+        with pytest.warns(UserWarning, match="cannot identify them all"):
+            res = fit_shared_prior(observed, DEFAULT_STIMULI)
         sps = [sp for sp, _ in res.residual_landscape]
         assert len(sps) == 99
         totals = dict(res.residual_landscape)
@@ -129,7 +137,7 @@ class TestSelfConsistency:
             fit_shared_prior(
                 {"a": ObservedErrors(bias=float("nan"), cv=0.1)}, DEFAULT_STIMULI
             )
-        with pytest.raises(ValueError, match="BIAS_CV"):
+        with pytest.raises(ValueError, match="BIAS_CV"), pytest.warns(UserWarning, match="cannot identify them all"):
             fit_shared_prior({"a": ObservedErrors(ri=0.2)}, DEFAULT_STIMULI)
 
 
@@ -224,7 +232,8 @@ class TestSpecialFunctions:
 class TestGoodness:
     def test_perfect_fit_zero_residuals(self):
         observed = {"a": _forward(1.5, 0.2)}
-        res = fit_shared_prior(observed, DEFAULT_STIMULI)
+        with pytest.warns(UserWarning, match="cannot identify them all"):
+            res = fit_shared_prior(observed, DEFAULT_STIMULI)
         g = goodness_of_fit(res, observed, DEFAULT_STIMULI)
         assert g.total_residual < 1e-20
         # a single condition makes the constrained fit equivalent
@@ -249,7 +258,8 @@ class TestGoodness:
 
     def test_label_mismatch_rejected(self):
         observed = {"a": _forward(1.5, 0.2)}
-        res = fit_shared_prior(observed, DEFAULT_STIMULI)
+        with pytest.warns(UserWarning, match="cannot identify them all"):
+            res = fit_shared_prior(observed, DEFAULT_STIMULI)
         with pytest.raises(ValueError, match="mismatch"):
             goodness_of_fit(res, {"z": observed["a"]}, DEFAULT_STIMULI)
 
@@ -271,7 +281,8 @@ class TestMotorFreeRecovery:
     def test_recovery_without_motor_noise(self):
         cfg = FitConfig(motor=NO_MOTOR_NOISE)
         observed = {"a": _forward(2.5, 0.25, NO_MOTOR_NOISE)}
-        res = fit_shared_prior(observed, DEFAULT_STIMULI, cfg)
+        with pytest.warns(UserWarning, match="cannot identify them all"):
+            res = fit_shared_prior(observed, DEFAULT_STIMULI, cfg)
         assert res.shared_sigma_p == pytest.approx(2.5, abs=1e-12)
         assert res.per_condition_wf["a"] == pytest.approx(0.25, abs=1e-12)
 
@@ -365,7 +376,10 @@ class TestKernelEquivalence:
         for objective in Objective:
             cfg_o = FitConfig(motor=cfg.motor, trials_per_stimulus=n,
                               objective=objective)
-            res = fit_shared_prior(self.OBSERVED, DEFAULT_STIMULI, cfg_o)
+            # three ri observations for four parameters
+            with (pytest.warns(UserWarning, match="cannot identify them all") if objective is Objective.RI
+                  else contextlib.nullcontext()):
+                res = fit_shared_prior(self.OBSERVED, DEFAULT_STIMULI, cfg_o)
             good = goodness_of_fit(res, self.OBSERVED, DEFAULT_STIMULI, cfg_o)
             key = [0, 1] if objective is Objective.BIAS_CV else [2]
             obs = {
@@ -406,16 +420,37 @@ class TestGridChecks:
     def test_negative_grid_values_raise(self, grid, match, n):
         observed = {"a": _forward(1.5, 0.2)}
         cfg = FitConfig(trials_per_stimulus=n, **grid)
-        with pytest.raises(ValueError, match=match):
+        with pytest.raises(ValueError, match=match), pytest.warns(UserWarning, match="cannot identify them all"):
             fit_shared_prior(observed, DEFAULT_STIMULI, cfg)
-        res = fit_shared_prior(observed, DEFAULT_STIMULI, FitConfig())
+        with pytest.warns(UserWarning, match="cannot identify them all"):
+            res = fit_shared_prior(observed, DEFAULT_STIMULI, FitConfig())
         with pytest.raises(ValueError, match=match):
             goodness_of_fit(res, observed, DEFAULT_STIMULI, cfg)
 
     def test_large_weber_fraction_warns(self):
         cfg = FitConfig(wf_grid=(0.0, 0.65, 0.005))
-        with pytest.warns(UserWarning, match="Weber fraction 0.605"):
+        with pytest.warns(UserWarning, match="cannot identify them all"), pytest.warns(UserWarning, match="Weber fraction 0.605"):
             fit_shared_prior({"a": _forward(1.5, 0.2)}, DEFAULT_STIMULI, cfg)
+
+    def test_large_weber_fraction_warning_points_at_the_caller(self):
+        cfg = FitConfig(wf_grid=(0.0, 0.65, 0.005))
+        observed = {"a": _forward(1.5, 0.2)}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            res = fit_shared_prior(observed, DEFAULT_STIMULI)
+        calls = [
+            lambda: fit_shared_prior(observed, DEFAULT_STIMULI, cfg),
+            lambda: goodness_of_fit(res, observed, DEFAULT_STIMULI, cfg),
+            lambda: _fit_with_goodness(observed, DEFAULT_STIMULI, cfg),
+            lambda: closed_form([1.5], [0.2, 0.65], DEFAULT_STIMULI),
+            lambda: rmse_surface([0.2, 0.65], [0.0, 0.3]),
+        ]
+        for call in calls:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                call()
+            weber = [w for w in caught if "Weber fraction" in str(w.message)]
+            assert len(weber) == 1 and weber[0].filename == __file__  # the caller's line
 
     def test_large_weber_fraction_warns_once(self):
         # once for the whole grid, not once per block of sigma_p rows
@@ -590,7 +625,10 @@ class TestIdentifiabilityWarning:
             "the 'ri' objective fits 3 observations with 4 free parameters (a shared "
             "sigma_p and one wf per condition), so the data cannot identify them all"
         ]
-        assert len(self._messages({"a": _forward(1.5, 0.3)}, Objective.RI)) == 1
+        assert self._messages({"a": _forward(1.5, 0.3)}, Objective.RI) == [
+            "the 'ri' objective fits 1 observation with 2 free parameters (a shared "
+            "sigma_p and one wf per condition), so the data cannot identify them all"
+        ]
 
     def test_bias_cv_objective_warns_only_for_one_condition(self):
         one = {"a": _forward(1.5, 0.3)}

@@ -46,6 +46,40 @@ class TestTrials:
         assert Trials.concatenate([trials[:1], trials[1:]]) == trials
         assert [r.trial_index for r in trials[::-1]] == [4, 3]
 
+    def test_caller_arrays_are_not_frozen_or_aliased(self):
+        response = np.array([7.25, 12.5])
+        ids = np.array(["p01", "p01"])
+        base = np.array([6.0, 13.9])
+        view = base[:]
+        view.flags.writeable = False  # read-only, but base can still write it
+        trials = _table(response=response, participant_id=ids, actual_length=view)
+        for given, column in ((response, trials.response), (ids, trials.participant_id),
+                              (view, trials.actual_length)):
+            assert not np.shares_memory(given, column) and not column.flags.writeable
+        assert response.flags.writeable and ids.flags.writeable
+        response[0], base[0] = 0.0, 1.0
+        assert trials == _table()
+
+    def test_read_only_columns_are_adopted(self):
+        columns = dict(participant_id=np.array(["p01", "p01"]), condition=np.array(["a", "a"]),
+                       trial_index=np.array([3, 4]), nominal_length=np.array([6.0, 14.0]),
+                       actual_length=np.array([6.0, 13.9]), response=np.array([7.25, 12.5]))
+        for column in columns.values():
+            column.flags.writeable = False
+        trials = Trials(**columns)
+        assert all(getattr(trials, name) is column for name, column in columns.items())
+        assert trials == _table()
+        # a contiguous slice is a view of the table; a strided one, a
+        # wider string column or another dtype is copied to the table's form
+        assert np.shares_memory(trials[1:].response, trials.response)
+        assert trials[::-1].response.flags.c_contiguous
+        wide = columns["participant_id"].astype("U8")
+        wide.flags.writeable = False
+        assert Trials(**{**columns, "participant_id": wide}).participant_id.dtype == "U3"
+        small = columns["trial_index"].astype(np.int32)
+        small.flags.writeable = False
+        assert Trials(**{**columns, "trial_index": small}).trial_index.dtype == np.int64
+
     def test_csv_bytes(self, tmp_path):
         path = tmp_path / "trials.csv"
         write_trial_csv(_table(), path)

@@ -1,5 +1,7 @@
 """Schedule generation and synthetic observer sessions."""
+import dataclasses
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -16,6 +18,8 @@ from lenrepro.simulate import (
     simulate_cohort,
     simulate_observer,
 )
+from lenrepro.records import Trials
+from lenrepro.simulate import _session_seed
 
 
 class TestScheduleConfig:
@@ -154,6 +158,32 @@ class TestSimulateCohort:
         assert pids[0] == "p01" and pids[-1] == "p25"
         per_session = Counter((r.participant_id, r.condition) for r in recs)
         assert set(per_session.values()) == {66}
+
+    def test_matches_per_session_reference(self):
+        # labels of different widths, demonstrator noise and a short schedule
+        params = [("mechanical", self.PARAMS["mechanical"]), ("a", self.PARAMS["social"])]
+        cfg, demo = ScheduleConfig(num_lengths=3, reps=2), DemonstratorNoise(0.2)
+        sessions = [
+            simulate_observer(
+                generate_schedule(dataclasses.replace(cfg, seed=_session_seed(7, p, c, 0))),
+                obs, demo, seed=_session_seed(7, p, c, 1),
+                participant_id=f"p{p + 1:03d}", condition=label)
+            for p in range(101) for c, (label, obs) in enumerate(params)
+        ]
+        recs = simulate_cohort(101, params, cfg, demo, master_seed=7)
+        assert recs == Trials.concatenate(sessions)
+        assert [c.dtype.str for c in recs.columns[:2]] == ["<U4", "<U10"]
+        assert not any(c.flags.writeable for c in recs.columns)
+
+    def test_peak_memory_is_about_one_table(self):
+        simulate_cohort(1, self.PARAMS)  # first-call imports are not the table's
+        tracemalloc.start()
+        try:
+            recs = simulate_cohort(100, self.PARAMS, master_seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * sum(c.nbytes for c in recs.columns)
 
     def test_sessions_use_distinct_streams(self):
         recs = simulate_cohort(2, self.PARAMS, master_seed=0)
