@@ -52,12 +52,16 @@ class TestTrials:
         base = np.array([6.0, 13.9])
         view = base[:]
         view.flags.writeable = False  # read-only, but base can still write it
-        trials = _table(response=response, participant_id=ids, actual_length=view)
+        buffer = bytearray(np.array([6.0, 14.0]).tobytes())
+        nominal = np.frombuffer(buffer)
+        nominal.flags.writeable = False  # read-only, but the buffer is not
+        trials = _table(response=response, participant_id=ids, actual_length=view,
+                        nominal_length=nominal)
         for given, column in ((response, trials.response), (ids, trials.participant_id),
-                              (view, trials.actual_length)):
+                              (view, trials.actual_length), (nominal, trials.nominal_length)):
             assert not np.shares_memory(given, column) and not column.flags.writeable
         assert response.flags.writeable and ids.flags.writeable
-        response[0], base[0] = 0.0, 1.0
+        response[0], base[0], buffer[:8] = 0.0, 1.0, bytes(8)
         assert trials == _table()
 
     def test_read_only_columns_are_adopted(self):
