@@ -324,13 +324,14 @@ def _read_cells(source) -> Trials:
     return Trials(*columns)
 
 
-# values of a column that _Segments.reduce gathers at a time
+# values of a column that _Segments compares or reduces at a time
 _BLOCK_SIZE = 1 << 14
 
 
 class _Segments:
-    """Rows grouped by an integer key: groups in key order, the rows of each
-    in table order.
+    """Rows grouped by equal values of the key columns: groups in key order,
+    the last key primary as in ``np.lexsort``, the rows of each in table
+    order.  Two NaNs are equal, as in ``np.unique``.
 
     Groups of equal length form a bucket that is gathered as (m, k) blocks.
     Reducing a C-contiguous block along its rows sums each group as the 1-d
@@ -341,15 +342,23 @@ class _Segments:
     numpy's pairwise blocking, so neither is used.
     """
 
-    def __init__(self, keys: np.ndarray):
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-        del keys
+    def __init__(self, *keys):
+        order = np.lexsort(keys)
+        new = np.zeros(order.size, bool)  # whether a sorted row starts a group
+        new[:1] = True
+        # a block of sorted values at a time, not a sorted copy of a key
+        for key in keys:
+            for i in range(1, order.size, _BLOCK_SIZE):
+                values = key[order[i - 1:i + _BLOCK_SIZE]]
+                differ = values[1:] != values[:-1]
+                if values.dtype.kind == "f":
+                    differ &= ~(np.isnan(values[1:]) & np.isnan(values[:-1]))
+                new[i:i + _BLOCK_SIZE] |= differ
+        starts = np.flatnonzero(new)
         self.lengths = np.diff(np.r_[starts, order.size])
         self.first_rows = order[starts]
         self.buckets = []  # (group numbers, (m, k) row indices)
-        for k in np.unique(self.lengths):
+        for k in np.flatnonzero(np.bincount(self.lengths)):
             groups = np.flatnonzero(self.lengths == k)
             # groups all of one length: their rows are the order itself
             rows = (order.reshape(-1, k) if groups.size == starts.size
@@ -438,15 +447,9 @@ def _stimulus_groups(trials: Trials, label, response):
     nominal, mean actual length, mean response, population sd of the
     responses and number of trials.
     """
-    nominals = np.unique(trials.nominal_length)
-    # session * nominals + nominal number, found as np.unique's inverse
-    # without the sorted copies that np.unique makes to find it
-    keys = label * nominals.size
-    keys += np.searchsorted(nominals, trials.nominal_length)
-    groups = _Segments(keys)
+    groups = _Segments(trials.nominal_length, label)
     first = groups.first_rows
-    nominal = nominals[keys[first] % nominals.size]
-    del keys
+    nominal = trials.nominal_length[first]
     mean_actual, mean_response, sd = groups.reduce(
         lambda actual, resp: (*_means(actual, resp), resp.std(axis=1)),
         trials.actual_length, response,
@@ -489,7 +492,9 @@ def debias_session(trials: Trials) -> Trials:
     response' = response - mean(responses) + mean(actual stimuli).
     """
     sessions, label, s_bar = _sessions(trials)
-    return Trials(*trials.columns[:-1], _debiased(trials, sessions, label, s_bar))
+    response = _debiased(trials, sessions, label, s_bar)
+    response.flags.writeable = False  # fresh, so the table adopts it
+    return Trials(*trials.columns[:-1], response)
 
 
 def _decomposition(trials: Trials) -> ErrorDecomposition:
@@ -558,19 +563,11 @@ def screen_outliers(metrics: Mapping[str, float], k: float = 2.5):
 _METRICS = ("regression_index", "bias", "cv", "rmse")
 
 
-def _codes(column: np.ndarray, chunk: int = 8192) -> tuple:
-    """``np.unique(column, return_inverse=True)``, a chunk of rows at a time.
-
-    ``np.unique`` sorts two copies of its input; for the 10-character
-    condition ids of a 79,200-trial cohort they would set the peak memory
-    of ``analyze``.
-    """
-    values = np.unique(np.concatenate([np.unique(column[i:i + chunk])
-                                       for i in range(0, column.size, chunk)]))
-    codes = np.empty(column.size, np.intp)
-    for i in range(0, column.size, chunk):
-        codes[i:i + chunk] = np.searchsorted(values, column[i:i + chunk])
-    return values, codes
+def _numbered(values: np.ndarray) -> tuple:
+    """The distinct values in sorted order, and the number of each value
+    among them."""
+    groups = _Segments(values)
+    return values[groups.first_rows], groups.labels()
 
 
 def _session_columns(trials: Trials) -> tuple:
@@ -578,22 +575,19 @@ def _session_columns(trials: Trials) -> tuple:
     reduce its stimulus groups, in (participant id, condition) order.
 
     Returns the sorted participant ids and conditions, and each session's
-    key (participant number * conditions + condition number), slope,
-    intercept, r_squared, bias, cv and rmse.  Errors and warnings come as
-    a loop over the sessions would raise them: the singleton-group
-    warnings of the sessions before the first one that cannot be
-    analyzed, each pointing at the caller of :func:`summarize_cohort`,
-    then that session's error (a non-finite debiased response before a
-    constant stimulus).  Each row-sized array is dropped once it is used.
+    participant number, condition number, slope, intercept, r_squared,
+    bias, cv and rmse.  Errors and warnings come as a loop over the
+    sessions would raise them: the singleton-group warnings of the
+    sessions before the first one that cannot be analyzed, each pointing
+    at the caller of :func:`summarize_cohort`, then that session's error
+    (a non-finite debiased response before a constant stimulus).  Each
+    row-sized array is dropped once it is used.
     """
-    participants, keys = _codes(trials.participant_id)
-    conditions, code = _codes(trials.condition)
-    keys *= conditions.size
-    keys += code
-    del code
-    sessions = _Segments(keys)
-    key, n_sessions = keys[sessions.first_rows], len(sessions)
-    del keys
+    sessions = _Segments(trials.condition, trials.participant_id)
+    n_sessions = len(sessions)
+    (participants, pid), (conditions, cond) = (
+        _numbered(ids[sessions.first_rows])
+        for ids in (trials.participant_id, trials.condition))
     label, s_bar = _sessions(trials, sessions)[1:]
     response = _debiased(trials, sessions, label, s_bar)
     with np.errstate(invalid="ignore"):  # a non-finite response raises
@@ -601,8 +595,8 @@ def _session_columns(trials: Trials) -> tuple:
         del sessions
         (nominal, *_, n), run_lengths, errors = _group_errors(trials, label, s_bar, response)
     nonfinite = np.flatnonzero(~np.isfinite(response))
-    failed = np.union1d(label[nonfinite], np.flatnonzero(denom == 0))
-    stop = failed[0] if failed.size else n_sessions
+    failed = np.concatenate([label[nonfinite], np.flatnonzero(denom == 0)])
+    stop = failed.min(initial=n_sessions)
     session = np.repeat(np.arange(n_sessions), run_lengths)  # of each group
     single = np.flatnonzero((n == 1) & (session < stop))
     for nominals in np.split(nominal[single], np.flatnonzero(np.diff(session[single])) + 1):
@@ -612,7 +606,7 @@ def _session_columns(trials: Trials) -> tuple:
         raise ValueError(f"response must be finite, got {bad[0].item()}")
     if failed.size:
         raise DegenerateDataError("all stimulus values identical")
-    return participants, conditions, key, slope, intercept, r2, *errors
+    return participants, conditions, pid, cond, slope, intercept, r2, *errors
 
 
 def summarize_cohort(trials: Trials, k: float = 2.5) -> CohortSummary:
@@ -622,9 +616,8 @@ def summarize_cohort(trials: Trials, k: float = 2.5) -> CohortSummary:
     """
     if not len(trials):
         raise DegenerateDataError("empty dataset")
-    participants, conditions, key, slope, intercept, r2, bias, cv, rmse = (
+    participants, conditions, pid, cond, slope, intercept, r2, bias, cv, rmse = (
         _session_columns(trials))
-    pid, cond = np.divmod(key, conditions.size)
     sessions = SessionTable(participants[pid], conditions[cond], 1.0 - slope, slope,
                             intercept, r2, bias, cv, rmse)
 

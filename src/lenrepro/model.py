@@ -303,6 +303,8 @@ def predict_errors(
 
 def grid_values(lo: float, hi: float, step: float) -> np.ndarray:
     """Inclusive arithmetic grid, robust to floating-point step error."""
+    if not np.isfinite([lo, hi, step]).all():
+        raise ValueError(f"grid bounds and step must be finite, got ({lo}, {hi}, {step})")
     if step <= 0:
         raise ValueError("grid step must be > 0")
     n = int(math.floor((hi - lo) / step + 0.5)) + 1

@@ -92,7 +92,10 @@ class Trials:
         return all(map(np.array_equal, self.columns, other.columns))
 
     def __getitem__(self, rows) -> "Trials":
-        return Trials(*(c[rows] for c in self.columns))
+        columns = [c[rows] for c in self.columns]
+        for column in columns:  # fresh, or a view of a read-only column
+            column.flags.writeable = False  # so the table adopts it
+        return Trials(*columns)
 
     def __iter__(self):
         return starmap(TrialRow, zip(*(c.tolist() for c in self.columns)))

@@ -3,6 +3,7 @@ import contextlib
 import dataclasses
 import functools
 import io
+import itertools
 import math
 import re
 import string
@@ -522,6 +523,20 @@ class TestPerStimulusErrors:
         assert dec.per_stimulus[0].mean_actual == pytest.approx(10.5)
         assert dec.per_stimulus[0].bias == pytest.approx(0.0, abs=1e-12)
 
+    def test_nan_nominals_form_one_group(self):
+        """Rows whose nominal length is NaN are one stimulus group, last,
+        as ``np.unique`` groups NaNs; not one group per row."""
+        nan = math.nan
+        trials = Trials(["p01"] * 6, ["a"] * 6, range(6), [8.0, nan, 12.0, 8.0, nan, 12.0],
+                        [8.0, 10.0, 12.0, 8.0, 10.0, 12.0], [9.0, 10.5, 11.0, 8.5, 9.5, 12.5])
+        dec = per_stimulus_errors(trials)
+        assert [g.n for g in dec.per_stimulus] == [2, 2, 2]
+        assert [g.nominal for g in dec.per_stimulus][:2] == [8.0, 12.0]
+        assert math.isnan(dec.per_stimulus[2].nominal)
+        rmse = summarize_cohort(trials).sessions.rmse.tolist()
+        assert rmse == [per_stimulus_errors(debias_session(trials)).session_rmse]
+        assert rmse[0] == pytest.approx(0.067322, abs=5e-7)
+
 
 class TestRegressionIndex:
     def test_three_point_oracle(self):
@@ -757,21 +772,47 @@ def _ragged_cohort(seed=0):
     return trials[rng.permutation(len(trials))]
 
 
-class TestCodes:
-    @pytest.mark.parametrize("chunk", [1, 3, 8192])
-    @pytest.mark.parametrize("n", [1, 8, 9, 8191, 8193])
-    def test_matches_unique(self, chunk, n):
-        from lenrepro.analysis import _codes
+def _key_columns(n, kinds, rng):
+    """Shuffled key columns of n rows: str ids, small ints, and floats with
+    NaN, drawn from few values so that groups repeat."""
+    make = {
+        "str": lambda: np.array([f"p{i:02d}" for i in rng.integers(0, 7, n)]),
+        "int": lambda: rng.integers(-2, 3, n),
+        "float": lambda: rng.choice([np.nan, -1.5, 0.0, 2.25, 7.0], n),
+    }
+    return [make[kind]() for kind in kinds]
 
-        rng = np.random.default_rng(n)
-        ids = np.array([f"p{i:03d}" for i in rng.integers(0, 300, n)])
-        conditions = rng.choice(["social", "mechanical", "individual"], n)
-        for column in (ids, conditions):
-            values, inverse = _codes(column, chunk)
-            expected_values, expected_inverse = np.unique(column, return_inverse=True)
-            assert values.dtype == expected_values.dtype
-            assert values.tolist() == expected_values.tolist()
-            assert inverse.tolist() == expected_inverse.tolist()
+
+def _sort_key(values):
+    # NaN sorts last and equals NaN, as in np.lexsort and np.unique
+    return tuple((1, 0.0) if v != v else (0, v) for v in values)
+
+
+class TestSegments:
+    @pytest.mark.parametrize("kinds", [
+        ("str",), ("int",), ("float",), ("str", "float"), ("float", "str"),
+        ("int", "float", "str"),
+    ])
+    @pytest.mark.parametrize("n", [1, analysis._BLOCK_SIZE, analysis._BLOCK_SIZE + 1,
+                                   2 * analysis._BLOCK_SIZE + 1])
+    def test_matches_python_grouping(self, kinds, n):
+        keys = _key_columns(n, kinds, np.random.default_rng(n + len(kinds)))
+
+        def key(row):  # the last key column is primary
+            return _sort_key([column[row].item() for column in keys[::-1]])
+
+        # sorted() is stable, so the rows of a group stay in table order
+        groups = [list(g) for _, g in itertools.groupby(sorted(range(n), key=key), key)]
+        segments = analysis._Segments(*keys)
+        assert len(segments) == len(groups)
+        assert segments.first_rows.tolist() == [g[0] for g in groups]
+        assert segments.lengths.tolist() == [len(g) for g in groups]
+        label = np.empty(n, int)
+        for number, group in enumerate(groups):
+            label[group] = number
+        assert segments.labels().tolist() == label.tolist()
+        for numbers, rows in segments.buckets:
+            assert [groups[g] for g in numbers.tolist()] == rows.tolist()
 
 
 class TestCohortSummary:

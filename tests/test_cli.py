@@ -212,6 +212,21 @@ class TestCurves:
         assert any(line.endswith(",") for line in surf[1:])
 
 
+class TestNonFiniteGrid:
+    @pytest.mark.parametrize("argv, triple", [
+        (["curves", "--wf-step", "nan"], "(0.0, 0.6, nan)"),
+        (["curves", "--wf-max", "inf"], "(0.0, inf, 0.005)"),
+        (["fit", "--in", "obs.csv", "--sigma-p-step", "nan"], "(0.1, 5.0, nan)"),
+        (["fit", "--in", "obs.csv", "--wf-max", "inf"], "(0.0, inf, 0.005)"),
+    ])
+    def test_names_the_grid(self, tmp_path, monkeypatch, capsys, argv, triple):
+        (tmp_path / "obs.csv").write_text("condition,bias,cv\na,0.1,0.2\nb,0.12,0.18\n")
+        monkeypatch.chdir(tmp_path)
+        assert main([*argv, "--out", "out"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: grid bounds and step must be finite, got {triple}\n")
+
+
 class TestConfigPrecedence:
     def test_flag_beats_env_beats_file(self, tmp_path, monkeypatch):
         cfg = tmp_path / "cfg.json"
@@ -552,6 +567,20 @@ class TestCommandImports:
             "from lenrepro.cli import main\n"
             f"assert main({argv + ['--out', str(tmp_path / 'out')]!r}) == 0\n"
             "print('scipy' in sys.modules)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], cwd=pipeline_inputs,
+                              capture_output=True, text=True, env=_src_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+    def test_analyze_does_not_load_numpy_ma(self, pipeline_inputs, tmp_path):
+        """Grouping sorts and compares rows itself; ``np.unique`` and
+        ``np.union1d`` would import ``numpy.ma`` on their first call."""
+        code = (
+            "import sys\n"
+            "from lenrepro.cli import main\n"
+            f"assert main(['analyze', '--in', 'trials.csv', '--out', {str(tmp_path)!r}]) == 0\n"
+            "print('numpy.ma' in sys.modules)\n"
         )
         proc = subprocess.run([sys.executable, "-c", code], cwd=pipeline_inputs,
                               capture_output=True, text=True, env=_src_env())

@@ -1,4 +1,6 @@
 """The Trials table and the trial CSV format."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -83,6 +85,26 @@ class TestTrials:
         small = columns["trial_index"].astype(np.int32)
         small.flags.writeable = False
         assert Trials(**{**columns, "trial_index": small}).trial_index.dtype == np.int64
+
+    def test_row_selection_copies_each_column_once(self):
+        conditions = np.repeat(["individual", "mechanical", "social"], 66)
+        trials = Trials(np.repeat([f"p{i:03d}" for i in range(100)], 198),
+                        np.tile(conditions, 100), np.tile(np.arange(198), 100),
+                        *np.full((3, 19_800), 10.0))
+        mask = trials.condition == "social"
+        trials[np.flatnonzero(mask)[:10]]  # first-call costs are not the selection's
+        tracemalloc.start()
+        try:
+            social = trials[mask]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(social) == 6_600
+        assert peak <= 1.75 * sum(c.nbytes for c in social.columns)
+        response = np.array([7.25, 12.5])
+        selected = _table(response=response)[np.array([True, True])]
+        assert not np.shares_memory(selected.response, response)
+        assert response.flags.writeable
 
     def test_csv_bytes(self, tmp_path):
         path = tmp_path / "trials.csv"
