@@ -19,7 +19,6 @@ from __future__ import annotations
 import csv
 import math
 import sys
-import warnings
 from dataclasses import dataclass, fields
 from itertools import combinations
 from pathlib import Path
@@ -28,6 +27,7 @@ from typing import Mapping
 import numpy as np
 
 from . import stats
+from .model import _warn
 from .records import TRIAL_CSV_HEADER, Trials, write_csv
 
 _TRUTHY = {"1", "true", "yes"}
@@ -286,10 +286,7 @@ def _read_cells(source) -> Trials:
             raise IngestionError(f"missing column {col}")
     has_actual = "actual_length_cm" in header
     if not has_actual:
-        warnings.warn(
-            "actual_length_cm column absent; defaulting to nominal_length_cm",
-            stacklevel=3,  # the caller of ingest
-        )
+        _warn("actual_length_cm column absent; defaulting to nominal_length_cm")
     # a repeated header name reads its last column, as csv.DictReader does
     where = {name: i for i, name in enumerate(header)}
     actual_col = "actual_length_cm" if has_actual else "nominal_length_cm"
@@ -479,12 +476,9 @@ def _group_errors(trials: Trials, label, s_bar, response) -> tuple:
             runs.reduce(_means, bias, cv, rmse))
 
 
-def _warn_singletons(nominals, stacklevel: int) -> None:
+def _warn_singletons(nominals) -> None:
     if nominals:
-        warnings.warn(
-            f"stimulus groups with a single trial (cv set to 0): {list(nominals)}",
-            stacklevel=stacklevel + 1,
-        )
+        _warn(f"stimulus groups with a single trial (cv set to 0): {list(nominals)}")
 
 
 def debias_session(trials: Trials) -> Trials:
@@ -515,7 +509,7 @@ def per_stimulus_errors(trials: Trials) -> ErrorDecomposition:
     the groups.
     """
     errors = _decomposition(trials)
-    _warn_singletons(errors.singleton_groups, 2)
+    _warn_singletons(errors.singleton_groups)
     return errors
 
 
@@ -540,7 +534,7 @@ def analyze_session(trials: Trials) -> SessionSummary:
     trials = debias_session(trials)
     fit = fit_regression_index(trials)
     errors = _decomposition(trials)
-    _warn_singletons(errors.singleton_groups, 2)
+    _warn_singletons(errors.singleton_groups)
     return SessionSummary(trials.participant_id[0].item(), trials.condition[0].item(),
                           fit, errors)
 
@@ -600,7 +594,7 @@ def _session_columns(trials: Trials) -> tuple:
     session = np.repeat(np.arange(n_sessions), run_lengths)  # of each group
     single = np.flatnonzero((n == 1) & (session < stop))
     for nominals in np.split(nominal[single], np.flatnonzero(np.diff(session[single])) + 1):
-        _warn_singletons(nominals.tolist(), 3)
+        _warn_singletons(nominals.tolist())
     bad = response[nonfinite[label[nonfinite] == stop]]
     if bad.size:
         raise ValueError(f"response must be finite, got {bad[0].item()}")
@@ -614,6 +608,8 @@ def summarize_cohort(trials: Trials, k: float = 2.5) -> CohortSummary:
     per-participant mean session RMSE, per-condition group stats and
     paired contrasts between all condition pairs.
     """
+    if math.isnan(k):  # k = inf screens no one; NaN would too, silently
+        raise ValueError(f"outlier SD multiplier k must not be NaN, got {k}")
     if not len(trials):
         raise DegenerateDataError("empty dataset")
     participants, conditions, pid, cond, slope, intercept, r2, bias, cv, rmse = (

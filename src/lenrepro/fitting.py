@@ -9,7 +9,6 @@ to the smaller width.  Fully deterministic.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping
@@ -26,6 +25,7 @@ from .model import (
     _check_noise,
     _check_nonnegative,
     _closed_form,
+    _warn,
     grid_values,
     normalized_errors,
     regression_index,
@@ -160,8 +160,7 @@ def _model_table(sigma_ps: np.ndarray, wfs: np.ndarray, stimuli: StimulusSet,
     ``_TABLE_ROWS`` sigma_p rows give the same bits, and the peak no longer
     grows with the sigma_p grid."""
     _check_nonnegative("sd", sigma_ps)
-    # the warning points at the caller of the public fit function
-    _check_noise(NoiseMode.WEBER, wfs, stacklevel=4)
+    _check_noise(NoiseMode.WEBER, wfs)
     n, blocks = cfg.trials_per_stimulus, []
     for i in range(0, sigma_ps.size, _TABLE_ROWS):
         mean, sd = _closed_form(sigma_ps[i:i + _TABLE_ROWS, None], wfs, stimuli,
@@ -188,11 +187,8 @@ def _warn_on_grid_edge(name: str, grid: np.ndarray, k: int) -> None:
     a grid with more than one value: the best fit may lie beyond it."""
     if grid.size > 1 and k in (0, grid.size - 1):
         edge = "lower" if k == 0 else "upper"
-        warnings.warn(
-            f"fitted {name} = {grid[k]:.6f} lies on the {edge} edge of its grid "
-            f"[{grid[0]:.6f}, {grid[-1]:.6f}]",
-            stacklevel=4,  # the caller of the public fit function
-        )
+        _warn(f"fitted {name} = {grid[k]:.6f} lies on the {edge} edge of its grid "
+              f"[{grid[0]:.6f}, {grid[-1]:.6f}]")
 
 
 def _grid_residuals(observed: Mapping[str, ObservedErrors], stimuli: StimulusSet,
@@ -220,11 +216,10 @@ def _check_observed(observed: Mapping[str, ObservedErrors],
     n_obs = (2 if objective is Objective.BIAS_CV else 1) * len(observed)
     n_free = len(observed) + 1
     if n_obs <= n_free:
-        warnings.warn(f"the {objective.value!r} objective fits {n_obs} "
-                      f"observation{'s' if n_obs > 1 else ''} with "
-                      f"{n_free} free parameters (a shared sigma_p and one wf per "
-                      "condition), so the data cannot identify them all",
-                      stacklevel=3)  # the caller of the public fit function
+        _warn(f"the {objective.value!r} objective fits {n_obs} "
+              f"observation{'s' if n_obs > 1 else ''} with "
+              f"{n_free} free parameters (a shared sigma_p and one wf per "
+              "condition), so the data cannot identify them all")
 
 
 def _free_fit(sigma_ps, wfs, table, residuals) -> FitResult:

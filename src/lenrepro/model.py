@@ -9,6 +9,7 @@ the stochastic trial-level counterpart lives in :mod:`lenrepro.simulate`.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -56,14 +57,24 @@ class NoiseMode(Enum):
 WEBER_SWEEP_MAX = 0.6
 
 
-def _check_noise(mode: NoiseMode, magnitude, stacklevel: int = 2) -> None:
-    """Reject negative noise magnitudes; warn on unusual Weber fractions.
-    The warning points ``stacklevel`` frames above the caller's own."""
+def _warn(message: str) -> None:
+    """Issue a UserWarning at the nearest caller outside the library: the
+    first frame whose module is not ``lenrepro.<name>``, or is the CLI.  A
+    module name also covers the ``__init__`` that ``dataclass`` generates."""
+    frame, level = sys._getframe(1), 2
+    while (frame.f_back and frame.f_globals.get("__name__", "").startswith("lenrepro.")
+           and frame.f_globals["__name__"] != "lenrepro.cli"):
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, stacklevel=level)
+
+
+def _check_noise(mode: NoiseMode, magnitude) -> None:
+    """Reject negative noise magnitudes; warn on unusual Weber fractions."""
     _check_nonnegative("magnitude", magnitude)
     high = np.asarray(magnitude)[np.asarray(magnitude) > WEBER_SWEEP_MAX]
     if mode is NoiseMode.WEBER and high.size:
-        warnings.warn(f"Weber fraction {high[0].item()} is outside the usual "
-                      f"[0, {WEBER_SWEEP_MAX}] sweep range", stacklevel=stacklevel + 1)
+        _warn(f"Weber fraction {high[0].item()} is outside the usual "
+              f"[0, {WEBER_SWEEP_MAX}] sweep range")
 
 
 @dataclass(frozen=True)

@@ -92,6 +92,9 @@ class Trials:
         return all(map(np.array_equal, self.columns, other.columns))
 
     def __getitem__(self, rows) -> "Trials":
+        if np.ndim(rows) == 0 and not isinstance(rows, slice):
+            raise TypeError("select Trials rows with an index array, a boolean mask or "
+                            f"a slice, not {type(rows).__name__}")
         columns = [c[rows] for c in self.columns]
         for column in columns:  # fresh, or a view of a read-only column
             column.flags.writeable = False  # so the table adopts it

@@ -838,6 +838,11 @@ class TestCohortSummary:
             assert c.n == 8
             assert 0.0 <= c.p <= 1.0
 
+    def test_nan_k_rejected(self):
+        # NaN would screen no one without a word, as k = inf does on purpose
+        with pytest.raises(ValueError, match="^outlier SD multiplier k must not be NaN, got nan$"):
+            summarize_cohort(_cohort(4, master_seed=4), k=math.nan)
+
     def test_screening_disabled_with_infinite_k(self):
         recs = _cohort(10, master_seed=4)
         screened = summarize_cohort(recs, k=2.5)
@@ -1014,17 +1019,6 @@ class TestCohortSummary:
         for name in ("StimulusErrors", "ErrorDecomposition", "RegressionFit", "SessionSummary"):
             monkeypatch.setattr(analysis, name, forbidden)
         assert len(summarize_cohort(_cohort(3, master_seed=1)).sessions) == 3 * 3
-
-    def test_singleton_warnings_point_at_the_caller(self):
-        trials = _degenerate_cohort()
-        alone = trials[(trials.participant_id == "p01") & (trials.condition == "a")]
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            summarize_cohort(trials)
-            analyze_session(alone)
-            per_stimulus_errors(alone)
-        assert len(caught) == 3 + 1 + 1
-        assert all(w.filename == __file__ for w in caught)  # the caller's line
 
 
 def _degenerate_cohort(replace=None):

@@ -3,6 +3,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -66,6 +67,16 @@ class TestSimulateAnalyze:
         rc = main(["simulate", "--out", str(tmp_path / "t.csv")])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_nan_k_rejected(self, tmp_path, capsys):
+        trials, outdir = tmp_path / "trials.csv", tmp_path / "analysis"
+        assert main(["simulate", "--seed", "1", "--participants", "4",
+                     "--out", str(trials)]) == 0
+        assert main(["analyze", "--in", str(trials), "--k", "nan",
+                     "--out", str(outdir)]) == 1
+        assert capsys.readouterr().err == (
+            "error: outlier SD multiplier k must not be NaN, got nan\n")
+        assert not outdir.exists()
 
     @pytest.mark.parametrize("conditions, message", [
         ("a,a", "duplicate condition labels in ['a', 'a']"),
@@ -516,6 +527,28 @@ def _src_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_root, env.get("PYTHONPATH")]))
     return env
+
+
+class TestWarningLocation:
+    """A command's warning names the line of the CLI that called into the
+    library, when the CLI runs through ``main`` and as ``python -m``."""
+
+    @pytest.mark.parametrize("launch", [
+        ["-c", "import sys; from lenrepro.cli import main; sys.exit(main(sys.argv[1:]))"],
+        ["-m", "lenrepro.cli"],
+    ], ids=["main", "python -m"])
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--seed", "1", "--wf", "0.7", "--out", "trials.csv"],
+        ["curves", "--wf-max", "0.65", "--out", "curves"],
+    ], ids=["simulate", "curves"])
+    def test_command_line_warning_points_at_the_cli(self, tmp_path, launch, argv):
+        proc = subprocess.run([sys.executable, *launch, *argv], capture_output=True,
+                              text=True, cwd=tmp_path, env=_src_env())
+        assert proc.returncode == 0, proc.stderr
+        lines = [line for line in proc.stderr.splitlines() if "Warning:" in line]
+        assert lines and all(re.match(r".*[/\\]cli\.py:\d+: UserWarning: Weber fraction 0\.",
+                                      line) for line in lines), proc.stderr
+        assert "<string>" not in proc.stderr and "model.py" not in proc.stderr
 
 
 class TestCommandImports:

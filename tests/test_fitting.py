@@ -32,10 +32,8 @@ from lenrepro.model import (
     MotorNoiseSpec,
     NO_MOTOR_NOISE,
     NoiseModel,
-    closed_form,
     predict_errors,
     predict_regression_index,
-    rmse_surface,
 )
 
 DEFAULT_MOTOR = MotorNoiseSpec(1.2, MotorCombination.LINEAR_CV)
@@ -432,26 +430,6 @@ class TestGridChecks:
         with pytest.warns(UserWarning, match="cannot identify them all"), pytest.warns(UserWarning, match="Weber fraction 0.605"):
             fit_shared_prior({"a": _forward(1.5, 0.2)}, DEFAULT_STIMULI, cfg)
 
-    def test_large_weber_fraction_warning_points_at_the_caller(self):
-        cfg = FitConfig(wf_grid=(0.0, 0.65, 0.005))
-        observed = {"a": _forward(1.5, 0.2)}
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            res = fit_shared_prior(observed, DEFAULT_STIMULI)
-        calls = [
-            lambda: fit_shared_prior(observed, DEFAULT_STIMULI, cfg),
-            lambda: goodness_of_fit(res, observed, DEFAULT_STIMULI, cfg),
-            lambda: _fit_with_goodness(observed, DEFAULT_STIMULI, cfg),
-            lambda: closed_form([1.5], [0.2, 0.65], DEFAULT_STIMULI),
-            lambda: rmse_surface([0.2, 0.65], [0.0, 0.3]),
-        ]
-        for call in calls:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                call()
-            weber = [w for w in caught if "Weber fraction" in str(w.message)]
-            assert len(weber) == 1 and weber[0].filename == __file__  # the caller's line
-
     def test_large_weber_fraction_warns_once(self):
         # once for the whole grid, not once per block of sigma_p rows
         cfg = FitConfig(wf_grid=(0.0, 0.65, 0.005))
@@ -553,7 +531,6 @@ class TestOneTable:
             warnings.simplefilter("always")
             assert _fit_with_goodness(observed, DEFAULT_STIMULI, cfg) == (res, g)
         assert [str(w.message) for w in one] == [str(w.message) for w in pair]
-        assert all(w.filename == __file__ for w in pair + one)  # the caller's line
 
 
 def _fit_recorded(observed, cfg):
@@ -615,7 +592,6 @@ class TestIdentifiabilityWarning:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             fit_shared_prior(observed, DEFAULT_STIMULI, cfg)
-        assert all(w.filename == __file__ for w in caught)  # the caller's line
         return [str(w.message) for w in caught if "identify" in str(w.message)]
 
     def test_ri_objective_always_warns(self):

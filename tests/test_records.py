@@ -48,6 +48,12 @@ class TestTrials:
         assert Trials.concatenate([trials[:1], trials[1:]]) == trials
         assert [r.trial_index for r in trials[::-1]] == [4, 3]
 
+    @pytest.mark.parametrize("index", [0, np.int64(1), np.array(0)])
+    def test_scalar_index_rejected(self, index):
+        with pytest.raises(TypeError, match="^select Trials rows with an index array, "
+                           "a boolean mask or a slice, not "):
+            _table()[index]
+
     def test_caller_arrays_are_not_frozen_or_aliased(self):
         response = np.array([7.25, 12.5])
         ids = np.array(["p01", "p01"])
