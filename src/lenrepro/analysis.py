@@ -539,11 +539,17 @@ def analyze_session(trials: Trials) -> SessionSummary:
                           fit, errors)
 
 
+def _check_k(k: float) -> None:
+    if math.isnan(k):  # k = inf screens no one; NaN would too, silently
+        raise ValueError(f"outlier SD multiplier k must not be NaN, got {k}")
+
+
 def screen_outliers(metrics: Mapping[str, float], k: float = 2.5):
     """Single-pass screen: drop ids whose metric exceeds mean + k * sample sd.
 
     Returns (kept_ids, excluded_ids), each sorted.
     """
+    _check_k(k)
     if len(metrics) < 2:
         raise DegenerateDataError("screening needs >= 2 participants")
     ids = sorted(metrics)
@@ -608,8 +614,7 @@ def summarize_cohort(trials: Trials, k: float = 2.5) -> CohortSummary:
     per-participant mean session RMSE, per-condition group stats and
     paired contrasts between all condition pairs.
     """
-    if math.isnan(k):  # k = inf screens no one; NaN would too, silently
-        raise ValueError(f"outlier SD multiplier k must not be NaN, got {k}")
+    _check_k(k)
     if not len(trials):
         raise DegenerateDataError("empty dataset")
     participants, conditions, pid, cond, slope, intercept, r2, bias, cv, rmse = (

@@ -353,27 +353,36 @@ def ri_curve(
     return list(zip(wf.tolist(), regression_index(mean, stimuli).tolist()))
 
 
-def _bisect(root_above, lo, hi, log_scale=False):
-    """Elementwise bisection; ``root_above(x)`` says where each root lies.
-
-    Each element halves its own [lo, hi] until hi - lo <= 1e-15 * max(1, hi)
-    (on a log scale: geometric midpoints, 1e-15 * hi) or for 200 steps,
-    then stops while the others go on.  Returns the final midpoints.
-    """
-    def mid(lo, hi):
-        return np.sqrt(lo * hi) if log_scale else 0.5 * (lo + hi)
-
+def _bisect(root_above, lo, hi):
+    """Elementwise bisection at geometric midpoints; ``root_above(x)`` says
+    where each root lies.  Each element stops once hi - lo <= 1e-15 * hi, or
+    after 200 steps, while the others go on.  Returns the final midpoints."""
     active = True
     for _ in range(200):
-        m = mid(lo, hi)
+        m = np.sqrt(lo * hi)
         up = root_above(m)
         lo = np.where(active & up, m, lo)
         hi = np.where(active & ~up, m, hi)
-        tol = 1e-15 * (hi if log_scale else np.maximum(1.0, hi))
-        active = active & ~(hi - lo <= tol)
+        active = active & ~(hi - lo <= 1e-15 * hi)
         if not np.any(active):
             break
-    return mid(lo, hi)
+    return np.sqrt(lo * hi)
+
+
+# Ratios r = magnitude / sigma_p that _ratio_for_ri searches: wf / sigma_p
+# (1/cm) under Weber noise, sigma_l / sigma_p under constant noise.
+_RATIO_BRACKET = (1e-12, 1e12)
+
+
+def _ratio_for_ri(target_ri, stimuli, prior_mean, mode):
+    """The ratio r = magnitude / sigma_p at which the index reaches each
+    target.  The fusion weight is 1 / (1 + r^2 s^2) under Weber noise and
+    1 / (1 + r^2) under constant noise, so the index depends on r alone, for
+    any prior mean; it is evaluated at sigma_p = 1 and magnitude = r."""
+    mean = stimuli.mean_stimulus if prior_mean is None else prior_mean
+    GaussianBelief(mean, 1.0)  # rejects what the probe's prior would reject
+    return _bisect(lambda r: _ri(1.0, r, stimuli, mean, mode) < target_ri,
+                   *_RATIO_BRACKET)
 
 
 def wf_from_ri(
@@ -381,52 +390,35 @@ def wf_from_ri(
     prior_sd: float,
     stimuli: StimulusSet = DEFAULT_STIMULI,
 ) -> float:
-    """Invert the regression index for the Weber fraction by bisection.
-
-    The index is strictly increasing in the Weber fraction at fixed prior
-    width, 0 at wf=0 and approaching 1 from below; the returned wf
-    round-trips through :func:`predict_regression_index` to within 1e-9.
-    """
+    """Invert the regression index for the Weber fraction at fixed prior
+    width: ``prior_sd`` times the target's ratio r = wf / sigma_p.  The
+    index rises with r from 0 towards 1; the returned wf round-trips through
+    :func:`predict_regression_index` to within 1e-9."""
     if not (0 <= target_ri < 1):
         raise ValueError(f"target_ri must be in [0, 1), got {target_ri}")
     if not (prior_sd > 0):
         raise ValueError(f"prior_sd must be > 0, got {prior_sd}")
     if target_ri == 0:
         return 0.0
-    hi = 1.0
-    while _ri(prior_sd, hi, stimuli) < target_ri:
-        hi *= 2.0
-        if hi > 1e9:
-            raise BracketError(
-                f"target {target_ri} unreachable: achievable range is "
-                f"[0, {_ri(prior_sd, 1e9, stimuli):.12f}) on the bracket"
-            )
-    return float(_bisect(lambda wf: _ri(prior_sd, wf, stimuli) < target_ri, 0.0, hi))
+    ri_max = _ri(1.0, _RATIO_BRACKET[1], stimuli)
+    if ri_max < target_ri:
+        raise BracketError(f"target {target_ri} unreachable: achievable range is "
+                           f"[0, {ri_max:.12f}) on the bracket")
+    return prior_sd * float(_ratio_for_ri(target_ri, stimuli, None, NoiseMode.WEBER))
 
 
-# Prior widths (cm) that sigma_p_from_ri and rmse_surface search.
+# Prior widths (cm) that sigma_p_from_ri and rmse_surface accept.
 SIGMA_P_BRACKET = (1e-3, 1e3)
 # wf rows that rmse_surface evaluates at a time
 _SURFACE_ROWS = 32
 
 
-def _sigma_p_for_ri(target_ri, wf, stimuli, prior_mean, mode, bracket):
-    """Elementwise :func:`sigma_p_from_ri`; NaN where the target is
-    unreachable.  Also returns the indices at the wide and narrow ends."""
+def _sigma_p_for_ri(r, magnitude, bracket):
+    """Elementwise :func:`sigma_p_from_ri` from the target's ratio ``r``:
+    magnitude / r, NaN where that lies off ``bracket``."""
     lo, hi = bracket
-    mean = stimuli.mean_stimulus if prior_mean is None else prior_mean
-    for sp in bracket:  # rejects what each probe's prior would reject
-        GaussianBelief(mean, sp)
-
-    def ri(sp):
-        return _ri(sp, wf, stimuli, mean, mode)
-
-    ri_narrow, ri_wide = ri(lo), ri(hi)
-    reachable = (ri_wide <= target_ri) & (target_ri <= ri_narrow)
-    # an unreachable target gets an empty bracket, so it stops at once
-    sp = _bisect(lambda sp: ri(sp) > target_ri, lo, np.where(reachable, hi, lo),
-                 log_scale=True)
-    return np.where(reachable, sp, np.nan), ri_wide, ri_narrow
+    sp = magnitude / r
+    return np.where((lo <= sp) & (sp <= hi), sp, np.nan)
 
 
 def sigma_p_from_ri(
@@ -436,19 +428,18 @@ def sigma_p_from_ri(
     prior_mean: float | None = None,
     bracket=SIGMA_P_BRACKET,
 ) -> float:
-    """Invert the regression index for the prior width at fixed noise.
-
-    The index is strictly decreasing in the prior width when the sensory
-    noise is nonzero; bisection on ``bracket`` (cm).
-    """
-    sp, ri_wide, ri_narrow = _sigma_p_for_ri(
-        target_ri, noise.magnitude, stimuli, prior_mean, noise.mode, bracket
-    )
+    """Invert the regression index for the prior width at fixed noise: the
+    noise magnitude over the target's ratio r = magnitude / sigma_p, if that
+    width lies on ``bracket`` (cm)."""
+    for b in bracket:
+        _check_nonnegative("sd", b)
+    r = _ratio_for_ri(target_ri, stimuli, prior_mean, noise.mode)
+    sp = _sigma_p_for_ri(r, noise.magnitude, bracket)
     if np.isnan(sp):
-        raise BracketError(
-            f"target {target_ri} unreachable: achievable range is "
-            f"[{ri_wide:.12f}, {ri_narrow:.12f}] on the bracket"
-        )
+        ri_wide, ri_narrow = (_ri(b, noise.magnitude, stimuli, prior_mean, noise.mode)
+                              for b in bracket[::-1])
+        raise BracketError(f"target {target_ri} unreachable: achievable range is "
+                           f"[{ri_wide:.12f}, {ri_narrow:.12f}] on the bracket")
     return float(sp)
 
 
@@ -461,10 +452,11 @@ def rmse_surface(
 ) -> np.ndarray:
     """Normalized RMSE over a (wf, ri) grid; shape (len(wf), len(ri)).
 
-    Each cell inverts its ri for the prior width at that wf, computes the
-    normalized rmse, and each wf-slice is then divided by its own minimum,
-    so every defined cell is >= 1 and each slice attains 1.  Cells whose
-    ri is unreachable at that wf (e.g. ri > 0 with wf = 0) are NaN.
+    Each ri is inverted once for its ratio r = wf / sigma_p; each cell takes
+    the prior width wf / r, as :func:`sigma_p_from_ri` does, and its
+    normalized rmse, and each wf-slice is divided by its own minimum, so
+    every defined cell is >= 1 and each slice attains 1.  Cells whose width
+    lies off ``SIGMA_P_BRACKET`` (e.g. ri > 0 with wf = 0) are NaN.
     """
     if len(wf_grid) == 0 or len(ri_grid) == 0:
         raise ValueError("grids must be nonempty")
@@ -473,18 +465,18 @@ def rmse_surface(
     _check_noise(NoiseMode.WEBER, wf_grid)
     wf = np.asarray(wf_grid, dtype=float)[:, None]
     ri = np.asarray(ri_grid, dtype=float)
+    r = _ratio_for_ri(ri, stimuli, prior_mean, NoiseMode.WEBER)
     # Each wf row is normalized on its own, so blocks of rows give the same
-    # bits, and they keep the kernel's temporaries small: 32 rows of the
+    # bits, and they bound the forward kernel's temporaries: 32 rows of the
     # default grid are 53 KB an array, where all 121 are 200 KB.
     rows = _SURFACE_ROWS
-    return np.concatenate([_surface_rows(wf[i:i + rows], ri, stimuli, motor, prior_mean)
+    return np.concatenate([_surface_rows(wf[i:i + rows], ri, r, stimuli, motor, prior_mean)
                            for i in range(0, len(wf), rows)])
 
 
-def _surface_rows(wf, ri, stimuli, motor, prior_mean):
-    """:func:`rmse_surface` of a column of wf values, without the checks."""
-    sp, _, _ = _sigma_p_for_ri(ri, wf, stimuli, prior_mean, NoiseMode.WEBER,
-                               SIGMA_P_BRACKET)
+def _surface_rows(wf, ri, r, stimuli, motor, prior_mean):
+    """:func:`rmse_surface` of a column of wf values, from each ri's ratio r."""
+    sp = _sigma_p_for_ri(r, wf, SIGMA_P_BRACKET)
     # Prior width is unidentified at wf=0, where only ri=0 is reachable;
     # rmse is motor-only there and independent of it.
     sp = np.where(wf == 0, np.where(ri == 0, 1.0, np.nan), sp)

@@ -614,6 +614,11 @@ class TestScreenOutliers:
         with pytest.raises(DegenerateDataError):
             screen_outliers({"a": 0.1})
 
+    def test_nan_k_raises(self):
+        # NaN would screen no one without a word, as k = inf does on purpose
+        with pytest.raises(ValueError, match="^outlier SD multiplier k must not be NaN, got nan$"):
+            screen_outliers({"a": 0.1, "b": 0.11, "c": 5.0}, k=math.nan)
+
 
 def _cohort(n=12, master_seed=0, wf=(0.3, 0.18, 0.14)):
     params = {

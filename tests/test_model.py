@@ -324,6 +324,12 @@ class TestWfFromRi:
         wf_ind = wf_from_ri(0.446, 1.5)
         assert wf_soc < wf_mech < wf_ind
 
+    def test_unreachable_target_is_bracket_error(self):
+        # at lengths of 1e-12 cm even the largest ratio keeps the index at 0.65
+        with pytest.raises(BracketError, match=r"^target 0.9 unreachable: "
+                           r"achievable range is \[0, 0\.650000000000\) on the bracket$"):
+            wf_from_ri(0.9, 1.5, StimulusSet((1e-12, 2e-12)))
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             wf_from_ri(-0.1, 1.5)
@@ -331,6 +337,40 @@ class TestWfFromRi:
             wf_from_ri(1.0, 1.5)
         with pytest.raises(ValueError):
             wf_from_ri(0.3, 0.0)
+
+
+class TestSigmaPFromRi:
+    """sigma_p_from_ri and wf_from_ri share one inversion of r = wf / sigma_p."""
+
+    @pytest.mark.parametrize("target", [0.1, 0.3, 0.5, 0.9])
+    def test_constant_noise_closed_form(self, target):
+        # under constant noise the index is sigma_l^2 / (sigma_l^2 + sigma_p^2)
+        sp = sigma_p_from_ri(target, NoiseModel.constant(2.0))
+        assert sp == pytest.approx(2.0 * math.sqrt((1 - target) / target), rel=1e-12)
+
+    @pytest.mark.parametrize("prior_mean", [3.0, 25.0])
+    @pytest.mark.parametrize("target", [0.1, 0.3, 0.5, 0.9])
+    def test_round_trip_off_centre_prior(self, prior_mean, target):
+        noise = NoiseModel.weber(0.2)
+        sp = sigma_p_from_ri(target, noise, prior_mean=prior_mean)
+        ri = predict_regression_index(noise, GaussianBelief(prior_mean, sp), DEFAULT_STIMULI)
+        assert abs(ri - target) < 1e-9
+
+    def test_zero_target_reachable_above_the_stimuli(self):
+        # a prior mean above every stimulus takes the index below 0 for wide
+        # priors, so 0 is reached at a finite width
+        noise = NoiseModel.weber(0.2)
+        sp = sigma_p_from_ri(0.0, noise, prior_mean=25.0)
+        assert sp == pytest.approx(1.2909718, rel=1e-7)
+        ri = predict_regression_index(noise, GaussianBelief(25.0, sp), DEFAULT_STIMULI)
+        assert abs(ri) < 1e-9
+
+    @pytest.mark.parametrize("sigma_p", [0.3, 1.5, 50.0])
+    @pytest.mark.parametrize("target", [0.1, 0.5, 0.9])
+    def test_wf_and_sigma_p_share_one_ratio(self, sigma_p, target):
+        wf = 0.2
+        assert wf_from_ri(target, sigma_p) / sigma_p == pytest.approx(
+            wf / sigma_p_from_ri(target, NoiseModel.weber(wf)), rel=1e-12)
 
 
 class TestRmseSurface:
@@ -444,3 +484,17 @@ def test_rmse_surface_matches_per_cell_inversion(monkeypatch):
         monkeypatch.setattr(model, "_SURFACE_ROWS", rows)
         assert np.array_equal(rmse_surface(wf_grid, ri_grid, DEFAULT_STIMULI, motor),
                               ref, equal_nan=True)
+
+
+def test_rmse_surface_inverts_each_ri_once(monkeypatch):
+    # each ri is inverted for its ratio once, so the number of regression-index
+    # kernel calls does not grow with the wf grid
+    calls = []
+    kernel = model._ri
+    monkeypatch.setattr(model, "_ri", lambda *a, **k: calls.append(1) or kernel(*a, **k))
+    counts = []
+    for n in (1, 121):
+        calls.clear()
+        rmse_surface(np.round(0.005 * np.arange(n), 12), np.round(0.05 * np.arange(19), 12))
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
