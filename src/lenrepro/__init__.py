@@ -17,7 +17,6 @@ from .model import (
     fuse_gaussians,
 )
 from .records import Trials
-from .simulate import DemonstratorNoise, ObserverParams, ScheduleConfig
 
 __all__ = [
     "DEFAULT_STIMULI",
@@ -34,3 +33,13 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # only `schedule` and `simulate` need the simulator, so it is imported
+    # on first access to one of its names
+    if name in ("DemonstratorNoise", "ObserverParams", "ScheduleConfig"):
+        from . import simulate
+
+        return getattr(simulate, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

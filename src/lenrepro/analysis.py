@@ -17,6 +17,7 @@ Conventions (documented choices):
 from __future__ import annotations
 
 import csv
+import io
 import math
 import sys
 from dataclasses import dataclass, fields
@@ -153,9 +154,10 @@ def ingest(source) -> Trials:
     of a non-numeric, non-finite or out-of-range cell.
 
     A path is read as UTF-8, with or without a byte-order mark.  Files in
-    the ``records`` contract are parsed by numpy's C reader; any other
-    file, or any file that reader or its checks reject, goes through the
-    per-cell reader, which raises the row- and column-named error.
+    the ``records`` contract are scanned, then parsed in one pass by
+    numpy's C reader; any other file, or any file that reader or its
+    checks reject, goes through the per-cell reader, which raises the row-
+    and column-named error.
     """
     if isinstance(source, (str, Path)):
         with open(source, newline="", encoding="utf-8-sig") as fh:
@@ -176,12 +178,31 @@ _HEADER_LINE = ",".join(TRIAL_CSV_HEADER) + "\n"
 _PRINTABLE = bytes(range(0x20, 0x7F)).replace(b'"', b"")
 
 
-def _in_contract(fh, chunk: int = 1 << 16) -> tuple | None:
-    """The length of the longest participant id and of the longest
-    condition in the rest of ``fh``, if it is a file that ``np.loadtxt``
-    reads as the per-cell reader does: the exact contract header, then at
-    least one data row, all of it printable ASCII and LF, with no quote and
-    every line of at least six fields.  None for any other file.
+_SCAN_CHUNK = 1 << 15  # characters the contract scan and parse read at a time
+
+
+def _blocks(fh, chunk: int):
+    """The rest of ``fh`` as blocks of whole lines, read ``chunk``
+    characters at a time; each block ends in LF, and a last line without
+    one gets it."""
+    rest = ""
+    while text := fh.read(chunk):
+        text = rest + text
+        end = text.rfind("\n") + 1  # a line cut by the chunk waits for the next
+        if end:
+            yield text[:end]
+        rest = text[end:]
+    if rest:
+        yield rest + "\n"
+
+
+def _in_contract(fh, chunk: int) -> tuple | None:
+    """The number of data rows in the rest of ``fh``, and the lengths of
+    its longest participant id and longest condition, if it is a file that
+    ``np.loadtxt`` reads as the per-cell reader does: the exact contract
+    header, then at least one data row, all of it printable ASCII and LF,
+    with no quote and every line of at least six fields.  None for any
+    other file.
 
     The C parser strips the separators U+001C-U+001F around numbers, which
     ``float()`` rejects, and reads some non-ASCII letters as digits of
@@ -192,24 +213,19 @@ def _in_contract(fh, chunk: int = 1 << 16) -> tuple | None:
     try:
         if fh.readline() != _HEADER_LINE:
             return None
-        widths, rest, text = (0, 0), b"", fh.read(chunk)
-        if not text:
-            return None
-        while text:
-            if not text.isascii():
+        rows, widths = 0, (0, 0)
+        for lines in _blocks(fh, chunk):
+            if not lines.isascii():
                 return None
-            data = text.encode("ascii")
+            data = lines.encode("ascii")
             # printable ASCII but the quote deleted, one LF per line is left
             if data.translate(None, _PRINTABLE).strip(b"\n"):
                 return None
-            data = rest + data
-            end = data.rfind(b"\n") + 1  # a line cut by the chunk waits for the next
-            widths, rest = _id_widths(memoryview(data)[:end], widths), data[end:]
+            widths = _id_widths(data, widths)
             if widths is None:
                 return None
-            text = fh.read(chunk)
-        # the last line may lack its LF
-        return _id_widths(rest + b"\n", widths) if rest else widths
+            rows += data.count(b"\n")
+        return (rows, widths) if rows else None
     except UnicodeDecodeError:
         return None  # raised again, by the per-cell reader
 
@@ -230,40 +246,36 @@ def _id_widths(lines, widths: tuple) -> tuple | None:
 
 
 def _parse_contract(fh, start) -> Trials | None:
-    """The trials of a contract file, parsed by numpy's C reader one dtype
-    at a time, or None when the per-cell reader has to decide.
+    """The trials of a contract file, or None when the per-cell reader has
+    to decide.
 
-    Every check of the per-cell reader is made in bulk: finite numbers,
-    ``actual > 0``, ``response >= 0`` and unique trial keys.  Each id
-    column is parsed at the width of its longest value, and the table
-    adopts every parsed column without a copy.
+    After the scan, one pass: numpy's C reader parses each block of whole
+    lines with one structured dtype, straight into columns allocated for
+    the rows the scan counted.  Every check of the per-cell reader is made
+    in bulk: finite numbers, ``actual > 0``, ``response >= 0`` and unique
+    trial keys.  Each id column is parsed at the width of its longest
+    value, and the table adopts every column without a copy.
     """
-    widths = _in_contract(fh)
-    if widths is None:
+    chunk = _SCAN_CHUNK
+    scanned = _in_contract(fh, chunk)
+    if scanned is None:
         return None
-
-    def load(dtype, *usecols):
-        """Columns ``usecols`` of the file as the rows of a read-only array."""
-        fh.seek(start)
-        table = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None,
-                           skiprows=1, usecols=usecols, ndmin=2)
-        table.flags.writeable = False
-        # one column is a contiguous view of the parse; several are copied
-        # once, so that each is contiguous
-        columns = table.T if len(usecols) == 1 else table.T.copy()
-        columns.flags.writeable = False
-        return columns
-
+    rows, widths = scanned
+    columns = [np.empty(rows, dtype) for dtype in (
+        *(f"U{max(1, width)}" for width in widths), np.int64, float, float, float)]
+    fh.seek(start)
+    fh.readline()
     try:
-        (index,), values = load(np.int64, 2), load(float, 3, 4, 5)
-        if not (np.isfinite(values).all() and (values[1] > 0).all()
-                and (values[2] >= 0).all()):
-            return None
-        (participant_id,), (condition,) = (load(f"U{max(1, width)}", column)
-                                           for column, width in enumerate(widths))
+        parsed = _parse_blocks(fh, chunk, columns)
     except ValueError:
         return None
-    trials = Trials(participant_id, condition, index, *values)
+    values = columns[3:]
+    if not (parsed == rows and all(np.isfinite(v).all() for v in values)
+            and (values[1] > 0).all() and (values[2] >= 0).all()):
+        return None
+    for column in columns:
+        column.flags.writeable = False  # so the table adopts it
+    trials = Trials(*columns)
     # sorted by key, a repeated key sits next to itself; compare the ids
     # only where the trial indices of two neighbours are equal
     order = np.lexsort((trials.trial_index, trials.condition, trials.participant_id))
@@ -274,6 +286,21 @@ def _parse_contract(fh, start) -> Trials | None:
               & (trials.condition[first] == trials.condition[second])):
         return None
     return trials
+
+
+def _parse_blocks(fh, chunk: int, columns: list) -> int:
+    """Parse the rest of ``fh`` into the first rows of ``columns``, one
+    block of whole lines at a time; returns the number of rows parsed."""
+    dtype = np.dtype([(str(i), column.dtype) for i, column in enumerate(columns)])
+    stop = 0
+    for lines in _blocks(fh, chunk):
+        # a trailing comma on every row makes a seventh, empty field
+        table = np.loadtxt(io.BytesIO(lines.encode("ascii")), dtype=dtype, delimiter=",",
+                           comments=None, usecols=range(6), ndmin=1)
+        first, stop = stop, stop + table.size
+        for name, column in zip(dtype.names, columns):
+            column[first:stop] = table[name]
+    return stop
 
 
 def _read_cells(source) -> Trials:
@@ -542,6 +569,8 @@ def analyze_session(trials: Trials) -> SessionSummary:
 def _check_k(k: float) -> None:
     if math.isnan(k):  # k = inf screens no one; NaN would too, silently
         raise ValueError(f"outlier SD multiplier k must not be NaN, got {k}")
+    if k < 0:  # would exclude participants below the mean, or everyone
+        raise ValueError(f"outlier SD multiplier k must be >= 0, got {k}")
 
 
 def screen_outliers(metrics: Mapping[str, float], k: float = 2.5):

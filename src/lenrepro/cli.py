@@ -17,9 +17,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-# Only `analyze` and `fit` use `analysis` and `fitting`, so those commands
-# import them themselves and `schedule`, `simulate` and `curves` skip them.
-from . import model, records, simulate
+# Each command imports the modules only it uses (`simulate`, `analysis`,
+# `fitting`) itself, so the other commands skip them.
+from . import model, records
 
 ENV_PREFIX = "LENREPRO_"
 
@@ -147,7 +147,9 @@ def _grid(cfg, name) -> tuple:
     return tuple(cfg[f"{name}_{end}"] for end in ("min", "max", "step"))
 
 
-def _schedule_config(cfg) -> simulate.ScheduleConfig:
+def _schedule_config(cfg):
+    from . import simulate
+
     keys = ("num_lengths", "min_length", "step", "reps", "practice", "seed")
     return simulate.ScheduleConfig(
         **{key: cfg[key] for key in keys},
@@ -157,12 +159,16 @@ def _schedule_config(cfg) -> simulate.ScheduleConfig:
 
 def cmd_schedule(cfg) -> int:
     """Generate a seeded trial schedule CSV."""
+    from . import simulate
+
     records.write_csv(cfg["out"], "index,nominal_length_cm,first_dot_cm,is_practice",
                       "%d,%.6f,%.6f,%d", simulate.generate_schedule(_schedule_config(cfg)))
     return 0
 
 
-def _observer_params(cfg, label) -> simulate.ObserverParams:
+def _observer_params(cfg, label):
+    from . import simulate
+
     p = {key: cfg.get(f"{label}.{key}", cfg[key]) for key in OBSERVER_KEYS}
     noise = (model.NoiseModel.constant(p["sigma_l"]) if p["sigma_l"] >= 0
              else model.NoiseModel.weber(p["wf"]))
@@ -172,6 +178,8 @@ def _observer_params(cfg, label) -> simulate.ObserverParams:
 
 def cmd_simulate(cfg) -> int:
     """Simulate a synthetic cohort."""
+    from . import simulate
+
     # pairs, so that simulate_cohort rejects a label given twice
     params = [(c, _observer_params(cfg, c)) for c in cfg["conditions"].split(",")]
     recs = simulate.simulate_cohort(

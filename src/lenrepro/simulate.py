@@ -7,7 +7,7 @@ independent of evaluation order.
 """
 from __future__ import annotations
 
-import dataclasses
+import itertools
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
@@ -118,23 +118,22 @@ def generate_schedule(cfg: ScheduleConfig) -> list:
     return list(map(Trial, *(column.tolist() for column in _schedule_columns(cfg))))
 
 
-def _observe(index, nominal, is_practice, obs: ObserverParams,
-             demo: DemonstratorNoise, seed) -> tuple:
-    """Index, nominal, actual and response columns of the main trials of a
-    schedule given as columns."""
-    rng = np.random.default_rng(seed)
-    main = ~is_practice
-    nominal = nominal[main]
-    n = nominal.size
-    actual = nominal + rng.normal(0.0, 1.0, n) * demo.sd
-    actual = np.maximum(actual, 1e-9)
+def _observe(nominal, actual, sensory, response, obs: ObserverParams,
+             demo: DemonstratorNoise) -> None:
+    """The observer arithmetic, in place over arrays of one shape: the
+    standard normal draws held in ``actual``, ``sensory`` and ``response``
+    become the presented length, the measurement and the response."""
+    actual *= demo.sd
+    actual += nominal
+    np.maximum(actual, 1e-9, out=actual)
     sig_l = sigma_l_at(obs.noise, actual)
-    m = actual + rng.normal(0.0, 1.0, n) * sig_l
+    sensory *= sig_l
+    sensory += actual
     w = fusion_weight(sig_l, obs.prior_sd)
-    estimate = w * m + (1.0 - w) * obs.prior_mean
-    response = estimate + rng.normal(0.0, 1.0, n) * obs.motor_sd
-    response = np.maximum(response, obs.response_floor)
-    return index[main], nominal, actual, response
+    estimate = w * sensory + (1.0 - w) * obs.prior_mean
+    response *= obs.motor_sd
+    response += estimate
+    np.maximum(response, obs.response_floor, out=response)
 
 
 def simulate_observer(
@@ -153,12 +152,16 @@ def simulate_observer(
     is clamped at the floor.
     """
     index, nominal, _, is_practice = list(zip(*schedule)) or [()] * 4
-    columns = _observe(
-        np.array(index, dtype=np.int64), np.array(nominal),
-        np.array(is_practice, dtype=bool), obs, demo, seed,
-    )
-    n = columns[0].size
-    return Trials(np.full(n, participant_id), np.full(n, condition), *columns)
+    main = ~np.array(is_practice, dtype=bool)
+    nominal = np.array(nominal)[main]
+    n, rng = nominal.size, np.random.default_rng(seed)
+    actual, sensory, response = (rng.standard_normal(n) for _ in range(3))
+    _observe(nominal, actual, sensory, response, obs, demo)
+    return Trials(np.full(n, participant_id), np.full(n, condition),
+                  np.array(index, dtype=np.int64)[main], nominal, actual, response)
+
+
+_BLOCK_ROWS = 1 << 12  # rows of the table whose sensory draws are held at a time
 
 
 def _session_seed(master_seed: int, p_idx: int, c_idx: int, stream: int) -> int:
@@ -179,8 +182,19 @@ def simulate_cohort(
     ``condition_params`` maps condition label -> ObserverParams; condition
     index follows insertion order.  Accepts a sequence of (label, params)
     pairs too, in which case duplicate labels are rejected.  An empty label
-    is rejected either way.  ``workers`` is ignored: sessions are bound by
-    the interpreter lock, so they run serially.
+    is rejected either way.  ``workers`` is ignored.
+
+    Substream contract: session (p, c) draws from two generators, seeded
+    by ``_session_seed(master_seed, p, c, 0)`` for its schedule and
+    ``(..., 1)`` for its observer, so every session equals
+    :func:`simulate_observer` of :func:`generate_schedule` under those
+    seeds, bit for bit and in any order.  The schedule generator's first
+    draw shuffles the main trials; its later draws pick the practice
+    lengths and the first-dot offsets, which the table does not hold, so
+    they are not made.  The observer generator draws the demonstrator,
+    sensory and motor noise, one standard normal per main trial each.
+    The arithmetic then runs once per condition over a block of
+    participants.
     """
     if n_participants < 1:
         raise ConfigError("n_participants must be >= 1")
@@ -199,22 +213,34 @@ def simulate_cohort(
     # of one table, which is checked once and adopts the columns it is given
     n, n_conditions = cfg.num_lengths * cfg.reps, len(condition_params)
     size = n_participants * n_conditions * n
-    columns = (np.empty(size, np.int64), np.empty(size), np.empty(size), np.empty(size))
-    for p_idx in range(n_participants):
+    index, nominal, actual, response = (np.empty(size, np.int64), np.empty(size),
+                                        np.empty(size), np.empty(size))
+    index.reshape(-1, n)[:] = np.arange(cfg.practice, cfg.practice + n)
+    lengths = np.repeat(cfg.lengths, cfg.reps)
+    shape = (n_participants, n_conditions, n)
+    nominals, actuals, responses = (c.reshape(shape) for c in (nominal, actual, response))
+    block = max(1, _BLOCK_ROWS // (n_conditions * n))  # participants at a time
+    sensory = np.empty((block, n_conditions, n))
+    for first in range(0, n_participants, block):
+        rows = slice(first, min(first + block, n_participants))
+        for p_idx, c_idx in itertools.product(range(rows.start, rows.stop),
+                                              range(n_conditions)):
+            nominals[p_idx, c_idx] = lengths
+            np.random.default_rng(_session_seed(master_seed, p_idx, c_idx, 0)).shuffle(
+                nominals[p_idx, c_idx])
+            rng = np.random.default_rng(_session_seed(master_seed, p_idx, c_idx, 1))
+            for out in (actuals[p_idx, c_idx], sensory[p_idx - first, c_idx],
+                        responses[p_idx, c_idx]):
+                rng.standard_normal(out=out)
         for c_idx, params in enumerate(condition_params.values()):
-            index, nominal, _, is_practice = _schedule_columns(dataclasses.replace(
-                cfg, seed=_session_seed(master_seed, p_idx, c_idx, 0)
-            ))
-            observed = _observe(index, nominal, is_practice, params, demo,
-                                seed=_session_seed(master_seed, p_idx, c_idx, 1))
-            start = (p_idx * n_conditions + c_idx) * n
-            for column, values in zip(columns, observed):
-                column[start:start + n] = values
+            _observe(nominals[rows, c_idx], actuals[rows, c_idx],
+                     sensory[:rows.stop - first, c_idx], responses[rows, c_idx], params, demo)
     width = max(2, len(str(n_participants)))
     pids = np.array([f"p{p + 1:0{width}d}" for p in range(n_participants)])
     labels = np.array(list(condition_params))
     columns = (np.repeat(pids, n_conditions * n),
-               np.repeat(np.tile(labels, n_participants), n), *columns)
+               np.repeat(np.tile(labels, n_participants), n),
+               index, nominal, actual, response)
     for column in columns:
         column.flags.writeable = False  # so the table adopts it
     return Trials(*columns)

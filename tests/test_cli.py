@@ -78,6 +78,17 @@ class TestSimulateAnalyze:
             "error: outlier SD multiplier k must not be NaN, got nan\n")
         assert not outdir.exists()
 
+    @pytest.mark.parametrize("k", ["-1", "-10"])
+    def test_negative_k_rejected(self, tmp_path, capsys, k):
+        trials, outdir = tmp_path / "trials.csv", tmp_path / "analysis"
+        assert main(["simulate", "--seed", "1", "--participants", "4",
+                     "--out", str(trials)]) == 0
+        assert main(["analyze", "--in", str(trials), "--k", k,
+                     "--out", str(outdir)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: outlier SD multiplier k must be >= 0, got {float(k)}\n")
+        assert not outdir.exists()
+
     @pytest.mark.parametrize("conditions, message", [
         ("a,a", "duplicate condition labels in ['a', 'a']"),
         ("a,,b", "empty condition label"),
@@ -600,6 +611,26 @@ class TestCommandImports:
             "from lenrepro.cli import main\n"
             f"assert main({argv + ['--out', str(tmp_path / 'out')]!r}) == 0\n"
             "print('scipy' in sys.modules)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], cwd=pipeline_inputs,
+                              capture_output=True, text=True, env=_src_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--in", "trials.csv"],
+        ["fit", "--in", "analysis_out/conditions.csv", "--trials-per-stimulus", "6"],
+        ["curves", "--sigma-p", "1.5", "--wf-max", "0", "--ri-max", "0"],
+    ])
+    def test_only_schedule_and_simulate_load_the_simulator(self, pipeline_inputs,
+                                                           tmp_path, argv):
+        """``lenrepro`` resolves the simulator's classes on first access,
+        so a command that does not simulate never imports it."""
+        code = (
+            "import sys\n"
+            "from lenrepro.cli import main\n"
+            f"assert main({argv + ['--out', str(tmp_path / 'out')]!r}) == 0\n"
+            "print('lenrepro.simulate' in sys.modules)\n"
         )
         proc = subprocess.run([sys.executable, "-c", code], cwd=pipeline_inputs,
                               capture_output=True, text=True, env=_src_env())

@@ -1,5 +1,6 @@
 """Schedule generation and synthetic observer sessions."""
 import dataclasses
+import itertools
 import math
 import tracemalloc
 from collections import Counter
@@ -18,6 +19,8 @@ from lenrepro.simulate import (
     simulate_cohort,
     simulate_observer,
 )
+import lenrepro
+from lenrepro import simulate
 from lenrepro.records import Trials
 from lenrepro.simulate import _session_seed
 
@@ -159,21 +162,36 @@ class TestSimulateCohort:
         per_session = Counter((r.participant_id, r.condition) for r in recs)
         assert set(per_session.values()) == {66}
 
-    def test_matches_per_session_reference(self):
-        # labels of different widths, demonstrator noise and a short schedule
-        params = [("mechanical", self.PARAMS["mechanical"]), ("a", self.PARAMS["social"])]
-        cfg, demo = ScheduleConfig(num_lengths=3, reps=2), DemonstratorNoise(0.2)
-        sessions = [
-            simulate_observer(
-                generate_schedule(dataclasses.replace(cfg, seed=_session_seed(7, p, c, 0))),
-                obs, demo, seed=_session_seed(7, p, c, 1),
-                participant_id=f"p{p + 1:03d}", condition=label)
-            for p in range(101) for c, (label, obs) in enumerate(params)
-        ]
-        recs = simulate_cohort(101, params, cfg, demo, master_seed=7)
-        assert recs == Trials.concatenate(sessions)
-        assert [c.dtype.str for c in recs.columns[:2]] == ["<U4", "<U10"]
-        assert not any(c.flags.writeable for c in recs.columns)
+    # constant and Weber noise, a prior mean, prior sd and motor sd of its
+    # own per condition, and a response floor that clamps
+    MIXED = [
+        ("mechanical", ObserverParams(NoiseModel.weber(0.18), 10.0, 1.5, 1.2)),
+        ("a", ObserverParams(NoiseModel.constant(1.1), 7.0, 0.6, 0.4, response_floor=7.5)),
+        ("social", ObserverParams(NoiseModel.weber(0.3), 12.5, 3.0, 2.0, response_floor=2.0)),
+    ]
+
+    def test_matches_per_session_reference(self, monkeypatch):
+        # 101 participants fill no whole number of blocks, whether a block
+        # holds 1, 5 or 16 (one condition) participants, or all of them
+        for block_rows, params, demo_sd in itertools.product(
+                [1, 100, simulate._BLOCK_ROWS], [self.MIXED, self.MIXED[1:2]], [0.0, 0.2]):
+            monkeypatch.setattr(simulate, "_BLOCK_ROWS", block_rows)
+            cfg, demo = ScheduleConfig(num_lengths=3, reps=2), DemonstratorNoise(demo_sd)
+            sessions = [
+                simulate_observer(
+                    generate_schedule(dataclasses.replace(cfg, seed=_session_seed(7, p, c, 0))),
+                    obs, demo, seed=_session_seed(7, p, c, 1),
+                    participant_id=f"p{p + 1:03d}", condition=label)
+                for p in range(101) for c, (label, obs) in enumerate(params)
+            ]
+            recs = simulate_cohort(101, params, cfg, demo, master_seed=7)
+            assert recs == Trials.concatenate(sessions)
+            assert [c.dtype.str for c in recs.columns[:2]] == (
+                ["<U4", "<U10"] if len(params) == 3 else ["<U4", "<U1"])
+            assert not any(c.flags.writeable for c in recs.columns)
+            floor = recs.response[recs.condition == "a"] == 7.5
+            assert 0 < floor.sum() < floor.size  # the floor clamps some responses
+            assert (recs.actual_length != recs.nominal_length).any() == (demo_sd > 0)
 
     def test_peak_memory_is_about_one_table(self):
         simulate_cohort(1, self.PARAMS)  # first-call imports are not the table's
@@ -183,7 +201,12 @@ class TestSimulateCohort:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.5 * sum(c.nbytes for c in recs.columns)
+        assert peak <= 1.15 * sum(c.nbytes for c in recs.columns)  # 1.05 measured
+
+    def test_table_owns_its_columns(self):
+        # a view, say of np.tile, would make the table copy the column
+        recs = simulate_cohort(3, self.PARAMS, master_seed=2)
+        assert all(c.base is None for c in recs.columns)
 
     def test_sessions_use_distinct_streams(self):
         recs = simulate_cohort(2, self.PARAMS, master_seed=0)
@@ -213,3 +236,12 @@ class TestSimulateCohort:
         for params in ({"": self.PARAMS["social"]}, [("", self.PARAMS["social"])]):
             with pytest.raises(ConfigError, match="empty condition label"):
                 simulate_cohort(2, params)
+
+
+def test_package_resolves_the_simulator_names_on_access():
+    assert lenrepro.ObserverParams is ObserverParams
+    assert lenrepro.ScheduleConfig is ScheduleConfig
+    assert lenrepro.DemonstratorNoise is DemonstratorNoise
+    assert all(hasattr(lenrepro, name) for name in lenrepro.__all__)
+    with pytest.raises(AttributeError, match="has no attribute 'simulate_cohort'"):
+        lenrepro.simulate_cohort
