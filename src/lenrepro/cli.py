@@ -3,7 +3,7 @@
 Each option is one row of ``OPTIONS``. Precedence: flag > LENREPRO_<KEY>
 environment variable > --config file (flat JSON key/value) > default;
 ``simulate`` also reads ``<condition>.<observer key>`` keys from the file.
-Every CSV goes through ``records.write_csv`` (6-decimal floats, LF line
+Every CSV goes through a ``records`` writer (6-decimal floats, LF line
 ends), so reruns are byte-identical.
 """
 from __future__ import annotations
@@ -182,11 +182,11 @@ def cmd_simulate(cfg) -> int:
 
     # pairs, so that simulate_cohort rejects a label given twice
     params = [(c, _observer_params(cfg, c)) for c in cfg["conditions"].split(",")]
-    recs = simulate.simulate_cohort(
+    blocks = simulate.cohort_blocks(
         cfg["participants"], params, cfg=_schedule_config(cfg),
         demo=simulate.DemonstratorNoise(cfg["demo_sd"]), master_seed=cfg["seed"],
     )
-    records.write_trial_csv(recs, cfg["out"])
+    records.write_trial_csv(blocks, cfg["out"])
     return 0
 
 

@@ -1,15 +1,17 @@
-"""Trial table, and the one CSV writer for every table lenrepro writes.
+"""Trial table, and the CSV writers of every table lenrepro writes.
 
 The CSV format is bit-exact: UTF-8, ``.`` decimal separator, 6-decimal
 floats, LF line endings.  The trial CSV contract adds the header
 ``participant_id,condition,trial_index,nominal_length_cm,
-actual_length_cm,response_cm``.
+actual_length_cm,response_cm``.  :func:`write_csv` formats each row with
+``%``; :func:`write_trial_csv` builds the same text with numpy, equal to
+``"%s"``, ``"%d"`` and ``"%.6f"`` cell for cell.
 """
 from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass, fields
-from itertools import chain, islice, starmap
+from itertools import islice, starmap
 from pathlib import Path
 
 import numpy as np
@@ -147,9 +149,15 @@ def write_csv(path: str | Path, header: str, row_format: str, rows) -> None:
             fh.write(text.encode("utf-8"))
 
 
-def write_trial_csv(trials: Trials, path: str | Path) -> None:
-    """Write trials in the bit-exact trial CSV contract."""
-    chunks = (zip(*(c[start:start + _CHUNK_ROWS].tolist() for c in trials.columns))
-              for start in range(0, len(trials), _CHUNK_ROWS))
-    write_csv(path, ",".join(TRIAL_CSV_HEADER), "%s,%s,%d,%.6f,%.6f,%.6f",
-              chain.from_iterable(chunks))
+def write_trial_csv(trials, path: str | Path) -> None:
+    """Write a table, or the rows of an iterable of tables in turn, in the
+    bit-exact trial CSV contract: each row as ``"%s,%s,%d,%.6f,%.6f,%.6f" %
+    row``.  The text is built with numpy in blocks (see
+    :mod:`lenrepro.trialtext`); a cell whose ``%`` text that arithmetic
+    cannot match exactly (a float near a rounding tie or not finite, a
+    negative index, an id that is not ASCII or holds a NUL) is formatted by
+    ``%`` itself.  If a table fails to come, the partial file is removed.
+    """
+    from . import trialtext
+
+    trialtext.write(path, (trials,) if isinstance(trials, Trials) else trials)

@@ -3,13 +3,17 @@
 Randomness contract: all sampling uses numpy's PCG64 generator; per
 (participant, condition) substreams are derived with SeedSequence from
 (master_seed, participant_index, condition_index), so cohort output is
-independent of evaluation order.
+independent of evaluation order.  A cohort derives the generator states of
+a block of sessions in one pass of numpy's seeding arithmetic over arrays,
+each equal to the state of ``default_rng(_session_seed(...))``, and
+``lenrepro simulate`` streams the cohort to its file block by block.
 """
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -79,6 +83,8 @@ class ObserverParams:
     response_floor: float = 0.0
 
     def __post_init__(self):
+        for name in ("prior_mean", "prior_sd", "motor_sd", "response_floor"):
+            _check_finite(name, getattr(self, name))
         if self.noise.magnitude > 0 and not (self.prior_sd > 0):
             raise ConfigError("prior_sd must be > 0 when sensory noise is nonzero")
         if self.prior_sd < 0 or self.motor_sd < 0:
@@ -92,8 +98,14 @@ class DemonstratorNoise:
     sd: float = 0.0
 
     def __post_init__(self):
+        _check_finite("demonstrator sd", self.sd)
         if self.sd < 0:
             raise ConfigError("demonstrator sd must be >= 0")
+
+
+def _check_finite(name: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {value}")
 
 
 def _schedule_columns(cfg: ScheduleConfig) -> tuple:
@@ -161,12 +173,154 @@ def simulate_observer(
                   np.array(index, dtype=np.int64)[main], nominal, actual, response)
 
 
-_BLOCK_ROWS = 1 << 12  # rows of the table whose sensory draws are held at a time
+_BLOCK_ROWS = 1 << 12  # rows of a block of participants (one at least), simulated at a time
 
 
 def _session_seed(master_seed: int, p_idx: int, c_idx: int, stream: int) -> int:
     ss = np.random.SeedSequence([master_seed, p_idx, c_idx, stream])
     return int(ss.generate_state(1)[0])
+
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) and PCG64's
+# multiplier; NEP 19 pins the stream a given seed yields
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _words(n: int) -> list:
+    """The 32-bit words of a nonnegative int, low first, as SeedSequence
+    splits an int of entropy."""
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def _seed_sequence(entropy: list, n_words: int) -> list:
+    """``SeedSequence(entropy).generate_state(n_words)`` for many seeds at
+    once: each entry of ``entropy`` is a uint32 array with one lane per
+    seed, and so is each returned word."""
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ value >> np.uint32(16)
+
+    def mix(x, y):
+        result = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+        return result ^ result >> np.uint32(16)
+
+    zero = np.zeros_like(entropy[0])
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(4)]
+    for i_src, i_dst in itertools.permutations(range(4), 2):
+        pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    for word in entropy[4:]:
+        for i_dst in range(4):
+            pool[i_dst] = mix(pool[i_dst], hashmix(word))
+    hash_const, state = _INIT_B, []
+    for i in range(n_words):
+        value = pool[i % 4] ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * np.uint32(hash_const)
+        state.append(value ^ value >> np.uint32(16))
+    return state
+
+
+def _pcg64_states(seeds: np.ndarray) -> list:
+    """The (state, inc) pair that ``PCG64(seed)``, and so
+    ``default_rng(seed)``, starts from, for each uint32 seed: the seed's
+    SeedSequence gives a 128-bit initial state and sequence, and PCG64's
+    ``srandom`` steps them in."""
+    words = np.array(_seed_sequence([seeds], 8), np.uint64)
+    states = []
+    for s_hi, s_lo, i_hi, i_lo in zip(*(words[0::2] | words[1::2] << np.uint64(32)).tolist()):
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        states.append(((((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc) & _MASK128, inc))
+    return states
+
+
+class _Cohort:
+    """A validated cohort, simulated a block of participants at a time."""
+
+    def __init__(self, n_participants, condition_params, cfg, demo, master_seed):
+        if n_participants < 1:
+            raise ConfigError("n_participants must be >= 1")
+        if n_participants > 1 << 32:  # a participant index is one seed word
+            raise ConfigError("n_participants must be <= 2**32")
+        if not isinstance(master_seed, (int, np.integer)) or master_seed < 0:
+            raise ConfigError(f"master_seed must be a non-negative integer, got {master_seed!r}")
+        if not isinstance(condition_params, Mapping):
+            pairs = list(condition_params)
+            labels = [label for label, _ in pairs]
+            if len(set(labels)) != len(labels):
+                raise ConfigError(f"duplicate condition labels in {labels}")
+            condition_params = dict(pairs)
+        if not condition_params:
+            raise ConfigError("need at least one condition")
+        if "" in condition_params:
+            raise ConfigError("empty condition label")
+        self.demo = demo
+        self.params, self.labels = list(condition_params.values()), np.array(list(condition_params))
+        self.lengths = np.repeat(cfg.lengths, cfg.reps)  # the main trials, unshuffled
+        self.trial_index = np.arange(cfg.practice, cfg.practice + self.lengths.size)
+        self.block = max(1, _BLOCK_ROWS // (len(self.params) * self.lengths.size))
+        self.master_words = _words(int(master_seed))
+        self.width = max(2, len(str(n_participants)))
+        self.rng = np.random.Generator(np.random.PCG64(0))  # set to each session's state
+
+    def fill(self, first: int, nominal, actual, response, sensory) -> None:
+        """Simulate participants ``first, first + 1, ...`` into the
+        (participants, conditions, trials) arrays given, ``sensory`` as
+        scratch."""
+        n_block, n_conditions = nominal.shape[:2]
+        lanes = np.indices((n_block, n_conditions, 2), np.uint32).reshape(3, -1)
+        lanes[0] += np.uint32(first)
+        entropy = [np.full(lanes.shape[1], w, np.uint32) for w in self.master_words]
+        states = iter(_pcg64_states(_seed_sequence(entropy + list(lanes), 1)[0]))
+        state = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
+        bit_generator = self.rng.bit_generator
+        for p, c in itertools.product(range(n_block), range(n_conditions)):
+            nominal[p, c] = self.lengths
+            state["state"]["state"], state["state"]["inc"] = next(states)
+            bit_generator.state = state
+            self.rng.shuffle(nominal[p, c])
+            state["state"]["state"], state["state"]["inc"] = next(states)
+            bit_generator.state = state
+            for out in (actual[p, c], sensory[p, c], response[p, c]):
+                self.rng.standard_normal(out=out)
+        for c, params in enumerate(self.params):
+            _observe(nominal[:, c], actual[:, c], sensory[:, c], response[:, c], params, self.demo)
+
+    def ids(self, first: int, stop: int) -> tuple:
+        """The participant and condition columns of participants
+        ``first .. stop - 1``."""
+        pids = np.array([f"p{p + 1:0{self.width}d}" for p in range(first, stop)])
+        rows = len(self.labels) * self.lengths.size
+        return (np.repeat(pids, rows),
+                np.repeat(np.tile(self.labels, stop - first), self.lengths.size))
+
+    def table(self, first: int, stop: int) -> Trials:
+        """The table of participants ``first .. stop - 1``, simulated a
+        block at a time into columns that the table adopts."""
+        shape = (stop - first, len(self.params), self.lengths.size)
+        size = math.prod(shape)
+        index, nominal, actual, response = (np.empty(size, np.int64), np.empty(size),
+                                            np.empty(size), np.empty(size))
+        index.reshape(-1, shape[2])[:] = self.trial_index
+        columns = [c.reshape(shape) for c in (nominal, actual, response)]
+        sensory = np.empty((min(self.block, shape[0]), *shape[1:]))
+        for start in range(0, shape[0], self.block):
+            rows = [c[start:start + self.block] for c in columns]
+            self.fill(first + start, *rows, sensory[:len(rows[0])])
+        columns = (*self.ids(first, stop), index, nominal, actual, response)
+        for column in columns:
+            column.flags.writeable = False  # so the table adopts it
+        return Trials(*columns)
 
 
 def simulate_cohort(
@@ -182,7 +336,8 @@ def simulate_cohort(
     ``condition_params`` maps condition label -> ObserverParams; condition
     index follows insertion order.  Accepts a sequence of (label, params)
     pairs too, in which case duplicate labels are rejected.  An empty label
-    is rejected either way.  ``workers`` is ignored.
+    is rejected either way, and so is a master seed that is not a
+    non-negative integer.  ``workers`` is ignored.
 
     Substream contract: session (p, c) draws from two generators, seeded
     by ``_session_seed(master_seed, p, c, 0)`` for its schedule and
@@ -193,54 +348,30 @@ def simulate_cohort(
     lengths and the first-dot offsets, which the table does not hold, so
     they are not made.  The observer generator draws the demonstrator,
     sensory and motor noise, one standard normal per main trial each.
-    The arithmetic then runs once per condition over a block of
-    participants.
-    """
-    if n_participants < 1:
-        raise ConfigError("n_participants must be >= 1")
-    if not isinstance(condition_params, Mapping):
-        pairs = list(condition_params)
-        labels = [label for label, _ in pairs]
-        if len(set(labels)) != len(labels):
-            raise ConfigError(f"duplicate condition labels in {labels}")
-        condition_params = dict(pairs)
-    if not condition_params:
-        raise ConfigError("need at least one condition")
-    if "" in condition_params:
-        raise ConfigError("empty condition label")
 
+    The sessions run a block of participants at a time: one pass of numpy's
+    seeding arithmetic over arrays gives every generator state of the
+    block, each equal to that of ``default_rng(_session_seed(...))``, one
+    reused generator is set to each in turn for its draws, and the observer
+    arithmetic runs once per condition.  :func:`cohort_blocks` yields the
+    same rows block by block.
+    """
     # every session has the same main trials, so each fills the next n rows
     # of one table, which is checked once and adopts the columns it is given
-    n, n_conditions = cfg.num_lengths * cfg.reps, len(condition_params)
-    size = n_participants * n_conditions * n
-    index, nominal, actual, response = (np.empty(size, np.int64), np.empty(size),
-                                        np.empty(size), np.empty(size))
-    index.reshape(-1, n)[:] = np.arange(cfg.practice, cfg.practice + n)
-    lengths = np.repeat(cfg.lengths, cfg.reps)
-    shape = (n_participants, n_conditions, n)
-    nominals, actuals, responses = (c.reshape(shape) for c in (nominal, actual, response))
-    block = max(1, _BLOCK_ROWS // (n_conditions * n))  # participants at a time
-    sensory = np.empty((block, n_conditions, n))
-    for first in range(0, n_participants, block):
-        rows = slice(first, min(first + block, n_participants))
-        for p_idx, c_idx in itertools.product(range(rows.start, rows.stop),
-                                              range(n_conditions)):
-            nominals[p_idx, c_idx] = lengths
-            np.random.default_rng(_session_seed(master_seed, p_idx, c_idx, 0)).shuffle(
-                nominals[p_idx, c_idx])
-            rng = np.random.default_rng(_session_seed(master_seed, p_idx, c_idx, 1))
-            for out in (actuals[p_idx, c_idx], sensory[p_idx - first, c_idx],
-                        responses[p_idx, c_idx]):
-                rng.standard_normal(out=out)
-        for c_idx, params in enumerate(condition_params.values()):
-            _observe(nominals[rows, c_idx], actuals[rows, c_idx],
-                     sensory[:rows.stop - first, c_idx], responses[rows, c_idx], params, demo)
-    width = max(2, len(str(n_participants)))
-    pids = np.array([f"p{p + 1:0{width}d}" for p in range(n_participants)])
-    labels = np.array(list(condition_params))
-    columns = (np.repeat(pids, n_conditions * n),
-               np.repeat(np.tile(labels, n_participants), n),
-               index, nominal, actual, response)
-    for column in columns:
-        column.flags.writeable = False  # so the table adopts it
-    return Trials(*columns)
+    return _Cohort(n_participants, condition_params, cfg, demo, master_seed).table(
+        0, n_participants)
+
+
+def cohort_blocks(
+    n_participants: int,
+    condition_params: Mapping[str, ObserverParams],
+    cfg: ScheduleConfig = ScheduleConfig(),
+    demo: DemonstratorNoise = DemonstratorNoise(),
+    master_seed: int = 0,
+) -> Iterator[Trials]:
+    """The rows of :func:`simulate_cohort`, as one table per block of
+    participants, made as they are taken, so the whole table is never held.
+    The arguments are checked before this returns."""
+    cohort = _Cohort(n_participants, condition_params, cfg, demo, master_seed)
+    return (cohort.table(first, min(first + cohort.block, n_participants))
+            for first in range(0, n_participants, cohort.block))

@@ -1,0 +1,85 @@
+"""scripts/bench_pairs.py: the order of its runs and its verdicts, with
+perfbench's runs stubbed out."""
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
+
+
+@pytest.fixture
+def pairs(monkeypatch, tmp_path):
+    spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    calls = []
+
+    def fake_run(root, workload, seed, seconds):
+        calls.append((root.name, workload, seed, seconds))
+        # the change is 0.1 s faster, and every run 0.01 s slower than the
+        # one before it, so a drift of the machine shows in the spread
+        wall = 1.0 + 0.01 * len(calls) - (0.1 if root.name == "change" else 0.0)
+        return {"wall_s": wall, "peak_rss_mb": 40.0 + (0.1 if root.name == "change" else 0.0)}
+
+    monkeypatch.setattr(module, "run", fake_run)
+    for name in ("parent", "change"):
+        (tmp_path / name).mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+        {"name": "wall_s", "better": "lower", "bound": 0.25},
+        {"name": "peak_rss_mb", "better": "lower", "bound": 0.05}]}))
+    return module, calls, tmp_path
+
+
+def test_runs_alternate_and_verdicts(pairs, capsys):
+    module, calls, tmp_path = pairs
+    assert module.main(["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+                        "--workload", "cohort", "--pairs", "4", "--first-seed", "11",
+                        "--seconds", "8"]) == 0
+    assert calls == [("parent", "cohort", 11, 8.0), ("change", "cohort", 11, 8.0),
+                     ("change", "cohort", 12, 8.0), ("parent", "cohort", 12, 8.0),
+                     ("parent", "cohort", 13, 8.0), ("change", "cohort", 13, 8.0),
+                     ("change", "cohort", 14, 8.0), ("parent", "cohort", 14, 8.0)]
+    lines = capsys.readouterr().out.splitlines()
+    summary = json.loads(lines[-1])["metrics"]
+    wall, peak = summary["wall_s"], summary["peak_rss_mb"]
+    assert wall["values"]["parent"] == pytest.approx([1.01, 1.04, 1.05, 1.08])
+    assert wall["values"]["change"] == pytest.approx([0.92, 0.93, 0.96, 0.97])
+    assert (wall["wins"], wall["losses"], wall["pairs"]) == (4, 0, 4)
+    assert wall["parent"]["median"] == pytest.approx(1.045)
+    assert wall["gain"] == pytest.approx(0.1) and wall["gain_claimable"]
+    assert wall["worse_than_bound"] is False
+    assert (peak["wins"], peak["losses"]) == (0, 4)
+    assert not peak["gain_claimable"] and peak["worse_than_bound"] is True
+    assert lines[0].startswith("cohort wall_s: parent 1.0450") and "claimable" in lines[0]
+
+
+def test_gain_needs_nine_tenths_and_more_than_the_spread(pairs):
+    module, _, _ = pairs
+    # nine of ten won by a margin wider than the parent's spread
+    won = [(1.0 + 0.01 * k, 0.8) for k in range(9)] + [(1.0, 1.1)]
+    assert module.compare(won)["gain_claimable"]
+    # eight of ten, or ties, fall short
+    assert not module.compare(won[:8] + [(1.0, 1.0), (1.0, 1.1)])["gain_claimable"]
+    # every pair won, but by less than the parent's interquartile range
+    narrow = [(1.0 + 0.1 * k, 0.99 + 0.1 * k) for k in range(10)]
+    assert not module.compare(narrow)["gain_claimable"]
+    # when higher is better, the same pairs with the sides swapped are won
+    swapped = module.compare([(c, p) for p, c in won], better="higher")
+    assert (swapped["wins"], swapped["losses"]) == (9, 1) and swapped["gain_claimable"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--pairs", "1"],
+    ["--change", "parent"],
+])
+def test_bad_arguments_rejected(pairs, argv):
+    module, calls, tmp_path = pairs
+    base = {"--parent": str(tmp_path / "parent"), "--change": str(tmp_path / "change"),
+            "--workload": "cohort"}
+    for flag, value in zip(argv[::2], argv[1::2]):
+        base[flag] = str(tmp_path / value) if flag == "--change" else value
+    with pytest.raises(SystemExit):
+        module.main([x for kv in base.items() for x in kv])
+    assert calls == []

@@ -101,6 +101,42 @@ class TestSimulateAnalyze:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--seed", "-1"], "master_seed must be a non-negative integer, got -1"),
+        (["--motor-sd", "nan"], "motor_sd must be finite, got nan"),
+        (["--prior-mean", "nan"], "prior_mean must be finite, got nan"),
+        (["--prior-sd", "inf"], "prior_sd must be finite, got inf"),
+        (["--demo-sd", "nan"], "demonstrator sd must be finite, got nan"),
+        (["--demo-sd", "inf"], "demonstrator sd must be finite, got inf"),
+    ])
+    def test_bad_parameters_rejected_before_output(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "t.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["simulate", "--seed", "1", "--participants", "2", *flags,
+                       "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_failure_in_a_later_block_leaves_no_file(self, tmp_path, monkeypatch, capsys):
+        from lenrepro import simulate
+
+        table, calls = simulate._Cohort.table, []
+
+        def failing(self, first, stop):
+            calls.append(first)
+            if len(calls) == 2:
+                raise RuntimeError("second block")
+            return table(self, first, stop)
+
+        monkeypatch.setattr(simulate._Cohort, "table", failing)
+        out = tmp_path / "t.csv"
+        assert main(["simulate", "--seed", "1", "--participants", "45",
+                     "--conditions", "a,b,c", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: second block\n"
+        assert calls == [0, 20] and not out.exists()
+
 
 class TestFit:
     def test_fit_from_plain_summary(self, tmp_path):

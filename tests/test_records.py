@@ -1,10 +1,13 @@
 """The Trials table and the trial CSV format."""
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lenrepro import records
+from lenrepro import records, trialtext
 from lenrepro.records import TrialRow, Trials, write_csv, write_trial_csv
 
 
@@ -133,6 +136,7 @@ class TestTrials:
 
         write_csv(tmp_path / "rows_whole.csv", "s,i,x,y", "%s,%d,%.6f,%.6f", rows())
         monkeypatch.setattr(records, "_CHUNK_ROWS", chunk)
+        monkeypatch.setattr(trialtext, "BLOCK_ROWS", chunk)
         write_trial_csv(trials, chunked)
         assert chunked.read_bytes() == whole.read_bytes()
         assert whole.read_bytes().count(b"\n") == len(trials) + 1
@@ -151,3 +155,76 @@ class TestTrials:
         write_csv(tmp_path / "x.csv", "x", "%.6f", ((v,) for v in values))
         assert (tmp_path / "x.csv").read_text().splitlines()[1:] == list(
             map("{:.6f}".format, values))
+
+
+
+def _percent_text(trials):
+    """The trial CSV rows as ``%`` writes them, one row at a time."""
+    return "".join("%s,%s,%d,%.6f,%.6f,%.6f\n" % row for row in trials).encode("utf-8")
+
+
+_HEADER = (",".join(records.TRIAL_CSV_HEADER) + "\n").encode()
+# exact ties of %.6f and their neighbours, signed zeros, values that round
+# to a signed zero, and values at and past the exact integers of a float
+_EDGES = [0.0078125, 0.0234375, 5e-7, 2.5e-6, 0.1234565, 0.0, -0.0, -1e-9, -5e-7,
+          4.9999999e-7, 0.9999995, 1e9, 2.0 ** 53, 2.0 ** 53 / 1e6, 1e15, 1e300]
+_EDGES += [math.nextafter(x, d) for x in _EDGES for d in (-math.inf, math.inf)]
+_IDS = st.text(st.sampled_from("p0a_,\x00é€\U0001f600"), max_size=5)
+_INDEX = st.one_of(st.integers(-2 ** 63, 2 ** 63 - 1), st.integers(0, 200))
+
+
+def _floats(keep=lambda x: True, **kwargs):
+    return st.one_of(st.sampled_from([x for x in _EDGES if keep(x)]),
+                     st.floats(**kwargs), st.floats(0.001, 1e4).filter(keep))
+
+
+class TestTrialText:
+    """The numpy text of the trial CSV equals ``%`` for every value a table
+    can hold, and across the writer's block boundaries."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), block=st.sampled_from([1, 2, 5]), extra=st.sampled_from([-1, 0, 1]))
+    def test_matches_percent_format(self, tmp_path_factory, data, block, extra):
+        n = max(1, block + extra)  # a block less one row, a block, and one more
+
+        def column(values):
+            return data.draw(st.lists(values, min_size=n, max_size=n))
+
+        trials = Trials(column(_IDS), column(_IDS), column(_INDEX),
+                        column(_floats()),  # NaN and infinite nominals too
+                        column(_floats(lambda x: x > 0, min_value=0.0, exclude_min=True)),
+                        column(_floats(allow_nan=False, allow_infinity=False)))
+        path = tmp_path_factory.mktemp("text") / "t.csv"
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(trialtext, "BLOCK_ROWS", block)
+            write_trial_csv(trials, path)
+        assert path.read_bytes() == _HEADER + _percent_text(trials)
+
+    def test_cells_outside_the_exact_domain(self):
+        values = [0.0078125, -0.0078125, 2.0 ** 53, float("nan"), float("-inf"), -1e-9, -0.0]
+        n = len(values)
+        trials = Trials(["p1", "é", "a\x00b", "p1", "ab\x00", "\x00", "€"], ["c"] * n,
+                        [-1, 2 ** 63 - 1, -2 ** 63, 0, 9, 10, 5], values, [1.0] * n,
+                        [0.5] * n)
+        assert trialtext.rows_text(trials.columns) == _percent_text(trials)
+        assert b"a\x00b," in _percent_text(trials)
+        assert b",0.007812," in _percent_text(trials)  # the tie rounds to even
+
+    def test_tables_in_turn(self, tmp_path):
+        trials = Trials.concatenate([_table(trial_index=[2 * i, 2 * i + 1]) for i in range(3)])
+        whole, parts = tmp_path / "whole.csv", tmp_path / "parts.csv"
+        write_trial_csv(trials, whole)
+        write_trial_csv(iter([trials[:1], trials[1:4], trials[4:4], trials[4:]]), parts)
+        assert parts.read_bytes() == whole.read_bytes() == _HEADER + _percent_text(trials)
+        write_trial_csv(iter(()), parts)
+        assert parts.read_bytes() == _HEADER
+
+    def test_failed_table_leaves_no_file(self, tmp_path):
+        def tables():
+            yield _table()
+            raise RuntimeError("second table")
+
+        path = tmp_path / "t.csv"
+        with pytest.raises(RuntimeError, match="second table"):
+            write_trial_csv(tables(), path)
+        assert not path.exists()
