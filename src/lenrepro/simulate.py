@@ -283,16 +283,17 @@ class _Cohort:
         entropy = [np.full(lanes.shape[1], w, np.uint32) for w in self.master_words]
         states = iter(_pcg64_states(_seed_sequence(entropy + list(lanes), 1)[0]))
         state = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
-        bit_generator = self.rng.bit_generator
+        bit_generator, shuffle, normal = (self.rng.bit_generator, self.rng.shuffle,
+                                          self.rng.standard_normal)
         for p, c in itertools.product(range(n_block), range(n_conditions)):
             nominal[p, c] = self.lengths
             state["state"]["state"], state["state"]["inc"] = next(states)
             bit_generator.state = state
-            self.rng.shuffle(nominal[p, c])
+            shuffle(nominal[p, c])
             state["state"]["state"], state["state"]["inc"] = next(states)
             bit_generator.state = state
             for out in (actual[p, c], sensory[p, c], response[p, c]):
-                self.rng.standard_normal(out=out)
+                normal(out=out)
         for c, params in enumerate(self.params):
             _observe(nominal[:, c], actual[:, c], sensory[:, c], response[:, c], params, self.demo)
 

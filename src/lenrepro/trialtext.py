@@ -80,19 +80,20 @@ def rows_text(columns) -> bytes:
     text[-1] = ord("\n")
     for k, codes in enumerate(ids):
         text[begins[k]:ends[k] - 1] = codes.T
+    bad_ids = [_bad_ids(codes, text[begins[k]:ends[k] - 1]) for k, codes in enumerate(ids)]
     _put_digits(index, text[begins[2]:ends[2] - 1])
     f = text[begins[3]:].reshape(3, whole_width + 9, n)  # sign, digits, '.', fraction, ','
     np.multiply(np.signbit(floats), ord("-"), out=f[:, 0], casting="unsafe")
     _put_digits(whole, f[:, 1:whole_width + 1])
     f[:, whole_width + 1] = ord(".")
-    _put_digits(fraction.astype(np.int32), f[:, whole_width + 2:-1], leading_zeros=True)
+    _put_digits(fraction.astype(np.uint32), f[:, whole_width + 2:-1], leading_zeros=True)
 
-    bad = sorted([(row, k) for k, codes in enumerate(ids) for row in _bad_ids(codes)]
+    bad = sorted([(row, k) for k, rows in enumerate(bad_ids) for row in rows]
                  + [(row, 2) for row in np.flatnonzero(bad_index)]
                  + [(row, 3 + k) for k, row in zip(*np.nonzero(bad_float))])
     for row, k in bad:
         text[begins[k]:ends[k] - 1, row] = 0
-    data = text.T.tobytes().replace(b"\0", b"")
+    data = text.T.tobytes().translate(None, b"\0")
     if not bad:
         return data
     # put each cell that % formats where its slots would have been
@@ -115,21 +116,25 @@ def _put_digits(values: np.ndarray, out: np.ndarray, leading_zeros: bool = False
     slots ``out`` (..., width, n), right-aligned, two at a time.  Unless
     ``leading_zeros``, the slots of leading zeros get NUL (a zero keeps its
     last digit)."""
-    width = out.shape[-2]
-    for j, slot in enumerate(range(width - 1, -1, -2)):
-        pair = values // 100 ** j % 100 if j else values % 100
-        out[..., slot, :] = _ONES[pair]
+    width, rest = out.shape[-2], values
+    for slot in range(width - 1, -1, -2):
+        quotient = rest // 100
+        pair = rest - quotient * 100
+        # a pair is 0..99, so "clip" never clips; it writes without a buffer
+        np.take(_ONES, pair, out=out[..., slot, :], mode="clip")
         if slot:
-            out[..., slot - 1, :] = _TENS[pair]
+            np.take(_TENS, pair, out=out[..., slot - 1, :], mode="clip")
+        rest = quotient
     for slot in range(0 if leading_zeros else width - 1):
         out[..., slot, :] *= values >= 10 ** (width - 1 - slot)
 
 
-def _bad_ids(codes: np.ndarray) -> np.ndarray:
-    """Rows of UCS-4 ``codes`` that are not ASCII or hold a NUL before a
-    later character."""
-    filled = codes != 0
-    gap = filled[:, 1:] > filled[:, :-1]
+def _bad_ids(codes: np.ndarray, chars: np.ndarray) -> np.ndarray:
+    """Rows of UCS-4 ``codes`` (rows, width) that are not ASCII or hold a NUL
+    before a later character, given their low bytes as slots ``chars``
+    (width, rows)."""
+    filled = chars != 0
+    gap = filled[1:] > filled[:-1]
     if codes.max(initial=0) < 128 and not gap.any():
         return np.empty(0, np.intp)
-    return np.flatnonzero((codes > 127).any(axis=1) | gap.any(axis=1))
+    return np.flatnonzero((codes > 127).any(axis=1) | gap.any(axis=0))
