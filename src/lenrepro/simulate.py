@@ -308,6 +308,8 @@ class _Cohort:
     def table(self, first: int, stop: int) -> Trials:
         """The table of participants ``first .. stop - 1``, simulated a
         block at a time into columns that the table adopts."""
+        # every session has the same main trials, so each fills the next n
+        # rows of one table, which is checked once and adopts its columns
         shape = (stop - first, len(self.params), self.lengths.size)
         size = math.prod(shape)
         index, nominal, actual, response = (np.empty(size, np.int64), np.empty(size),
@@ -357,8 +359,6 @@ def simulate_cohort(
     arithmetic runs once per condition.  :func:`cohort_blocks` yields the
     same rows block by block.
     """
-    # every session has the same main trials, so each fills the next n rows
-    # of one table, which is checked once and adopts the columns it is given
     return _Cohort(n_participants, condition_params, cfg, demo, master_seed).table(
         0, n_participants)
 
