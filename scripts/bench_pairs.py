@@ -15,12 +15,20 @@ tenths of the pairs and the medians differ by more than the parent's
 interquartile range) and whether the change's median is worse than the
 parent's by more than the metric's bound in ``BENCHMARK.json``.  The last
 line of output is the same summary as one JSON object.
+
+With ``--control`` in place of ``--change``, the parent is copied to a
+sibling path of the same length and run against that copy, with the same
+summary.  The two sides run the same code, so what this A/A control reads
+is the floor that placement and drift set, to read a claimed gain against.
+The copy is removed afterwards.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import statistics
+import string
 import subprocess
 import sys
 from pathlib import Path
@@ -80,10 +88,24 @@ def spec(root: Path) -> dict:
     return {m["name"]: m for m in json.loads(path.read_text(encoding="utf-8"))["end_to_end"]}
 
 
+def control_copy(parent: Path) -> Path:
+    """A copy of the checkout ``parent`` at a free sibling path of the same
+    length, without the results of earlier benchmark runs."""
+    for last in string.digits + string.ascii_lowercase:
+        copy = parent.with_name(parent.name[:-1] + last)
+        if not copy.exists():
+            shutil.copytree(parent, copy, symlinks=True,
+                            ignore=shutil.ignore_patterns(".perfbench_work"))
+            return copy
+    raise SystemExit(f"no free sibling path of the same length as {parent}")
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--parent", type=Path, required=True, help="the parent's checkout")
-    p.add_argument("--change", type=Path, required=True, help="the change's checkout")
+    p.add_argument("--change", type=Path, help="the change's checkout")
+    p.add_argument("--control", action="store_true",
+                   help="run the parent against a copy of itself instead of a change")
     p.add_argument("--workload", required=True, help="a workload of perfbench/run.py")
     p.add_argument("--pairs", type=int, default=10, help="pairs of runs (default: 10)")
     p.add_argument("--first-seed", type=int, default=1,
@@ -93,12 +115,20 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
     if args.pairs < 2:
         p.error("--pairs must be at least 2")
-    parent, change = args.parent.resolve(), args.change.resolve()
-    if parent == change:
+    if args.control == (args.change is not None):
+        p.error("give one of --change and --control")
+    parent = args.parent.resolve()
+    if args.change is not None and args.change.resolve() == parent:
         p.error("--parent and --change must be different checkouts")
 
-    results = pairs(parent, change, args.workload, args.pairs, args.first_seed, args.seconds)
+    change = control_copy(parent) if args.control else args.change.resolve()
     metrics = spec(change)
+    try:
+        results = pairs(parent, change, args.workload, args.pairs, args.first_seed,
+                        args.seconds)
+    finally:
+        if args.control:
+            shutil.rmtree(change)
     summary = {}
     for name in results[0][0]:
         m = metrics.get(name, {})
@@ -114,7 +144,7 @@ def main(argv=None) -> int:
                  f", {'WORSE' if s['worse_than_bound'] else 'not worse'} than bound "
                  f"{m['bound']}"))
     print(json.dumps({"workload": args.workload, "first_seed": args.first_seed,
-                      "metrics": summary}, sort_keys=True))
+                      "control": args.control, "metrics": summary}, sort_keys=True))
     return 0
 
 

@@ -6,6 +6,15 @@ of columns (:class:`SessionTable`) and the condition statistics and
 contrasts computed from it.  Only the per-session functions
 (``analyze_session`` and the three steps it chains) build result objects.
 
+Memory: above its table, ``summarize_cohort`` holds one row-sized index
+array: the order of the sessions' rows, which sorting each session's rows
+by nominal length turns into the order of the stimulus groups, in place
+when the sessions are all of one length.  The debiased responses are never stored: each block of rows adds its
+session's shift as it is gathered.  Every other array has a value per
+session or per stimulus group, or a block of at most ``_BLOCK_SIZE``
+values.  On the seed-1 ``cohort`` file it peaks at 0.27 times the table
+above it, and ``ingest`` at 1.11 times the table.
+
 Conventions (documented choices):
   * per-stimulus CV uses the population sd (divide by N);
   * the regression index is fitted on trial-level points;
@@ -179,6 +188,10 @@ _PRINTABLE = bytes(range(0x20, 0x7F)).replace(b'"', b"")
 
 
 _SCAN_CHUNK = 1 << 15  # characters the contract scan and parse read at a time
+# values of a column that _Segments and the duplicate-key check of the
+# contract parse compare or reduce at a time; blocks of 2**14 raised the
+# traced peak of summarize_cohort on the seed-1 cohort by 0.25 MiB
+_BLOCK_SIZE = 1 << 13
 
 
 def _blocks(fh, chunk: int):
@@ -276,15 +289,17 @@ def _parse_contract(fh, start) -> Trials | None:
     for column in columns:
         column.flags.writeable = False  # so the table adopts it
     trials = Trials(*columns)
-    # sorted by key, a repeated key sits next to itself; compare the ids
-    # only where the trial indices of two neighbours are equal
+    # sorted by key, a repeated key sits next to itself; compare a block of
+    # neighbours at a time, and the ids only where their trial indices match
     order = np.lexsort((trials.trial_index, trials.condition, trials.participant_id))
-    first, second = order[:-1], order[1:]
-    same = trials.trial_index[first] == trials.trial_index[second]
-    first, second = first[same], second[same]
-    if np.any((trials.participant_id[first] == trials.participant_id[second])
-              & (trials.condition[first] == trials.condition[second])):
-        return None
+    for i in range(1, order.size, _BLOCK_SIZE):
+        rows = order[i - 1:i + _BLOCK_SIZE]
+        index = trials.trial_index[rows]
+        same = np.flatnonzero(index[1:] == index[:-1])
+        first, second = rows[same], rows[same + 1]
+        if np.any((trials.participant_id[first] == trials.participant_id[second])
+                  & (trials.condition[first] == trials.condition[second])):
+            return None
     return trials
 
 
@@ -348,10 +363,6 @@ def _read_cells(source) -> Trials:
     return Trials(*columns)
 
 
-# values of a column that _Segments compares or reduces at a time
-_BLOCK_SIZE = 1 << 14
-
-
 class _Segments:
     """Rows grouped by equal values of the key columns: groups in key order,
     the last key primary as in ``np.lexsort``, the rows of each in table
@@ -370,6 +381,36 @@ class _Segments:
         order = np.lexsort(keys)
         new = np.zeros(order.size, bool)  # whether a sorted row starts a group
         new[:1] = True
+        self._split(order, new, keys)
+
+    @classmethod
+    def within(cls, outer: _Segments, key) -> _Segments:
+        """The groups of ``_Segments(key, outer.labels())``: each group of
+        ``outer`` split by equal values of ``key``, without a label or a
+        sort of the whole table.  The rows of each group of ``outer``, in
+        table order, are sorted stably by ``key`` a block of groups at a
+        time, into that group's place in the order.
+
+        ``outer`` is spent: when its groups are all of one length, their
+        rows are its order, and that is sorted in place and reused.
+        """
+        size = outer.lengths.sum()
+        order = (outer.buckets[0][1].reshape(-1) if len(outer.buckets) == 1
+                 else np.empty(size, np.intp))
+        new = np.zeros(size, bool)
+        starts = np.cumsum(outer.lengths) - outer.lengths  # of each outer group
+        new[starts] = True
+        for groups, rows in outer.blocks():
+            place = starts[groups, None] + np.arange(rows.shape[1])
+            order[place] = np.take_along_axis(
+                rows, np.argsort(key[rows], axis=1, kind="stable"), axis=1)
+        segments = cls.__new__(cls)
+        segments._split(order, new, (key,))
+        return segments
+
+    def _split(self, order, new, keys) -> None:
+        """Group the rows of ``order``, which sorts ``keys``, where ``new``
+        or a change of a key starts a group."""
         # a block of sorted values at a time, not a sorted copy of a key
         for key in keys:
             for i in range(1, order.size, _BLOCK_SIZE):
@@ -399,20 +440,30 @@ class _Segments:
             label[rows] = groups[:, None]
         return label
 
-    def reduce(self, fn, *columns) -> list:
-        """Apply ``fn`` to each bucket's (m, k) blocks of ``columns``, at
-        most ``_BLOCK_SIZE`` values a block.  It returns arrays of m values,
-        one per group of the block; each output is gathered into one array
-        indexed by group number."""
-        out = None
+    def blocks(self):
+        """Each bucket's group numbers and (m, k) rows, in blocks of at
+        most ``_BLOCK_SIZE`` values, or of one group when it is longer."""
         for groups, rows in self.buckets:
             m = max(1, _BLOCK_SIZE // rows.shape[1])
             for i in range(0, groups.size, m):
-                values = fn(*(column[rows[i:i + m]] for column in columns))
-                if out is None:
-                    out = [np.empty(len(self), v.dtype) for v in values]
-                for o, v in zip(out, values):
-                    o[groups[i:i + m]] = v
+                yield groups[i:i + m], rows[i:i + m]
+
+    def reduce(self, fn, *columns, shift=None) -> list:
+        """Apply ``fn`` to the (m, k) blocks of ``columns`` of :meth:`blocks`.
+        ``shift``, one value per group, is added to each group's values of
+        the last column first, so the shifted column is never stored whole.
+        ``fn`` returns arrays of m values, one per group of the block; each
+        output is gathered into one array indexed by group number."""
+        out = None
+        for groups, rows in self.blocks():
+            blocks = [column[rows] for column in columns]
+            if shift is not None:
+                blocks[-1] += shift[groups, None]
+            values = fn(*blocks)
+            if out is None:
+                out = [np.empty(len(self), v.dtype) for v in values]
+            for o, v in zip(out, values):
+                o[groups] = v
         return out
 
 
@@ -422,28 +473,33 @@ def _means(*blocks) -> list:
 
 def _sessions(trials: Trials, sessions: _Segments | None = None) -> tuple:
     """The sessions of the table, or the whole table as one session when
-    ``sessions`` is None; the session number of each row; and the mean
-    actual length of each session."""
+    ``sessions`` is None, and the mean actual length of each session."""
     if sessions is None:
         if not len(trials):
             raise DegenerateDataError("empty session")
         sessions = _Segments(np.zeros(len(trials), np.intp))
     s_bar, = sessions.reduce(_means, trials.actual_length)
-    return sessions, sessions.labels(), s_bar
+    return sessions, s_bar
 
 
-def _debiased(trials: Trials, sessions: _Segments, label, s_bar) -> np.ndarray:
-    """Responses shifted so that each session's mean response is its mean
-    actual length ``s_bar``; ``label`` is the session of each row."""
+def _shift(trials: Trials, sessions: _Segments, s_bar) -> np.ndarray:
+    """What debiasing adds to each response of a session: its mean actual
+    length ``s_bar`` less its mean response."""
     mean_response, = sessions.reduce(_means, trials.response)
-    shift = (s_bar - mean_response)[label]
-    return np.add(trials.response, shift, out=shift)
+    return s_bar - mean_response
 
 
-def _fit_lines(segments: _Segments, x, y) -> list:
-    """OLS of y on x within each segment: (slope, intercept, r_squared,
-    denominator) arrays.  A zero denominator marks a constant x, which
-    the callers reject."""
+def _first_nonfinite(values) -> tuple:
+    """Per row of a block: whether a value is not finite, and the first
+    such value."""
+    bad = ~np.isfinite(values)
+    return bad.any(axis=1), values[np.arange(len(values)), bad.argmax(axis=1)]
+
+
+def _fit_lines(segments: _Segments, x, y, shift=None) -> list:
+    """OLS of y (plus ``shift`` per segment) on x within each segment:
+    (slope, intercept, r_squared, denominator) arrays.  A zero denominator
+    marks a constant x, which the callers reject."""
 
     def fit(x, y):
         x_mean = x.mean(axis=1, keepdims=True)
@@ -460,47 +516,49 @@ def _fit_lines(segments: _Segments, x, y) -> list:
             r2 = np.where(ss_tot > 0, 1.0 - np.sum(resid**2, axis=1) / ss_tot, 0.0)
         return slope, intercept, r2, denom
 
-    return segments.reduce(fit, x, y)
+    return segments.reduce(fit, x, y, shift=shift)
 
 
-def _stimulus_groups(trials: Trials, label, response):
-    """The stimulus groups of each session (``label`` per row), by ascending
-    nominal length.
+def _stimulus_groups(trials: Trials, sessions: _Segments) -> tuple:
+    """The stimulus groups of each of ``sessions``, by ascending nominal
+    length, and the session of each group.  ``sessions`` is spent (see
+    :meth:`_Segments.within`)."""
+    groups = _Segments.within(sessions, trials.nominal_length)
+    # a group's session is the first whose rows end at or after the group's
+    return groups, np.searchsorted(np.cumsum(sessions.lengths), np.cumsum(groups.lengths))
 
-    Returns the runs of groups of each session, and per group its
+
+def _group_means(trials: Trials, groups: _Segments, shift=None) -> tuple:
+    """Per stimulus group, with the responses plus ``shift`` per group: its
     nominal, mean actual length, mean response, population sd of the
-    responses and number of trials.
-    """
-    groups = _Segments(trials.nominal_length, label)
-    first = groups.first_rows
-    nominal = trials.nominal_length[first]
+    responses and number of trials."""
     mean_actual, mean_response, sd = groups.reduce(
         lambda actual, resp: (*_means(actual, resp), resp.std(axis=1)),
-        trials.actual_length, response,
+        trials.actual_length, trials.response, shift=shift,
     )
-    runs = _Segments(label[first])
-    return runs, nominal, mean_actual, mean_response, sd, groups.lengths
+    return (trials.nominal_length[groups.first_rows], mean_actual, mean_response, sd,
+            groups.lengths)
 
 
 _hypot = np.frompyfunc(math.hypot, 2, 1)
 
 
-def _group_errors(trials: Trials, label, s_bar, response) -> tuple:
-    """Normalized errors of the stimulus groups of each session (``label``
-    per row, ``s_bar`` its mean actual length) with these responses.
+def _group_errors(per_group: tuple, session, s_bar) -> tuple:
+    """Normalized errors of the stimulus groups of :func:`_group_means`, with
+    ``session`` the session of each group and ``s_bar`` its mean actual
+    length.
 
-    Returns the :class:`StimulusErrors` fields per group, the number of
-    groups of each session, and each session's mean bias, cv and rmse over
-    its groups.
+    Returns the :class:`StimulusErrors` fields per group, and each
+    session's mean bias, cv and rmse over its groups.
     """
-    runs, nominal, s_mi, r_mi, sd, n = _stimulus_groups(trials, label, response)
-    s_bar_of_group = np.repeat(s_bar, runs.lengths)
+    nominal, s_mi, r_mi, sd, n = per_group
+    s_bar_of_group = s_bar[session]
     bias = np.abs(r_mi - s_mi) / s_bar_of_group
     cv = sd / s_bar_of_group  # exactly 0 for a single trial
     # math.hypot, one value at a time instead of through lists of them
     rmse = _hypot(bias, cv).astype(float)
-    return ((nominal, s_mi, r_mi, bias, cv, rmse, n), runs.lengths,
-            runs.reduce(_means, bias, cv, rmse))
+    return ((nominal, s_mi, r_mi, bias, cv, rmse, n),
+            _Segments(session).reduce(_means, bias, cv, rmse))
 
 
 def _warn_singletons(nominals) -> None:
@@ -512,16 +570,17 @@ def debias_session(trials: Trials) -> Trials:
     """Remove the constant response offset of one participant+condition:
     response' = response - mean(responses) + mean(actual stimuli).
     """
-    sessions, label, s_bar = _sessions(trials)
-    response = _debiased(trials, sessions, label, s_bar)
+    sessions, s_bar = _sessions(trials)
+    response = trials.response + _shift(trials, sessions, s_bar)  # of the one session
     response.flags.writeable = False  # fresh, so the table adopts it
     return Trials(*trials.columns[:-1], response)
 
 
 def _decomposition(trials: Trials) -> ErrorDecomposition:
     """:func:`per_stimulus_errors` without its warning."""
-    _, label, s_bar = _sessions(trials)
-    per_group, _, means = _group_errors(trials, label, s_bar, trials.response)
+    sessions, s_bar = _sessions(trials)
+    groups, session = _stimulus_groups(trials, sessions)
+    per_group, means = _group_errors(_group_means(trials, groups), session, s_bar)
     groups = tuple(map(StimulusErrors, *(column.tolist() for column in per_group)))
     return ErrorDecomposition(groups, *(m.item() for m in means), s_bar.item(),
                               tuple(g.nominal for g in groups if g.n == 1))
@@ -546,10 +605,12 @@ def fit_regression_index(trials: Trials, per_group: bool = False) -> RegressionF
     Fits trial-level points by default; ``per_group=True`` fits the
     per-stimulus mean points instead, in ascending nominal order.
     """
-    segments, label, _ = _sessions(trials)
+    segments, _ = _sessions(trials)
     x, y = trials.actual_length, trials.response
     if per_group:
-        segments, _, x, y, _, _ = _stimulus_groups(trials, label, y)
+        groups, session = _stimulus_groups(trials, segments)
+        _, x, y, _, _ = _group_means(trials, groups)
+        segments = _Segments(session)
     slope, intercept, r2, denom = (v.item() for v in _fit_lines(segments, x, y))
     if denom == 0:
         raise DegenerateDataError("all stimulus values identical")
@@ -609,30 +670,31 @@ def _session_columns(trials: Trials) -> tuple:
     sessions would raise them: the singleton-group warnings of the
     sessions before the first one that cannot be analyzed, each pointing
     at the caller of :func:`summarize_cohort`, then that session's error
-    (a non-finite debiased response before a constant stimulus).  Each
-    row-sized array is dropped once it is used.
+    (a non-finite debiased response before a constant stimulus).
     """
     sessions = _Segments(trials.condition, trials.participant_id)
     n_sessions = len(sessions)
     (participants, pid), (conditions, cond) = (
         _numbered(ids[sessions.first_rows])
         for ids in (trials.participant_id, trials.condition))
-    label, s_bar = _sessions(trials, sessions)[1:]
-    response = _debiased(trials, sessions, label, s_bar)
+    s_bar = _sessions(trials, sessions)[1]
+    shift = _shift(trials, sessions, s_bar)
     with np.errstate(invalid="ignore"):  # a non-finite response raises
-        slope, intercept, r2, denom = _fit_lines(sessions, trials.actual_length, response)
-        del sessions
-        (nominal, *_, n), run_lengths, errors = _group_errors(trials, label, s_bar, response)
-    nonfinite = np.flatnonzero(~np.isfinite(response))
-    failed = np.concatenate([label[nonfinite], np.flatnonzero(denom == 0)])
+        slope, intercept, r2, denom = _fit_lines(
+            sessions, trials.actual_length, trials.response, shift)
+        nonfinite, bad = sessions.reduce(_first_nonfinite, trials.response, shift=shift)
+        groups, session = _stimulus_groups(trials, sessions)
+        del sessions  # spent: its rows may be the order of the groups
+        per_group = _group_means(trials, groups, shift[session])
+        del groups
+        (nominal, *_, n), errors = _group_errors(per_group, session, s_bar)
+    failed = np.flatnonzero(nonfinite | (denom == 0))
     stop = failed.min(initial=n_sessions)
-    session = np.repeat(np.arange(n_sessions), run_lengths)  # of each group
     single = np.flatnonzero((n == 1) & (session < stop))
     for nominals in np.split(nominal[single], np.flatnonzero(np.diff(session[single])) + 1):
         _warn_singletons(nominals.tolist())
-    bad = response[nonfinite[label[nonfinite] == stop]]
-    if bad.size:
-        raise ValueError(f"response must be finite, got {bad[0].item()}")
+    if failed.size and nonfinite[stop]:
+        raise ValueError(f"response must be finite, got {bad[stop].item()}")
     if failed.size:
         raise DegenerateDataError("all stimulus values identical")
     return participants, conditions, pid, cond, slope, intercept, r2, *errors
@@ -662,6 +724,10 @@ def summarize_cohort(trials: Trials, k: float = 2.5) -> CohortSummary:
     rows = np.full((participants.size, conditions.size), -1)
     rows[pid[kept], cond[kept]] = np.flatnonzero(kept)
     names = conditions.tolist()
+    emptied = [name for c, name in enumerate(names) if not (rows[:, c] >= 0).any()]
+    if emptied:
+        _warn(f"outlier screening at k = {k} keeps no session of condition(s) "
+              f"{', '.join(emptied)}; their statistics are nan")
 
     def group_stats(values):
         return GroupStats(values.size, float(values.mean()) if values.size else math.nan,
@@ -696,6 +762,9 @@ def render_report(summary: CohortSummary) -> str:
     if summary.excluded:
         for pid in sorted(summary.excluded):
             lines.append(f"{pid}: {summary.excluded[pid]}")
+        for cond in sorted(summary.condition_stats):
+            if not summary.condition_stats[cond]["regression_index"].n:
+                lines.append(f"condition {cond}: no session kept")
     else:
         lines.append("none")
     lines.append("")

@@ -69,8 +69,11 @@ def _warn(message: str) -> None:
 
 
 def _check_noise(mode: NoiseMode, magnitude) -> None:
-    """Reject negative noise magnitudes; warn on unusual Weber fractions."""
+    """Reject negative, NaN or infinite noise magnitudes; warn on unusual
+    Weber fractions."""
     _check_nonnegative("magnitude", magnitude)
+    if np.isinf(magnitude).any():  # an infinite sd would simulate only NaNs
+        raise ValueError("magnitude must be finite, got inf")
     high = np.asarray(magnitude)[np.asarray(magnitude) > WEBER_SWEEP_MAX]
     if mode is NoiseMode.WEBER and high.size:
         _warn(f"Weber fraction {high[0].item()} is outside the usual "

@@ -428,7 +428,23 @@ class TestIngestMemory:
             tracemalloc.stop()
         with open(path) as fh:
             assert _parse_contract(fh, 0) is not None  # the C reader's path
-        assert peak <= 1.39 * sum(c.nbytes for c in trials.columns)  # 1.29 measured
+        assert peak <= 1.27 * sum(c.nbytes for c in trials.columns)  # 1.18 measured
+
+
+class TestSummarizeMemory:
+    def test_peaks_at_a_fraction_of_its_table(self):
+        params = {c: ObserverParams(NoiseModel.weber(0.15), 10.0, 1.5, 1.2)
+                  for c in ("individual", "mechanical", "social")}
+        summarize_cohort(simulate_cohort(3, params))  # first-call imports are not the summary's
+        trials = simulate_cohort(400, params, master_seed=1)
+        tracemalloc.start()
+        try:
+            summarize_cohort(trials)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # no row-sized label, second sort or debiased column is held
+        assert peak <= 0.30 * sum(c.nbytes for c in trials.columns)  # 0.274 measured
 
 
 class TestIngestWarningState:
@@ -842,6 +858,34 @@ class TestSegments:
             assert [groups[g] for g in numbers.tolist()] == rows.tolist()
 
 
+    @pytest.mark.parametrize("block", [3, analysis._BLOCK_SIZE])
+    @pytest.mark.parametrize("seed", range(24))
+    def test_within_matches_grouping_by_label(self, monkeypatch, seed, block):
+        rng = np.random.default_rng(seed)
+        n_sessions = 1 if seed % 6 == 0 else int(rng.integers(2, 9))
+        if seed % 3 == 1:  # sessions all of one length, whose order is reused
+            lengths = np.full(n_sessions, int(rng.integers(1, 13)))
+        else:  # unequal lengths, down to a single trial
+            lengths = rng.integers(1, 13, n_sessions)
+        session = np.repeat(np.arange(n_sessions), lengths)
+        if seed % 2:  # rows of sessions interleaved, each session in runs apart
+            session = rng.permutation(session)
+        pid = np.array([f"p{s // 2}" for s in session])
+        cond = np.array([f"c{s % 2}" for s in session])
+        # few distinct values, so groups of one and of many; NaN sorts last
+        # and equals NaN, -0.0 equals 0.0
+        nominal = rng.choice([6.0, 10.0, 14.0, 0.0, -0.0, math.nan], session.size,
+                             p=[0.3, 0.25, 0.2, 0.1, 0.05, 0.1])
+        monkeypatch.setattr(analysis, "_BLOCK_SIZE", block)
+        outer = analysis._Segments(cond, pid)
+        reference = analysis._Segments(nominal, outer.labels())
+        within = analysis._Segments.within(outer, nominal)
+        assert within.lengths.tolist() == reference.lengths.tolist()
+        assert within.first_rows.tolist() == reference.first_rows.tolist()
+        assert [(g.tolist(), r.tolist()) for g, r in within.buckets] == [
+            (g.tolist(), r.tolist()) for g, r in reference.buckets]
+
+
 class TestCohortSummary:
     def test_analyze_session_shape(self):
         recs = _cohort(1)
@@ -1041,6 +1085,26 @@ class TestCohortSummary:
             f"stimulus groups with a single trial (cv set to 0): {nominals}"
             for nominals in warned
         ]
+
+    def test_condition_emptied_by_the_screen_is_named(self):
+        # p99 alone ran "rare", and its scattered responses make it the outlier
+        kept = _cohort(12, master_seed=1)
+        kept = kept[kept.condition == "individual"]
+        outlier = [("p99", cond, i, x, x, x + (5.0 if i % 2 else -5.0))
+                   for cond in ("individual", "rare")
+                   for i, x in enumerate(np.repeat([6.0, 10.0, 14.0], 2))]
+        trials = Trials.concatenate([kept, Trials(*zip(*outlier))])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            summary = summarize_cohort(trials)
+        assert [(str(w.message), w.filename) for w in caught] == [
+            ("outlier screening at k = 2.5 keeps no session of condition(s) rare; "
+             "their statistics are nan", __file__)]
+        assert list(summary.excluded) == ["p99"]
+        assert summary.condition_stats["rare"]["rmse"].n == 0
+        report = render_report(summary)
+        assert report.startswith("# cohort summary\n\n## exclusions\np99: session_rmse ")
+        assert "\ncondition rare: no session kept\n\n## condition statistics\n" in report
 
     def test_builds_no_session_objects(self, monkeypatch):
         import lenrepro.analysis as analysis

@@ -83,3 +83,38 @@ def test_bad_arguments_rejected(pairs, argv):
     with pytest.raises(SystemExit):
         module.main([x for kv in base.items() for x in kv])
     assert calls == []
+
+
+def test_control_runs_the_parent_against_a_copy_of_itself(pairs, monkeypatch, capsys):
+    module, calls, tmp_path = pairs
+    parent = tmp_path / "parent"
+    (parent / "code.py").write_text("pass\n")
+    (parent / ".perfbench_work").mkdir()
+    (tmp_path / "paren0").mkdir()  # taken, so the copy takes the next free name
+    fake, copies = module.run, []
+
+    def run(root, *args):
+        if root != parent:
+            copies.append((root, (root / "code.py").read_text(),
+                           (root / ".perfbench_work").exists()))
+        return fake(root, *args)
+
+    monkeypatch.setattr(module, "run", run)
+    assert module.main(["--parent", str(parent), "--control", "--workload", "cohort",
+                        "--pairs", "2"]) == 0
+    copy = tmp_path / "paren1"
+    assert [c[0] for c in calls] == ["parent", "paren1", "paren1", "parent"]
+    assert copies == [(copy, "pass\n", False)] * 2
+    assert len(str(copy)) == len(str(parent)) and not copy.exists()
+    summary = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert summary["control"] is True
+    assert summary["metrics"]["wall_s"]["values"]["parent"] == pytest.approx([1.01, 1.04])
+
+
+def test_one_of_change_and_control(pairs):
+    module, calls, tmp_path = pairs
+    base = ["--parent", str(tmp_path / "parent"), "--workload", "cohort"]
+    for extra in (["--control", "--change", str(tmp_path / "change")], []):
+        with pytest.raises(SystemExit):
+            module.main(base + extra)
+    assert calls == []

@@ -108,8 +108,17 @@ class TestSimulateAnalyze:
         (["--prior-sd", "inf"], "prior_sd must be finite, got inf"),
         (["--demo-sd", "nan"], "demonstrator sd must be finite, got nan"),
         (["--demo-sd", "inf"], "demonstrator sd must be finite, got inf"),
+        (["--wf", "inf"], "magnitude must be finite, got inf"),
+        (["--sigma-l", "inf"], "magnitude must be finite, got inf"),
     ])
-    def test_bad_parameters_rejected_before_output(self, tmp_path, capsys, flags, message):
+    def test_bad_parameters_rejected_before_output(self, tmp_path, monkeypatch, capsys,
+                                                   flags, message):
+        from lenrepro import simulate
+
+        def draw(*args):
+            raise AssertionError("simulated before the parameters were checked")
+
+        monkeypatch.setattr(simulate._Cohort, "fill", draw)
         out = tmp_path / "t.csv"
         with warnings.catch_warnings():
             warnings.simplefilter("error")

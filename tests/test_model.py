@@ -433,6 +433,15 @@ class TestBroadcastChecks:
         with pytest.raises(ValueError, match="magnitude must be >= 0, got -0.05"):
             call()
 
+    @pytest.mark.parametrize("call", [
+        lambda: NoiseModel.weber(math.inf),
+        lambda: NoiseModel.constant(math.inf),
+        lambda: error_curve(1.5, [0.1, math.inf]),
+    ])
+    def test_infinite_magnitude_raises(self, call):
+        with pytest.raises(ValueError, match="^magnitude must be finite, got inf$"):
+            call()
+
     @pytest.mark.parametrize("curve", [error_curve, ri_curve])
     def test_negative_sigma_p_raises(self, curve):
         with pytest.raises(ValueError, match="sd must be >= 0, got -1.5"):
