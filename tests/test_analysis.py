@@ -117,6 +117,20 @@ class TestIngest:
         with pytest.raises(IngestionError, match="duplicate"):
             ingest(io.StringIO(csv_text))
 
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    def test_duplicate_key_found_across_blocks(self, monkeypatch, block):
+        # the C reader's check compares sorted neighbours a block at a time;
+        # a repeated key at any sorted position sends the file to the
+        # per-cell reader
+        monkeypatch.setattr(analysis, "_BLOCK_SIZE", block)
+        rows = [f"p{i:02d},social,3,6,6,6" for i in range(7)]
+        assert _parse_contract(io.StringIO(_text(_CONTRACT, *rows).decode()), 0) is not None
+        for repeated in rows:
+            text = _text(_CONTRACT, *rows, repeated).decode()
+            assert _parse_contract(io.StringIO(text), 0) is None
+            with pytest.raises(IngestionError, match="^row 8: duplicate trial key"):
+                ingest(io.StringIO(text))
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("column", [
         "trial_index", "nominal_length_cm", "actual_length_cm", "response_cm",
@@ -863,10 +877,12 @@ class TestSegments:
     def test_within_matches_grouping_by_label(self, monkeypatch, seed, block):
         rng = np.random.default_rng(seed)
         n_sessions = 1 if seed % 6 == 0 else int(rng.integers(2, 9))
+        # sessions longer than 16 rows, which np.sort's default kind would
+        # not keep in table order
         if seed % 3 == 1:  # sessions all of one length, whose order is reused
-            lengths = np.full(n_sessions, int(rng.integers(1, 13)))
+            lengths = np.full(n_sessions, int(rng.integers(1, 41)))
         else:  # unequal lengths, down to a single trial
-            lengths = rng.integers(1, 13, n_sessions)
+            lengths = rng.integers(1, 41, n_sessions)
         session = np.repeat(np.arange(n_sessions), lengths)
         if seed % 2:  # rows of sessions interleaved, each session in runs apart
             session = rng.permutation(session)
