@@ -69,8 +69,7 @@ def _warn(message: str) -> None:
 
 
 def _check_noise(mode: NoiseMode, magnitude) -> None:
-    """Reject negative, NaN or infinite noise magnitudes; warn on unusual
-    Weber fractions."""
+    """Reject negative noise magnitudes; warn on unusual Weber fractions."""
     _check_nonnegative("magnitude", magnitude)
     if np.isinf(magnitude).any():  # an infinite sd would simulate only NaNs
         raise ValueError("magnitude must be finite, got inf")
