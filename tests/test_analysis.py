@@ -851,7 +851,8 @@ class TestSegments:
         ("int", "float", "str"),
     ])
     @pytest.mark.parametrize("n", [1, analysis._BLOCK_SIZE, analysis._BLOCK_SIZE + 1,
-                                   2 * analysis._BLOCK_SIZE + 1])
+                                   2 * analysis._BLOCK_SIZE, 2 * analysis._BLOCK_SIZE + 1,
+                                   4 * analysis._BLOCK_SIZE + 1])
     def test_matches_python_grouping(self, kinds, n):
         keys = _key_columns(n, kinds, np.random.default_rng(n + len(kinds)))
 
@@ -995,8 +996,8 @@ class TestCohortSummary:
         _assert_sessions_alone(recs, sessions)
 
     # blocks of single groups, of 100 values (below the 130-trial groups),
-    # and the default
-    @pytest.mark.parametrize("block", [1, 100, analysis._BLOCK_SIZE])
+    # the default and twice the default
+    @pytest.mark.parametrize("block", [1, 100, analysis._BLOCK_SIZE, 2 * analysis._BLOCK_SIZE])
     def test_ragged_sessions_match_row_reference_bit_for_bit(self, monkeypatch, block):
         monkeypatch.setattr(analysis, "_BLOCK_SIZE", block)
         recs = _ragged_cohort()
