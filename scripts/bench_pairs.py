@@ -13,8 +13,10 @@ and quartiles over the pairs, how many pairs the change won (ties count for
 neither side), whether a gain may be claimed (the change wins at least nine
 tenths of the pairs and the medians differ by more than the parent's
 interquartile range) and whether the change's median is worse than the
-parent's by more than the metric's bound in ``BENCHMARK.json``.  The last
-line of output is the same summary as one JSON object.
+parent's by more than the metric's bound in ``BENCHMARK.json``.  Each
+command of the workload adds two rows with no bound: its median peak RSS
+and its median time in ``main`` within each run.  The last line of output
+is the same summary as one JSON object.
 
 With ``--control`` in place of ``--change``, the parent is copied to a
 sibling path of the same length and run against that copy, with the same
@@ -35,14 +37,29 @@ from pathlib import Path
 
 
 def run(root: Path, workload: str, seed: int, seconds: float | None) -> dict:
-    """One ``--trace 0`` benchmark run in ``root``; returns its metrics."""
+    """One ``--trace 0`` benchmark run in ``root``; returns its metrics and
+    :func:`per_command` of its record."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
             "--seed", str(seed), "--trace", "0"]
     if seconds is not None:
         argv += ["--seconds", str(seconds)]
     subprocess.run(argv, cwd=root, check=True, stdout=subprocess.DEVNULL)
     out = root / ".perfbench_work" / "results" / f"{workload}-seed{seed}-trace0.json"
-    return json.loads(out.read_text(encoding="utf-8"))["metrics"]
+    record = json.loads(out.read_text(encoding="utf-8"))
+    return {**record["metrics"], **per_command(record["commands"])}
+
+
+def per_command(commands: list) -> dict:
+    """Each command's median peak RSS (``<name>.maxrss_mb``) and time in
+    ``main`` (``<name>.main_s``) over the commands of one run's record, so
+    that the pairs show which command sets a workload's peak."""
+    out = {}
+    for name in dict.fromkeys(c["name"] for c in commands):
+        done = [c for c in commands if c["name"] == name and "main_s" in c]
+        if done:
+            out[f"{name}.maxrss_mb"] = statistics.median(c["maxrss_kb"] / 1024 for c in done)
+            out[f"{name}.main_s"] = statistics.median(c["main_s"] for c in done)
+    return out
 
 
 def pairs(parent: Path, change: Path, workload: str, n: int, first_seed: int,

@@ -3,17 +3,22 @@ error decomposition, regression index, outlier screening, cohort summary.
 
 ``summarize_cohort`` reduces all sessions at once, straight to one table
 of columns (:class:`SessionTable`) and the condition statistics and
-contrasts computed from it.  Only the per-session functions
-(``analyze_session`` and the three steps it chains) build result objects.
+contrasts computed from it.  ``summarize_file`` gives the same summary
+from a trial CSV without holding its table: it reduces the sessions of a
+contract file a block of whole sessions at a time and merges their
+per-session columns.  Only the per-session functions (``analyze_session``
+and the three steps it chains) build result objects.
 
 Memory: above its table, ``summarize_cohort`` holds one row-sized index
 array: the order of the sessions' rows, which sorting each session's rows
 by nominal length turns into the order of the stimulus groups, in place
-when the sessions are all of one length.  The debiased responses are never stored: each block of rows adds its
-session's shift as it is gathered.  Every other array has a value per
-session or per stimulus group, or a block of at most ``_BLOCK_SIZE``
-values.  On the seed-1 ``cohort`` file it peaks at 0.27 times the table
-above it, and ``ingest`` at 1.11 times the table.
+when the sessions are all of one length.  The debiased responses are
+never stored: each block of rows adds its session's shift as it is
+gathered.  Every other array has a value per session or per stimulus
+group, or a block of at most ``_BLOCK_SIZE`` values.  On the seed-1
+``cohort`` file it peaks at 0.27 times the table above it, ``ingest`` at
+1.11 times the table, and ``summarize_file`` at 0.23 times the table that
+``ingest`` would build.
 
 Conventions (documented choices):
   * per-stimulus CV uses the population sd (divide by N);
@@ -171,16 +176,22 @@ def ingest(source) -> Trials:
     if isinstance(source, (str, Path)):
         with open(source, newline="", encoding="utf-8-sig") as fh:
             return ingest(fh)
-    try:  # a stream read only once, or a list of lines, has no start to return to
-        start = source.tell() if source.seekable() else None
-    except (AttributeError, OSError):
-        start = None
+    start = _start(source)
     if start is not None:
         trials = _parse_contract(source, start)
         if trials is not None:
             return trials
         source.seek(start)
     return _read_cells(source)
+
+
+def _start(source) -> int | None:
+    """The position of a seekable stream, or None for a stream read only
+    once or a list of lines, which have no start to return to."""
+    try:
+        return source.tell() if source.seekable() else None
+    except (AttributeError, OSError):
+        return None
 
 
 _HEADER_LINE = ",".join(TRIAL_CSV_HEADER) + "\n"
@@ -192,6 +203,8 @@ _SCAN_CHUNK = 1 << 15  # characters the contract scan and parse read at a time
 # contract parse compare or reduce at a time; blocks of 2**14 raised the
 # traced peak of summarize_cohort on the seed-1 cohort by 0.25 MiB
 _BLOCK_SIZE = 1 << 13
+# rows that summarize_file reduces at a time, unless one session is longer
+_SESSION_ROWS = 1 << 13
 
 
 def _blocks(fh, chunk: int):
@@ -209,13 +222,12 @@ def _blocks(fh, chunk: int):
         yield rest + "\n"
 
 
-def _in_contract(fh, chunk: int) -> tuple | None:
-    """The number of data rows in the rest of ``fh``, and the lengths of
-    its longest participant id and longest condition, if it is a file that
-    ``np.loadtxt`` reads as the per-cell reader does: the exact contract
-    header, then at least one data row, all of it printable ASCII and LF,
-    with no quote and every line of at least six fields.  None for any
-    other file.
+def _scan(lines: str, widths: tuple) -> tuple | None:
+    """A block of whole LF-ended lines of a contract file as ASCII bytes,
+    ``widths`` widened to the lengths of its longest participant id and
+    longest condition, and its number of lines; None unless every line is
+    one that ``np.loadtxt`` reads as the per-cell reader does: printable
+    ASCII, with no quote and at least six fields.
 
     The C parser strips the separators U+001C-U+001F around numbers, which
     ``float()`` rejects, and reads some non-ASCII letters as digits of
@@ -223,21 +235,31 @@ def _in_contract(fh, chunk: int) -> tuple | None:
     ``np.loadtxt`` cuts a string longer than its dtype without a word, so
     the ids are parsed at the widths found here.
     """
+    if not lines.isascii():
+        return None
+    data = lines.encode("ascii")
+    # printable ASCII but the quote deleted, one LF per line is left
+    if data.translate(None, _PRINTABLE).strip(b"\n"):
+        return None
+    widths = _id_widths(data, widths)
+    return None if widths is None else (data, widths, data.count(b"\n"))
+
+
+def _in_contract(fh, chunk: int) -> tuple | None:
+    """The number of data rows in the rest of ``fh``, and the widths of
+    :func:`_scan`, if it is the exact contract header, then at least one
+    data row, every block of which passes :func:`_scan`.  None for any
+    other file."""
     try:
         if fh.readline() != _HEADER_LINE:
             return None
         rows, widths = 0, (0, 0)
         for lines in _blocks(fh, chunk):
-            if not lines.isascii():
+            scanned = _scan(lines, widths)
+            if scanned is None:
                 return None
-            data = lines.encode("ascii")
-            # printable ASCII but the quote deleted, one LF per line is left
-            if data.translate(None, _PRINTABLE).strip(b"\n"):
-                return None
-            widths = _id_widths(data, widths)
-            if widths is None:
-                return None
-            rows += data.count(b"\n")
+            _, widths, n = scanned
+            rows += n
         return (rows, widths) if rows else None
     except UnicodeDecodeError:
         return None  # raised again, by the per-cell reader
@@ -258,33 +280,61 @@ def _id_widths(lines, widths: tuple) -> tuple | None:
             (comma2 - comma1 - 1).max(initial=widths[1]).item())
 
 
+def _columns(rows: int, widths: tuple) -> list:
+    """Empty trial columns of ``rows`` rows, the ids at ``widths``."""
+    return [np.empty(rows, dtype) for dtype in (
+        *(f"U{max(1, width)}" for width in widths), np.int64, float, float, float)]
+
+
+def _parse_into(data: bytes, columns: list, first: int) -> int | None:
+    """Parse a block that passed :func:`_scan` with numpy's C reader, one
+    structured dtype for the dtypes of ``columns``, into their rows from
+    ``first`` on; returns the row after the last one filled.  None when the
+    reader rejects a line, or reads another number of rows than the block
+    has lines or than the columns have room for, or when a value fails a
+    check of the per-cell reader: finite numbers, ``actual > 0`` and
+    ``response >= 0``."""
+    dtype = np.dtype([(str(i), column.dtype) for i, column in enumerate(columns)])
+    try:
+        # a trailing comma on every row makes a seventh, empty field
+        table = np.loadtxt(io.BytesIO(data), dtype=dtype, delimiter=",", comments=None,
+                           usecols=range(6), ndmin=1)
+    except ValueError:
+        return None
+    values = [table[name] for name in dtype.names[3:]]
+    stop = first + table.size
+    if not (table.size == data.count(b"\n") and stop <= columns[0].size
+            and all(np.isfinite(v).all() for v in values)
+            and (values[1] > 0).all() and (values[2] >= 0).all()):
+        return None
+    for name, column in zip(dtype.names, columns):
+        column[first:stop] = table[name]
+    return stop
+
+
 def _parse_contract(fh, start) -> Trials | None:
     """The trials of a contract file, or None when the per-cell reader has
     to decide.
 
-    After the scan, one pass: numpy's C reader parses each block of whole
-    lines with one structured dtype, straight into columns allocated for
-    the rows the scan counted.  Every check of the per-cell reader is made
-    in bulk: finite numbers, ``actual > 0``, ``response >= 0`` and unique
-    trial keys.  Each id column is parsed at the width of its longest
-    value, and the table adopts every column without a copy.
+    After the scan, one pass: each block of whole lines is parsed by
+    :func:`_parse_into` straight into columns allocated for the rows the
+    scan counted, each id column at the width of its longest value, and
+    the table adopts every column without a copy.  Then the trial keys
+    must be unique.
     """
     chunk = _SCAN_CHUNK
     scanned = _in_contract(fh, chunk)
     if scanned is None:
         return None
-    rows, widths = scanned
-    columns = [np.empty(rows, dtype) for dtype in (
-        *(f"U{max(1, width)}" for width in widths), np.int64, float, float, float)]
+    columns = _columns(*scanned)
     fh.seek(start)
     fh.readline()
-    try:
-        parsed = _parse_blocks(fh, chunk, columns)
-    except ValueError:
-        return None
-    values = columns[3:]
-    if not (parsed == rows and all(np.isfinite(v).all() for v in values)
-            and (values[1] > 0).all() and (values[2] >= 0).all()):
+    stop = 0
+    for lines in _blocks(fh, chunk):
+        stop = _parse_into(lines.encode("ascii"), columns, stop)
+        if stop is None:
+            return None
+    if stop < len(columns[0]):  # the file changed since the scan
         return None
     for column in columns:
         column.flags.writeable = False  # so the table adopts it
@@ -303,19 +353,74 @@ def _parse_contract(fh, start) -> Trials | None:
     return trials
 
 
-def _parse_blocks(fh, chunk: int, columns: list) -> int:
-    """Parse the rest of ``fh`` into the first rows of ``columns``, one
-    block of whole lines at a time; returns the number of rows parsed."""
-    dtype = np.dtype([(str(i), column.dtype) for i, column in enumerate(columns)])
-    stop = 0
-    for lines in _blocks(fh, chunk):
-        # a trailing comma on every row makes a seventh, empty field
-        table = np.loadtxt(io.BytesIO(lines.encode("ascii")), dtype=dtype, delimiter=",",
-                           comments=None, usecols=range(6), ndmin=1)
-        first, stop = stop, stop + table.size
-        for name, column in zip(dtype.names, columns):
-            column[first:stop] = table[name]
-    return stop
+def _repeats_a_key(trials: Trials, sessions: _Segments) -> bool:
+    """Whether a session of ``sessions`` repeats a trial index.  The
+    indices of a session must rise in table order; only a session where
+    they do not is sorted, on its own, and its neighbours compared."""
+    for _, rows in sessions.blocks():
+        index = trials.trial_index[rows]
+        unsorted = (index[:, 1:] <= index[:, :-1]).any(axis=1)
+        index = np.sort(index[unsorted], axis=1)
+        if (index[:, 1:] == index[:, :-1]).any():
+            return True
+    return False
+
+
+def _changes(*keys) -> np.ndarray:
+    """Whether each row but the first differs in some key from the row
+    before it."""
+    return np.logical_or.reduce([key[1:] != key[:-1] for key in keys])
+
+
+def _session_blocks(fh):
+    """The data rows of the contract file ``fh``, after its header, as
+    tables of at most ``_SESSION_ROWS`` rows, or more when one session's
+    rows run longer; each table ends where a run of one session's rows
+    ends, so no such run spans two tables.  Yields None, and stops, at a
+    block of lines that fails :func:`_scan` or :func:`_parse_into`."""
+    columns, fill, widths = None, 0, (0, 0)
+    for lines in _blocks(fh, _SCAN_CHUNK):
+        scanned = _scan(lines, widths)
+        if scanned is None:
+            yield None
+            return
+        data, widths, rows = scanned
+        if columns is not None and fill + rows > columns[0].size:
+            new = np.flatnonzero(_changes(*(column[:fill] for column in columns[:2])))
+            cut = new[-1].item() + 1 if new.size else 0  # where the last run starts
+            if cut:
+                yield _table(columns, cut)
+                columns = [column[cut:fill].copy() for column in columns]
+                fill -= cut
+        columns = _room(columns, fill, rows, widths)
+        if _parse_into(data, columns, fill) is None:
+            yield None
+            return
+        fill += rows
+    if fill:
+        yield _table(columns, fill)
+
+
+def _table(columns: list, stop: int) -> Trials:
+    """The first ``stop`` rows of ``columns``, which are no longer written,
+    as a table that adopts them."""
+    for column in columns:
+        column.flags.writeable = False
+    return Trials(*(column[:stop] for column in columns))
+
+
+def _room(columns: list | None, fill: int, rows: int, widths: tuple) -> list:
+    """``columns`` if they have room for ``rows`` more rows after their
+    first ``fill``, and ids of ``widths``; otherwise new columns that do,
+    holding those first rows."""
+    if columns is not None and fill + rows <= columns[0].size and all(
+            column.itemsize >= 4 * width for column, width in zip(columns, widths)):
+        return columns
+    size = max(_SESSION_ROWS, fill + rows)
+    wider = _columns(2 * size if size > _SESSION_ROWS else size, widths)
+    for new, column in zip(wider, columns or ()):
+        new[:fill] = column[:fill]
+    return wider
 
 
 def _read_cells(source) -> Trials:
@@ -660,23 +765,21 @@ def _numbered(values: np.ndarray) -> tuple:
     return values[groups.first_rows], groups.labels()
 
 
-def _session_columns(trials: Trials) -> tuple:
-    """Debias each session of the table, fit its index on its trials and
-    reduce its stimulus groups, in (participant id, condition) order.
+def _session_columns(trials: Trials, sessions: _Segments) -> list:
+    """Debias each of the table's ``sessions`` (of participant id and
+    condition), fit its index on its trials and reduce its stimulus groups.
+    ``sessions`` is spent.
 
-    Returns the sorted participant ids and conditions, and each session's
-    participant number, condition number, slope, intercept, r_squared,
-    bias, cv and rmse.  Errors and warnings come as a loop over the
-    sessions would raise them: the singleton-group warnings of the
-    sessions before the first one that cannot be analyzed, each pointing
-    at the caller of :func:`summarize_cohort`, then that session's error
-    (a non-finite debiased response before a constant stimulus).
+    Returns one column per result, each with a value per session in
+    (participant id, condition) order: participant id, condition, slope,
+    intercept, r_squared, bias, cv, rmse, then two object columns, which
+    :func:`_summary` issues: the nominals of the session's stimulus groups
+    of a single trial, and the error that stops the cohort at the session
+    (a non-finite debiased response before a constant stimulus); None
+    where there are none.
     """
-    sessions = _Segments(trials.condition, trials.participant_id)
     n_sessions = len(sessions)
-    (participants, pid), (conditions, cond) = (
-        _numbered(ids[sessions.first_rows])
-        for ids in (trials.participant_id, trials.condition))
+    pids, conds = (ids[sessions.first_rows] for ids in (trials.participant_id, trials.condition))
     s_bar = _sessions(trials, sessions)[1]
     shift = _shift(trials, sessions, s_bar)
     with np.errstate(invalid="ignore"):  # a non-finite response raises
@@ -688,16 +791,16 @@ def _session_columns(trials: Trials) -> tuple:
         per_group = _group_means(trials, groups, shift[session])
         del groups
         (nominal, *_, n), errors = _group_errors(per_group, session, s_bar)
-    failed = np.flatnonzero(nonfinite | (denom == 0))
-    stop = failed.min(initial=n_sessions)
-    single = np.flatnonzero((n == 1) & (session < stop))
-    for nominals in np.split(nominal[single], np.flatnonzero(np.diff(session[single])) + 1):
-        _warn_singletons(nominals.tolist())
-    if failed.size and nonfinite[stop]:
-        raise ValueError(f"response must be finite, got {bad[stop].item()}")
-    if failed.size:
-        raise DegenerateDataError("all stimulus values identical")
-    return participants, conditions, pid, cond, slope, intercept, r2, *errors
+    singletons, failure = np.full(n_sessions, None), np.full(n_sessions, None)
+    ones = n == 1
+    single = session[ones]
+    first = np.flatnonzero(np.diff(single, prepend=-1))  # of each session's singletons
+    for s, nominals in zip(single[first].tolist(), np.split(nominal[ones], first[1:])):
+        singletons[s] = nominals.tolist()
+    for s in np.flatnonzero(nonfinite | (denom == 0)).tolist():
+        failure[s] = (ValueError(f"response must be finite, got {bad[s].item()}")
+                      if nonfinite[s] else DegenerateDataError("all stimulus values identical"))
+    return [pids, conds, slope, intercept, r2, *errors, singletons, failure]
 
 
 def summarize_cohort(trials: Trials, k: float = 2.5) -> CohortSummary:
@@ -708,10 +811,85 @@ def summarize_cohort(trials: Trials, k: float = 2.5) -> CohortSummary:
     _check_k(k)
     if not len(trials):
         raise DegenerateDataError("empty dataset")
-    participants, conditions, pid, cond, slope, intercept, r2, bias, cv, rmse = (
-        _session_columns(trials))
-    sessions = SessionTable(participants[pid], conditions[cond], 1.0 - slope, slope,
-                            intercept, r2, bias, cv, rmse)
+    # no name holds the sessions, so _session_columns can drop them
+    return _summary(_session_columns(trials, _Segments(trials.condition, trials.participant_id)),
+                    k)
+
+
+def summarize_file(source, k: float = 2.5) -> CohortSummary:
+    """``summarize_cohort(ingest(source), k)``, with the same warnings and
+    errors, from a CSV path or open text stream.
+
+    A file in the ``records`` contract is read once, and its sessions are
+    reduced about ``_SESSION_ROWS`` rows at a time, so only a block of the
+    trial table is ever held: each block of lines is checked and parsed
+    as ``ingest`` does (:func:`_scan`, :func:`_parse_into`), and the blocks
+    are cut where a session's rows end (see :func:`_session_blocks`).
+    Within a block a session must not repeat a trial index, and no session
+    may come back in a later block.  Any other source, a block that fails
+    a check, and a source that cannot seek are summarized as
+    ``summarize_cohort(ingest(source), k)``.
+
+    Only numpy's own floating-point warnings, which values near the
+    largest float raise, can differ: a block issues its own.
+    """
+    if isinstance(source, (str, Path)):
+        with open(source, newline="", encoding="utf-8-sig") as fh:
+            return summarize_file(fh, k)
+    start = _start(source)
+    columns = None if start is None else _file_sessions(source)
+    if columns is None:
+        if start is not None:
+            source.seek(start)
+        return summarize_cohort(ingest(source), k)
+    _check_k(k)
+    return _summary(columns, k)
+
+
+def _file_sessions(fh) -> list | None:
+    """The columns of :func:`_session_columns` of the blocks of
+    :func:`_session_blocks`, merged in key order; None when a block fails
+    a check, a session of a block repeats a trial index, or a session
+    comes back in a later block, so that its key is repeated."""
+    try:
+        if fh.readline() != _HEADER_LINE:
+            return None
+        parts = []
+        for trials in _session_blocks(fh):
+            if trials is None:
+                return None
+            sessions = _Segments(trials.condition, trials.participant_id)
+            if _repeats_a_key(trials, sessions):
+                return None
+            parts.append(_session_columns(trials, sessions))
+            del trials, sessions  # before the next block is read
+    except UnicodeDecodeError:
+        return None  # raised again, by the per-cell reader
+    if not parts:
+        return None
+    columns = [np.concatenate(column) for column in zip(*parts)]
+    order = np.lexsort((columns[1], columns[0]))
+    columns = [column[order] for column in columns]
+    return columns if _changes(*columns[:2]).all() else None
+
+
+def _summary(columns: list, k: float) -> CohortSummary:
+    """The cohort summary from the per-session columns of
+    :func:`_session_columns`, in (participant id, condition) order.
+
+    Warnings and errors come as a loop over the sessions would raise them:
+    the singleton-group warnings of the sessions before the first one that
+    cannot be analyzed, each pointing at the caller, then that session's
+    error.
+    """
+    pids, conds, slope, intercept, r2, bias, cv, rmse, singletons, failure = columns
+    failed = np.flatnonzero(failure.astype(bool))
+    for nominals in singletons[:failed[0] if failed.size else None]:
+        _warn_singletons(nominals)
+    if failed.size:
+        raise failure[failed[0]]
+    (participants, pid), (conditions, cond) = _numbered(pids), _numbered(conds)
+    sessions = SessionTable(pids, conds, 1.0 - slope, slope, intercept, r2, bias, cv, rmse)
 
     excluded = {}
     if participants.size >= 2 and not math.isinf(k):

@@ -9,7 +9,6 @@ ends), so reruns are byte-identical.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -108,8 +107,11 @@ def _cast(typ, value, source: str):
 
 def _resolve(args) -> dict:
     """The command's keys, and the file's keys for the conditions it runs."""
-    path = args.config
-    file = json.loads(Path(path).read_text(encoding="utf-8")) if path else {}
+    path, file = args.config, {}
+    if path:
+        import json
+
+        file = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(file, dict):
         raise ValueError(f"--config {path}: expected a JSON object, "
                          f"got {type(file).__name__}")
@@ -138,6 +140,8 @@ def _resolve(args) -> dict:
             if key in file:
                 cfg[key] = _cast(float, file[key], f"config key {key} in {path}")
     if args.dump_config:
+        import json
+
         dump = json.dumps(cfg, indent=2, sort_keys=True) + "\n"
         Path(args.dump_config).write_text(dump, encoding="utf-8")
     return cfg
@@ -195,8 +199,7 @@ def cmd_analyze(cfg) -> int:
     from . import analysis
 
     outdir = Path(cfg["out"])
-    recs = analysis.ingest(cfg["input"])
-    summary = analysis.summarize_cohort(recs, k=cfg["k"])
+    summary = analysis.summarize_file(cfg["input"], k=cfg["k"])
     outdir.mkdir(parents=True, exist_ok=True)
     analysis.write_participant_csv(summary, outdir / "per_participant.csv")
     analysis.write_condition_csv(summary, outdir / "conditions.csv")

@@ -4,6 +4,7 @@ import dataclasses
 import io
 import itertools
 import math
+import pickle
 import re
 import string
 import tempfile
@@ -34,6 +35,7 @@ from lenrepro.analysis import (
     render_report,
     screen_outliers,
     summarize_cohort,
+    summarize_file,
     write_condition_csv,
     write_participant_csv,
 )
@@ -459,6 +461,26 @@ class TestSummarizeMemory:
             tracemalloc.stop()
         # no row-sized label, second sort or debiased column is held
         assert peak <= 0.30 * sum(c.nbytes for c in trials.columns)  # 0.274 measured
+
+    def test_file_peaks_at_a_block_not_the_file(self, tmp_path):
+        params = {c: ObserverParams(NoiseModel.weber(0.15), 10.0, 1.5, 1.2)
+                  for c in ("individual", "mechanical", "social")}
+        path = tmp_path / "trials.csv"
+        write_trial_csv(simulate_cohort(3, params), path)
+        summarize_file(path)  # first-call imports are not the summary's
+        peaks = {}
+        for n in (100, 400):
+            write_trial_csv(simulate_cohort(n, params, master_seed=1), path)
+            tracemalloc.start()
+            try:
+                summarize_file(path)
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert _streams(path)
+        # against the table ingest builds: 0.23 measured for 400 x 3
+        assert peaks[400] <= 0.30 * sum(c.nbytes for c in ingest(path).columns)
+        assert peaks[400] <= 1.10 * peaks[100]  # 1.01 measured
 
 
 class TestIngestWarningState:
@@ -1159,6 +1181,164 @@ def _degenerate_cohort(replace=None):
         rows += [_rec(pid, cond, i, x, r) for i, (x, r) in enumerate(zip(nominal, response))]
     trials = _trials(*rows)
     return trials[np.random.default_rng(3).permutation(len(trials))]
+
+
+def _by_session(trials, *keys):
+    """``trials`` with each session's rows together, in table order within
+    the session, and the sessions ordered by ``keys`` (column names, the
+    last primary)."""
+    return trials[np.lexsort([getattr(trials, key) for key in keys])]
+
+
+def _summarized(path, k, streamed):
+    """What summarize_file, or summarize_cohort of ingest, makes of a file:
+    the pickled summary or the error, and every warning with its category,
+    message, file and line.  Both run on one line, so that a warning of
+    either points at the same line."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = pickle.dumps(summarize_file(path, k) if streamed else summarize_cohort(ingest(path), k))
+        except Exception as exc:  # compared between the two, not handled
+            result = (type(exc), str(exc))
+    return result, [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
+
+
+def _streams(path) -> bool:
+    """Whether summarize_file reduces the file a block at a time, without
+    falling back to summarize_cohort of ingest."""
+    with open(path, newline="", encoding="utf-8-sig") as fh, warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # compared by _summarized
+        return analysis._file_sessions(fh) is not None
+
+
+def _ragged(seed):
+    """The first three participants of a ragged cohort, rows shuffled."""
+    trials = _ragged_cohort(seed)
+    return trials[np.isin(trials.participant_id, ["p00", "p01", "p02"])]
+
+
+_C = TestCohortSummary
+# trial tables written as contract files: (table, whether it streams when
+# a block holds only part of it)
+_FILE_TABLES = {
+    "sessions of equal length": (lambda: _cohort(3, master_seed=2), True),
+    "ragged sessions": (lambda: _by_session(_ragged(1), "condition", "participant_id"), True),
+    "ragged sessions by condition": (
+        lambda: _by_session(_ragged(2), "participant_id", "condition"), True),
+    "singleton groups": (lambda: _by_session(_degenerate_cohort(), "condition",
+                                             "participant_id"), True),
+    "interleaved sessions": (lambda: _ragged(1), False),
+    **{f"degenerate {sorted(replace)}": (
+        lambda replace=replace: _by_session(_degenerate_cohort(replace), "condition",
+                                            "participant_id"), True)
+       for replace in ({"p02_b": _C._CONSTANT}, {"p02_b": _C._OVERFLOW},
+                       {"p01_b": _C._CONSTANT, "p02_a": _C._OVERFLOW},
+                       {"p01_b": _C._OVERFLOW, "p02_a": _C._CONSTANT},
+                       {"p01_a": _C._CONSTANT}, {"p03_b": _C._CONSTANT})},
+}
+
+
+def _bytes(trials, tmp_path) -> bytes:
+    path = tmp_path / "table.csv"
+    write_trial_csv(trials, path)
+    return path.read_bytes()
+
+
+class TestSummarizeFile:
+    """summarize_file against summarize_cohort of ingest, its oracle."""
+
+    @staticmethod
+    def _assert_same(path, k=2.5):
+        assert _summarized(path, k, True) == _summarized(path, k, False)
+
+    @pytest.mark.parametrize("name", list(_FILE_TABLES))
+    @pytest.mark.parametrize("rows", [1, 2, 3, 5, 13, 2**13])
+    def test_tables_match_the_oracle(self, tmp_path, monkeypatch, name, rows):
+        table, streams = _FILE_TABLES[name]
+        trials = table()
+        # a small table is read a line at a time, so that a block can end
+        # after any row; a larger one in larger reads and blocks
+        chunk = 1 if len(trials) < 1000 else 2**12
+        if chunk > 1 and rows < 2**13:
+            rows *= 200
+        monkeypatch.setattr(analysis, "_SESSION_ROWS", rows)
+        monkeypatch.setattr(analysis, "_SCAN_CHUNK", chunk)
+        path = tmp_path / "trials.csv"
+        write_trial_csv(trials, path)
+        assert _streams(path) is (streams or rows >= len(trials))
+        self._assert_same(path)
+
+    @pytest.mark.parametrize("rows", range(1, 12))
+    def test_a_session_cut_by_every_block_boundary(self, tmp_path, monkeypatch, rows):
+        # one line read at a time, so a block boundary falls after every row
+        # for some block size, inside a session or at its end
+        monkeypatch.setattr(analysis, "_SESSION_ROWS", rows)
+        monkeypatch.setattr(analysis, "_SCAN_CHUNK", 1)
+        path = tmp_path / "trials.csv"
+        write_trial_csv(_by_session(_degenerate_cohort(), "condition", "participant_id"), path)
+        assert _streams(path)
+        self._assert_same(path)
+
+    @pytest.mark.parametrize("k", [0.0, 0.5, math.inf, -1.0, math.nan])
+    def test_k_checked_as_the_oracle_checks_it(self, tmp_path, k):
+        path = tmp_path / "trials.csv"
+        write_trial_csv(_cohort(3, master_seed=2), path)
+        self._assert_same(path, k)
+        path.write_bytes(_text(_CONTRACT, _ROW, "p01,social,4,6,6,oops"))
+        self._assert_same(path, k)  # the file's error comes first
+
+    _SESSIONS = [f"p{p},{c},{i},{x},{x},{x + 0.1 * i}" for p in (1, 2) for c in ("a", "b")
+                 for i, x in enumerate((6, 6, 10, 10, 14, 14))]
+    _FILES = {
+        "duplicate key in a later block": (_text(_CONTRACT, *_SESSIONS, "p2,b,3,6,6,6"), False),
+        # streams when one block holds the whole file
+        "first session repeated in a later block": (
+            _text(_CONTRACT, *_SESSIONS, "p1,a,9,6,6,6"), None),
+        "byte-order mark": (b"\xef\xbb\xbf" + _text(_CONTRACT, *_SESSIONS), True),
+        "CRLF": (_text(_CONTRACT, *_SESSIONS, end="\r\n"), False),
+        "bad last row": (_text(_CONTRACT, *_SESSIONS, "p2,b,9,6,6,oops"), False),
+        "negative last response": (_text(_CONTRACT, *_SESSIONS, "p2,b,9,6,6,-1"), False),
+        "short last row": (_text(_CONTRACT, *_SESSIONS, "p2,b,9,6,6"), False),
+        "non-ASCII in a later block": (_text(_CONTRACT, *_SESSIONS, "pé,b,9,6,6,6"),
+                                       False),
+        "invalid UTF-8 in a later block": (_text(_CONTRACT, *_SESSIONS) + b"p\xff,b,9,6,6,6\n",
+                                           False),
+        "header only": (_text(_CONTRACT), False),
+        "empty file": (b"", False),
+        "no actual column": (_text(
+            "participant_id,condition,trial_index,nominal_length_cm,response_cm",
+            *(",".join(row.split(",")[:4] + row.split(",")[5:]) for row in _SESSIONS)),
+            False),
+    }
+
+    @pytest.mark.parametrize("name", list(_FILES))
+    @pytest.mark.parametrize("rows", [1, 7, 2**13])
+    def test_files_match_the_oracle(self, tmp_path, monkeypatch, name, rows):
+        data, streams = self._FILES[name]
+        monkeypatch.setattr(analysis, "_SESSION_ROWS", rows)
+        monkeypatch.setattr(analysis, "_SCAN_CHUNK", 40)
+        path = tmp_path / "trials.csv"
+        path.write_bytes(data)
+        assert _streams(path) is (rows > len(self._SESSIONS) if streams is None else streams)
+        self._assert_same(path)
+
+    def test_streams_as_the_oracle_reads_them(self, tmp_path):
+        data = _bytes(_by_session(_degenerate_cohort(), "condition", "participant_id"), tmp_path)
+        text = data.decode()
+        for source in (lambda: io.StringIO(text), lambda: _OnceOnly(text),
+                       lambda: text.splitlines(keepends=True)):
+            assert _summarized(source(), 2.5, True) == _summarized(source(), 2.5, False)
+        # a stream is read from where it stands
+        stream = io.StringIO("ignored\n" + text)
+        stream.readline()
+        oracle = io.StringIO(text)
+        assert _summarized(stream, 2.5, True) == _summarized(oracle, 2.5, False)
+
+
+class _OnceOnly(io.StringIO):
+    def seekable(self):
+        return False
 
 
 class TestOutputs:

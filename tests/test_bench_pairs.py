@@ -9,11 +9,16 @@ import pytest
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
 
 
-@pytest.fixture
-def pairs(monkeypatch, tmp_path):
+def _load():
     spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture
+def pairs(monkeypatch, tmp_path):
+    module = _load()
     calls = []
 
     def fake_run(root, workload, seed, seconds):
@@ -118,3 +123,51 @@ def test_one_of_change_and_control(pairs):
         with pytest.raises(SystemExit):
             module.main(base + extra)
     assert calls == []
+
+
+def test_run_reports_each_commands_median_peak_and_main_time(monkeypatch, tmp_path):
+    root = tmp_path / "parent"
+    record = {"metrics": {"wall_s": 1.0, "peak_rss_mb": 40.0}, "commands": [
+        {"name": "warmup", "main_s": 0.001, "maxrss_kb": 20 * 1024},
+        {"name": "simulate", "main_s": 0.2, "maxrss_kb": 37 * 1024},
+        {"name": "analyze", "main_s": 0.1, "maxrss_kb": 33 * 1024},
+        {"name": "simulate", "main_s": 0.4, "maxrss_kb": 38 * 1024},
+        {"name": "analyze", "main_s": 0.3, "maxrss_kb": 32 * 1024},
+        {"name": "analyze", "main_s": 0.2, "maxrss_kb": 34 * 1024},
+        {"name": "broken", "rc": 1},  # the harness never reported
+    ]}
+
+    def fake_subprocess_run(argv, cwd, check, stdout):
+        assert argv[1:] == ["perfbench/run.py", "--workload", "cohort", "--seed", "3",
+                            "--trace", "0"] and cwd == root
+        out = cwd / ".perfbench_work" / "results" / "cohort-seed3-trace0.json"
+        out.parent.mkdir(parents=True)
+        out.write_text(json.dumps(record))
+
+    module = _load()
+    monkeypatch.setattr(module.subprocess, "run", fake_subprocess_run)
+    metrics = module.run(root, "cohort", 3, None)
+    assert metrics == pytest.approx({
+        "wall_s": 1.0, "peak_rss_mb": 40.0,
+        "warmup.maxrss_mb": 20.0, "warmup.main_s": 0.001,
+        "simulate.maxrss_mb": 37.5, "simulate.main_s": 0.3,
+        "analyze.maxrss_mb": 33.0, "analyze.main_s": 0.2,
+    })
+
+
+def test_per_command_rows_have_no_bound(pairs, monkeypatch, capsys):
+    module, _, tmp_path = pairs
+    fake = module.run
+
+    def run(root, *args):
+        metrics = fake(root, *args)
+        return {**metrics, "analyze.maxrss_mb": 33.0 if root.name == "change" else 39.8}
+
+    monkeypatch.setattr(module, "run", run)
+    assert module.main(["--parent", str(tmp_path / "parent"), "--change",
+                        str(tmp_path / "change"), "--workload", "cohort", "--pairs", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    analyze = json.loads(lines[-1])["metrics"]["analyze.maxrss_mb"]
+    assert analyze["gain"] == pytest.approx(6.8) and analyze["worse_than_bound"] is None
+    assert any(line.startswith("cohort analyze.maxrss_mb: parent 39.8000") and "bound" not in line
+               for line in lines)

@@ -11,12 +11,13 @@ import pytest
 
 import lenrepro
 from lenrepro import model
-from lenrepro.analysis import analyze_session, ingest, per_stimulus_errors, summarize_cohort
+from lenrepro.analysis import (analyze_session, ingest, per_stimulus_errors, summarize_cohort,
+                               summarize_file)
 from lenrepro.fitting import (FitConfig, ObservedErrors, _fit_with_goodness, fit_shared_prior,
                               goodness_of_fit)
 from lenrepro.model import (DEFAULT_STIMULI, NoiseMode, NoiseModel, closed_form, error_curve,
                             ri_curve, rmse_surface)
-from lenrepro.records import Trials
+from lenrepro.records import Trials, write_trial_csv
 
 # one condition, so the bias/cv objective is not identified; a two-value
 # sigma_p grid, so every fit lands on its edge; a wf grid that reaches past
@@ -32,6 +33,13 @@ def _session() -> Trials:
     nominal = [6.0, 6.0, 10.0, 14.0, 14.0]
     return Trials(["p1"] * 5, ["a"] * 5, range(5), nominal, nominal,
                   [6.5, 5.9, 10.2, 13.1, 13.6])
+
+
+def _session_file(path):
+    """A trial CSV of :func:`_session` next to ``path``."""
+    session = path.with_name("session.csv")
+    write_trial_csv(_session(), session)
+    return session
 
 
 def _fit():
@@ -58,6 +66,7 @@ ENTRY_POINTS = {
     "per_stimulus_errors": (lambda path: per_stimulus_errors(_session()), 1),
     "analyze_session": (lambda path: analyze_session(_session()), 1),
     "summarize_cohort": (lambda path: summarize_cohort(_session()), 1),
+    "summarize_file": (lambda path: summarize_file(_session_file(path)), 1),
 }
 
 
