@@ -289,11 +289,8 @@ def _columns(rows: int, widths: tuple) -> list:
 def _parse_into(data: bytes, columns: list, first: int) -> int | None:
     """Parse a block that passed :func:`_scan` with numpy's C reader, one
     structured dtype for the dtypes of ``columns``, into their rows from
-    ``first`` on; returns the row after the last one filled.  None when the
-    reader rejects a line, or reads another number of rows than the block
-    has lines or than the columns have room for, or when a value fails a
-    check of the per-cell reader: finite numbers, ``actual > 0`` and
-    ``response >= 0``."""
+    ``first`` on; returns the row after the last one filled, or None when
+    the reader rejects a line or the columns have no room for its rows."""
     dtype = np.dtype([(str(i), column.dtype) for i, column in enumerate(columns)])
     try:
         # a trailing comma on every row makes a seventh, empty field
@@ -301,15 +298,19 @@ def _parse_into(data: bytes, columns: list, first: int) -> int | None:
                            usecols=range(6), ndmin=1)
     except ValueError:
         return None
-    values = [table[name] for name in dtype.names[3:]]
     stop = first + table.size
-    if not (table.size == data.count(b"\n") and stop <= columns[0].size
-            and all(np.isfinite(v).all() for v in values)
-            and (values[1] > 0).all() and (values[2] >= 0).all()):
+    if stop > columns[0].size:
         return None
     for name, column in zip(dtype.names, columns):
         column[first:stop] = table[name]
     return stop
+
+
+def _in_range(nominal, actual, response) -> bool:
+    """Whether the parsed values pass the checks of the per-cell reader:
+    finite numbers, ``actual > 0`` and ``response >= 0``."""
+    return (all(np.isfinite(v).all() for v in (nominal, actual, response))
+            and (actual > 0).all() and (response >= 0).all())
 
 
 def _parse_contract(fh, start) -> Trials | None:
@@ -319,8 +320,9 @@ def _parse_contract(fh, start) -> Trials | None:
     After the scan, one pass: each block of whole lines is parsed by
     :func:`_parse_into` straight into columns allocated for the rows the
     scan counted, each id column at the width of its longest value, and
-    the table adopts every column without a copy.  Then the trial keys
-    must be unique.
+    the table adopts every column without a copy.  Then every check of the
+    per-cell reader is made in bulk: the values (:func:`_in_range`) and
+    unique trial keys.
     """
     chunk = _SCAN_CHUNK
     scanned = _in_contract(fh, chunk)
@@ -334,7 +336,7 @@ def _parse_contract(fh, start) -> Trials | None:
         stop = _parse_into(lines.encode("ascii"), columns, stop)
         if stop is None:
             return None
-    if stop < len(columns[0]):  # the file changed since the scan
+    if stop < len(columns[0]) or not _in_range(*columns[3:]):
         return None
     for column in columns:
         column.flags.writeable = False  # so the table adopts it
@@ -377,7 +379,8 @@ def _session_blocks(fh):
     tables of at most ``_SESSION_ROWS`` rows, or more when one session's
     rows run longer; each table ends where a run of one session's rows
     ends, so no such run spans two tables.  Yields None, and stops, at a
-    block of lines that fails :func:`_scan` or :func:`_parse_into`."""
+    block of lines that fails :func:`_scan`, :func:`_parse_into` or
+    :func:`_in_range`."""
     columns, fill, widths = None, 0, (0, 0)
     for lines in _blocks(fh, _SCAN_CHUNK):
         scanned = _scan(lines, widths)
@@ -393,7 +396,7 @@ def _session_blocks(fh):
                 columns = [column[cut:fill].copy() for column in columns]
                 fill -= cut
         columns = _room(columns, fill, rows, widths)
-        if _parse_into(data, columns, fill) is None:
+        if _parse_into(data, columns, fill) != fill + rows:
             yield None
             return
         fill += rows
@@ -401,9 +404,11 @@ def _session_blocks(fh):
         yield _table(columns, fill)
 
 
-def _table(columns: list, stop: int) -> Trials:
+def _table(columns: list, stop: int) -> Trials | None:
     """The first ``stop`` rows of ``columns``, which are no longer written,
-    as a table that adopts them."""
+    as a table that adopts them; None when a value fails :func:`_in_range`."""
+    if not _in_range(*(column[:stop] for column in columns[3:])):
+        return None
     for column in columns:
         column.flags.writeable = False
     return Trials(*(column[:stop] for column in columns))
@@ -823,12 +828,12 @@ def summarize_file(source, k: float = 2.5) -> CohortSummary:
     A file in the ``records`` contract is read once, and its sessions are
     reduced about ``_SESSION_ROWS`` rows at a time, so only a block of the
     trial table is ever held: each block of lines is checked and parsed
-    as ``ingest`` does (:func:`_scan`, :func:`_parse_into`), and the blocks
-    are cut where a session's rows end (see :func:`_session_blocks`).
-    Within a block a session must not repeat a trial index, and no session
-    may come back in a later block.  Any other source, a block that fails
-    a check, and a source that cannot seek are summarized as
-    ``summarize_cohort(ingest(source), k)``.
+    as ``ingest`` does (:func:`_scan`, :func:`_parse_into`,
+    :func:`_in_range`), and the blocks are cut where a session's rows end
+    (see :func:`_session_blocks`).  Within a block a session must not
+    repeat a trial index, and no session may come back in a later block.
+    Any other source, a block that fails a check, and a source that cannot
+    seek are summarized as ``summarize_cohort(ingest(source), k)``.
 
     Only numpy's own floating-point warnings, which values near the
     largest float raise, can differ: a block issues its own.

@@ -1218,6 +1218,15 @@ def _ragged(seed):
     return trials[np.isin(trials.participant_id, ["p00", "p01", "p02"])]
 
 
+def _widening():
+    """Sessions whose participant ids and conditions grow longer down the
+    file, so a later block parses them at a wider width."""
+    trials = _by_session(_degenerate_cohort(), "participant_id", "condition")
+    longer = {"p01": "p", "p02": "p02", "p03": "p03-long", "a": "a", "b": "b-longer"}
+    return Trials(*(np.array([longer[x] for x in ids.tolist()])
+                    for ids in trials.columns[:2]), *trials.columns[2:])
+
+
 _C = TestCohortSummary
 # trial tables written as contract files: (table, whether it streams when
 # a block holds only part of it)
@@ -1229,6 +1238,7 @@ _FILE_TABLES = {
     "singleton groups": (lambda: _by_session(_degenerate_cohort(), "condition",
                                              "participant_id"), True),
     "interleaved sessions": (lambda: _ragged(1), False),
+    "ids that widen in later blocks": (lambda: _widening(), True),
     **{f"degenerate {sorted(replace)}": (
         lambda replace=replace: _by_session(_degenerate_cohort(replace), "condition",
                                             "participant_id"), True)
@@ -1237,12 +1247,6 @@ _FILE_TABLES = {
                        {"p01_b": _C._OVERFLOW, "p02_a": _C._CONSTANT},
                        {"p01_a": _C._CONSTANT}, {"p03_b": _C._CONSTANT})},
 }
-
-
-def _bytes(trials, tmp_path) -> bytes:
-    path = tmp_path / "table.csv"
-    write_trial_csv(trials, path)
-    return path.read_bytes()
 
 
 class TestSummarizeFile:
@@ -1324,8 +1328,9 @@ class TestSummarizeFile:
         self._assert_same(path)
 
     def test_streams_as_the_oracle_reads_them(self, tmp_path):
-        data = _bytes(_by_session(_degenerate_cohort(), "condition", "participant_id"), tmp_path)
-        text = data.decode()
+        path = tmp_path / "trials.csv"
+        write_trial_csv(_by_session(_degenerate_cohort(), "condition", "participant_id"), path)
+        text = path.read_text()
         for source in (lambda: io.StringIO(text), lambda: _OnceOnly(text),
                        lambda: text.splitlines(keepends=True)):
             assert _summarized(source(), 2.5, True) == _summarized(source(), 2.5, False)
