@@ -17,7 +17,7 @@ never stored: each block of rows adds its session's shift as it is
 gathered.  Every other array has a value per session or per stimulus
 group, or a block of at most ``_BLOCK_SIZE`` values.  On the seed-1
 ``cohort`` file it peaks at 0.27 times the table above it, ``ingest`` at
-1.11 times the table, and ``summarize_file`` at 0.23 times the table that
+1.11 times the table, and ``summarize_file`` at 0.24 times the table that
 ``ingest`` would build.
 
 Conventions (documented choices):
@@ -368,10 +368,11 @@ def _repeats_a_key(trials: Trials, sessions: _Segments) -> bool:
     return False
 
 
-def _changes(*keys) -> np.ndarray:
-    """Whether each row but the first differs in some key from the row
-    before it."""
-    return np.logical_or.reduce([key[1:] != key[:-1] for key in keys])
+def _last_run(pid, cond) -> int:
+    """Where the last run of rows of one (participant id, condition) key
+    starts."""
+    new = np.flatnonzero((pid[1:] != pid[:-1]) | (cond[1:] != cond[:-1]))
+    return new[-1].item() + 1 if new.size else 0
 
 
 def _session_blocks(fh):
@@ -389,8 +390,7 @@ def _session_blocks(fh):
             return
         data, widths, rows = scanned
         if columns is not None and fill + rows > columns[0].size:
-            new = np.flatnonzero(_changes(*(column[:fill] for column in columns[:2])))
-            cut = new[-1].item() + 1 if new.size else 0  # where the last run starts
+            cut = _last_run(*(column[:fill] for column in columns[:2]))
             if cut:
                 yield _table(columns, cut)
                 columns = [column[cut:fill].copy() for column in columns]
@@ -855,27 +855,33 @@ def _file_sessions(fh) -> list | None:
     """The columns of :func:`_session_columns` of the blocks of
     :func:`_session_blocks`, merged in key order; None when a block fails
     a check, a session of a block repeats a trial index, or a session
-    comes back in a later block, so that its key is repeated."""
+    comes back in a later block, which the set of the finished sessions'
+    keys shows before that block is reduced."""
     try:
         if fh.readline() != _HEADER_LINE:
             return None
-        parts = []
+        parts, finished = [], set()
         for trials in _session_blocks(fh):
             if trials is None:
                 return None
             sessions = _Segments(trials.condition, trials.participant_id)
-            if _repeats_a_key(trials, sessions):
+            # hashes, not the keys, to hold less: equal keys hash alike, and
+            # a rare collision only sends the file to the table path
+            keys = {hash(key) for key in zip(*(ids[sessions.first_rows].tolist()
+                                               for ids in (trials.participant_id,
+                                                           trials.condition)))}
+            if not finished.isdisjoint(keys) or _repeats_a_key(trials, sessions):
                 return None
+            finished |= keys
             parts.append(_session_columns(trials, sessions))
-            del trials, sessions  # before the next block is read
+            del trials, sessions, keys  # before the next block is read
     except UnicodeDecodeError:
         return None  # raised again, by the per-cell reader
     if not parts:
         return None
     columns = [np.concatenate(column) for column in zip(*parts)]
     order = np.lexsort((columns[1], columns[0]))
-    columns = [column[order] for column in columns]
-    return columns if _changes(*columns[:2]).all() else None
+    return [column[order] for column in columns]
 
 
 def _summary(columns: list, k: float) -> CohortSummary:
