@@ -9,6 +9,7 @@ ends), so reruns are byte-identical.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 from pathlib import Path
@@ -107,11 +108,8 @@ def _cast(typ, value, source: str):
 
 def _resolve(args) -> dict:
     """The command's keys, and the file's keys for the conditions it runs."""
-    path, file = args.config, {}
-    if path:
-        import json
-
-        file = json.loads(Path(path).read_text(encoding="utf-8"))
+    path = args.config
+    file = json.loads(Path(path).read_text(encoding="utf-8")) if path else {}
     if not isinstance(file, dict):
         raise ValueError(f"--config {path}: expected a JSON object, "
                          f"got {type(file).__name__}")
@@ -140,8 +138,6 @@ def _resolve(args) -> dict:
             if key in file:
                 cfg[key] = _cast(float, file[key], f"config key {key} in {path}")
     if args.dump_config:
-        import json
-
         dump = json.dumps(cfg, indent=2, sort_keys=True) + "\n"
         Path(args.dump_config).write_text(dump, encoding="utf-8")
     return cfg

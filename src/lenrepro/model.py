@@ -23,7 +23,7 @@ class DegenerateFusionError(ValueError):
 
 
 class BracketError(ValueError):
-    """Inversion target not found on the bracket."""
+    """Inversion target lies outside the achievable range on the bracket."""
 
 
 def _check_nonnegative(name: str, values) -> None:
@@ -432,26 +432,16 @@ def sigma_p_from_ri(
 ) -> float:
     """Invert the regression index for the prior width at fixed noise: the
     noise magnitude over the target's ratio r = magnitude / sigma_p, if that
-    width lies on ``bracket`` (cm).
-
-    The bisection for r assumes that the index rises with r, as it does for
-    a prior centred on the stimuli.  For a prior mean off their mean it
-    need not: with the mean at 3 cm and wf 0.2 the index peaks at 1.018
-    near sigma_p 0.69, so a target of 1.005 is not found although two
-    widths reach it."""
+    width lies on ``bracket`` (cm)."""
     for b in bracket:
         _check_nonnegative("sd", b)
     r = _ratio_for_ri(target_ri, stimuli, prior_mean, noise.mode)
     sp = _sigma_p_for_ri(r, noise.magnitude, bracket)
     if np.isnan(sp):
-        ri = [_ri(b, noise.magnitude, stimuli, prior_mean, noise.mode) for b in bracket]
-        message = (f"target {target_ri} not found on the bracket: the index is "
-                   f"{ri[0]:.12f} at sigma_p {bracket[0]} and {ri[1]:.12f} at "
-                   f"sigma_p {bracket[1]}")
-        if prior_mean is not None and prior_mean != stimuli.mean_stimulus:
-            message += ("; for a prior mean off the stimuli's mean the index need not be "
-                        "monotone in sigma_p, so a width between them may reach the target")
-        raise BracketError(message)
+        ri_wide, ri_narrow = (_ri(b, noise.magnitude, stimuli, prior_mean, noise.mode)
+                              for b in bracket[::-1])
+        raise BracketError(f"target {target_ri} unreachable: achievable range is "
+                           f"[{ri_wide:.12f}, {ri_narrow:.12f}] on the bracket")
     return float(sp)
 
 

@@ -682,14 +682,6 @@ class TestCommandImports:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
 
-    def test_import_does_not_load_json(self):
-        """Only ``--config`` and ``--dump-config`` read or write JSON."""
-        code = "import sys, lenrepro.cli\nprint('json' in sys.modules)\n"
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env=_src_env())
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
-
     def test_analyze_does_not_load_numpy_ma(self, pipeline_inputs, tmp_path):
         """Grouping sorts and compares rows itself; ``np.unique`` and
         ``np.union1d`` would import ``numpy.ma`` on their first call."""

@@ -365,24 +365,6 @@ class TestSigmaPFromRi:
         ri = predict_regression_index(noise, GaussianBelief(25.0, sp), DEFAULT_STIMULI)
         assert abs(ri) < 1e-9
 
-    def test_off_centre_prior_names_the_indices_at_the_bracket_ends(self):
-        # the index is not monotone in sigma_p here: it peaks above the
-        # target inside the bracket, so neither end bounds what it reaches
-        noise = NoiseModel.weber(0.2)
-        with pytest.raises(BracketError, match=(
-                r"^target 1\.005 not found on the bracket: the index is 1\.000000090269 at "
-                r"sigma_p 0\.001 and 0\.000010055603 at sigma_p 1000\.0; for a prior mean "
-                r"off the stimuli's mean the index need not be monotone in sigma_p")):
-            sigma_p_from_ri(1.005, noise, prior_mean=3.0)
-        peak = predict_regression_index(noise, GaussianBelief(3.0, 0.69), DEFAULT_STIMULI)
-        assert peak > 1.018
-
-    def test_centred_prior_names_the_indices_at_the_bracket_ends(self):
-        with pytest.raises(BracketError, match=(
-                r"^target 0\.9 not found on the bracket: the index is 0\.756804610713 at "
-                r"sigma_p 1\.0 and 0\.473556580515 at sigma_p 2\.0$")):
-            sigma_p_from_ri(0.9, NoiseModel.weber(0.2), bracket=(1.0, 2.0))
-
     @pytest.mark.parametrize("sigma_p", [0.3, 1.5, 50.0])
     @pytest.mark.parametrize("target", [0.1, 0.5, 0.9])
     def test_wf_and_sigma_p_share_one_ratio(self, sigma_p, target):
