@@ -22,8 +22,9 @@ holds, per workload, the median over the seeds of each end-to-end metric
 (each run reports its median over passes), the per-command medians of
 ``main_s`` and peak RSS, the per-layer metrics of the traced run, operation
 counts, the environment (with whether Python writes bytecode files) and
-the line count of every ``src/lenrepro/*.py`` file (as ``wc -l`` counts
-them).
+the line count of every ``src/lenrepro/*.py`` file and of every
+``tests/*.py`` file (as ``wc -l`` counts them), so that code moved from the
+one into the other shows.
 """
 from __future__ import annotations
 
@@ -100,8 +101,9 @@ def uncommitted_changes(root: Path) -> bool | None:
     return bool(status.stdout.strip()) if status.returncode == 0 else None
 
 
-def source_lines(root: Path) -> dict:
-    files = sorted((root / "src" / "lenrepro").glob("*.py"))
+def line_counts(directory: Path) -> dict:
+    """The line count of each ``*.py`` file in ``directory``, and their total."""
+    files = sorted(directory.glob("*.py"))
     lines = {f.name: f.read_bytes().count(b"\n") for f in files}
     return {**lines, "total": sum(lines.values())}
 
@@ -130,7 +132,8 @@ def main(argv=None) -> int:
         env["dont_write_bytecode"] = bool(sys.flags.dont_write_bytecode)
         snapshot = {"number": number, "seeds": list(SEEDS),
                     "command": "python3 perfbench/run.py --workload W --seed S --trace T",
-                    "env": env, "src_lines": source_lines(root),
+                    "env": env, "src_lines": line_counts(root / "src" / "lenrepro"),
+                    "tests_lines": line_counts(root / "tests"),
                     "workloads": {w: snaps[j] for w, snaps in by_workload.items()}}
         out = Path(f"BENCH_{number}.json")
         out.write_text(json.dumps(snapshot, indent=1, sort_keys=True) + "\n", encoding="utf-8")

@@ -6,8 +6,7 @@ of columns (:class:`SessionTable`) and the condition statistics and
 contrasts computed from it.  ``summarize_file`` gives the same summary
 from a trial CSV without holding its table: it reduces the sessions of a
 contract file a block of whole sessions at a time and merges their
-per-session columns.  Only the per-session functions (``analyze_session``
-and the three steps it chains) build result objects.
+per-session columns.
 
 Memory: above its table, ``summarize_cohort`` holds one row-sized index
 array: the order of the sessions' rows, which sorting each session's rows
@@ -54,45 +53,6 @@ class IngestionError(ValueError):
 
 class DegenerateDataError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class StimulusErrors:
-    """Normalized errors for one stimulus group."""
-
-    nominal: float
-    mean_actual: float      # S_Mi, mean presented length in the group
-    mean_response: float    # R_Mi, mean adjusted response
-    bias: float
-    cv: float
-    rmse: float
-    n: int
-
-
-@dataclass(frozen=True)
-class ErrorDecomposition:
-    per_stimulus: tuple
-    session_bias: float
-    session_cv: float
-    session_rmse: float
-    mean_stimulus: float
-    singleton_groups: tuple = ()  # nominals whose cv had a single trial
-
-
-@dataclass(frozen=True)
-class RegressionFit:
-    slope: float
-    intercept: float
-    regression_index: float
-    r_squared: float
-
-
-@dataclass(frozen=True)
-class SessionSummary:
-    participant_id: str
-    condition: str
-    fit: RegressionFit
-    errors: ErrorDecomposition
 
 
 @dataclass(frozen=True)
@@ -581,17 +541,6 @@ def _means(*blocks) -> list:
     return [block.mean(axis=1) for block in blocks]
 
 
-def _sessions(trials: Trials, sessions: _Segments | None = None) -> tuple:
-    """The sessions of the table, or the whole table as one session when
-    ``sessions`` is None, and the mean actual length of each session."""
-    if sessions is None:
-        if not len(trials):
-            raise DegenerateDataError("empty session")
-        sessions = _Segments(np.zeros(len(trials), np.intp))
-    s_bar, = sessions.reduce(_means, trials.actual_length)
-    return sessions, s_bar
-
-
 def _shift(trials: Trials, sessions: _Segments, s_bar) -> np.ndarray:
     """What debiasing adds to each response of a session: its mean actual
     length ``s_bar`` less its mean response."""
@@ -606,10 +555,10 @@ def _first_nonfinite(values) -> tuple:
     return bad.any(axis=1), values[np.arange(len(values)), bad.argmax(axis=1)]
 
 
-def _fit_lines(segments: _Segments, x, y, shift=None) -> list:
+def _fit_lines(segments: _Segments, x, y, shift) -> list:
     """OLS of y (plus ``shift`` per segment) on x within each segment:
     (slope, intercept, r_squared, denominator) arrays.  A zero denominator
-    marks a constant x, which the callers reject."""
+    marks a constant x, which the caller rejects."""
 
     def fit(x, y):
         x_mean = x.mean(axis=1, keepdims=True)
@@ -638,7 +587,7 @@ def _stimulus_groups(trials: Trials, sessions: _Segments) -> tuple:
     return groups, np.searchsorted(np.cumsum(sessions.lengths), np.cumsum(groups.lengths))
 
 
-def _group_means(trials: Trials, groups: _Segments, shift=None) -> tuple:
+def _group_means(trials: Trials, groups: _Segments, shift) -> tuple:
     """Per stimulus group, with the responses plus ``shift`` per group: its
     nominal, mean actual length, mean response, population sd of the
     responses and number of trials."""
@@ -653,88 +602,24 @@ def _group_means(trials: Trials, groups: _Segments, shift=None) -> tuple:
 _hypot = np.frompyfunc(math.hypot, 2, 1)
 
 
-def _group_errors(per_group: tuple, session, s_bar) -> tuple:
-    """Normalized errors of the stimulus groups of :func:`_group_means`, with
-    ``session`` the session of each group and ``s_bar`` its mean actual
-    length.
-
-    Returns the :class:`StimulusErrors` fields per group, and each
-    session's mean bias, cv and rmse over its groups.
-    """
-    nominal, s_mi, r_mi, sd, n = per_group
+def _group_errors(per_group: tuple, session, s_bar) -> list:
+    """Each session's mean normalized bias, cv and rmse over its stimulus
+    groups of :func:`_group_means`, with ``session`` the session of each
+    group and ``s_bar`` its mean actual length.  A group's bias is
+    |R_Mi - S_Mi| / S-bar, its cv the population sd of its responses over
+    S-bar, and its rmse the hypotenuse of the two."""
+    _, s_mi, r_mi, sd, _ = per_group
     s_bar_of_group = s_bar[session]
     bias = np.abs(r_mi - s_mi) / s_bar_of_group
     cv = sd / s_bar_of_group  # exactly 0 for a single trial
     # math.hypot, one value at a time instead of through lists of them
     rmse = _hypot(bias, cv).astype(float)
-    return ((nominal, s_mi, r_mi, bias, cv, rmse, n),
-            _Segments(session).reduce(_means, bias, cv, rmse))
+    return _Segments(session).reduce(_means, bias, cv, rmse)
 
 
 def _warn_singletons(nominals) -> None:
     if nominals:
         _warn(f"stimulus groups with a single trial (cv set to 0): {list(nominals)}")
-
-
-def debias_session(trials: Trials) -> Trials:
-    """Remove the constant response offset of one participant+condition:
-    response' = response - mean(responses) + mean(actual stimuli).
-    """
-    sessions, s_bar = _sessions(trials)
-    response = trials.response + _shift(trials, sessions, s_bar)  # of the one session
-    response.flags.writeable = False  # fresh, so the table adopts it
-    return Trials(*trials.columns[:-1], response)
-
-
-def _decomposition(trials: Trials) -> ErrorDecomposition:
-    """:func:`per_stimulus_errors` without its warning."""
-    sessions, s_bar = _sessions(trials)
-    groups, session = _stimulus_groups(trials, sessions)
-    per_group, means = _group_errors(_group_means(trials, groups), session, s_bar)
-    groups = tuple(map(StimulusErrors, *(column.tolist() for column in per_group)))
-    return ErrorDecomposition(groups, *(m.item() for m in means), s_bar.item(),
-                              tuple(g.nominal for g in groups if g.n == 1))
-
-
-def per_stimulus_errors(trials: Trials) -> ErrorDecomposition:
-    """Per-stimulus normalized bias / cv / rmse of an adjusted session.
-
-    Groups by nominal length; within each group S_Mi is the mean actually
-    presented length, bias = |R_Mi - S_Mi| / S-bar and cv is the population
-    sd of the responses / S-bar.  Session values are unweighted means over
-    the groups.
-    """
-    errors = _decomposition(trials)
-    _warn_singletons(errors.singleton_groups)
-    return errors
-
-
-def fit_regression_index(trials: Trials, per_group: bool = False) -> RegressionFit:
-    """OLS of responses on the actually presented stimuli; index = 1 - slope.
-
-    Fits trial-level points by default; ``per_group=True`` fits the
-    per-stimulus mean points instead, in ascending nominal order.
-    """
-    segments, _ = _sessions(trials)
-    x, y = trials.actual_length, trials.response
-    if per_group:
-        groups, session = _stimulus_groups(trials, segments)
-        _, x, y, _, _ = _group_means(trials, groups)
-        segments = _Segments(session)
-    slope, intercept, r2, denom = (v.item() for v in _fit_lines(segments, x, y))
-    if denom == 0:
-        raise DegenerateDataError("all stimulus values identical")
-    return RegressionFit(slope, intercept, 1.0 - slope, r2)
-
-
-def analyze_session(trials: Trials) -> SessionSummary:
-    """Debias one session, then fit the index and decompose errors."""
-    trials = debias_session(trials)
-    fit = fit_regression_index(trials)
-    errors = _decomposition(trials)
-    _warn_singletons(errors.singleton_groups)
-    return SessionSummary(trials.participant_id[0].item(), trials.condition[0].item(),
-                          fit, errors)
 
 
 def _check_k(k: float) -> None:
@@ -785,7 +670,7 @@ def _session_columns(trials: Trials, sessions: _Segments) -> list:
     """
     n_sessions = len(sessions)
     pids, conds = (ids[sessions.first_rows] for ids in (trials.participant_id, trials.condition))
-    s_bar = _sessions(trials, sessions)[1]
+    s_bar, = sessions.reduce(_means, trials.actual_length)
     shift = _shift(trials, sessions, s_bar)
     with np.errstate(invalid="ignore"):  # a non-finite response raises
         slope, intercept, r2, denom = _fit_lines(
@@ -795,7 +680,8 @@ def _session_columns(trials: Trials, sessions: _Segments) -> list:
         del sessions  # spent: its rows may be the order of the groups
         per_group = _group_means(trials, groups, shift[session])
         del groups
-        (nominal, *_, n), errors = _group_errors(per_group, session, s_bar)
+        nominal, n = per_group[0], per_group[-1]
+        errors = _group_errors(per_group, session, s_bar)
     singletons, failure = np.full(n_sessions, None), np.full(n_sessions, None)
     ones = n == 1
     single = session[ones]

@@ -9,7 +9,6 @@ ends), so reruns are byte-identical.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -109,6 +108,8 @@ def _cast(typ, value, source: str):
 def _resolve(args) -> dict:
     """The command's keys, and the file's keys for the conditions it runs."""
     path = args.config
+    if path or args.dump_config:
+        import json  # only these two options read or write JSON
     file = json.loads(Path(path).read_text(encoding="utf-8")) if path else {}
     if not isinstance(file, dict):
         raise ValueError(f"--config {path}: expected a JSON object, "

@@ -16,11 +16,9 @@ from typing import Mapping
 import numpy as np
 
 from .model import (
-    GaussianBelief,
     MotorCombination,
     MotorNoiseSpec,
     NoiseMode,
-    NoiseModel,
     StimulusSet,
     _check_noise,
     _check_nonnegative,
@@ -111,8 +109,17 @@ def _folded_mean(b, s):
 
 def _finite_sample_errors(mean, sd, stimuli: StimulusSet, motor: MotorNoiseSpec,
                           n: int):
-    """:func:`expected_pipeline_errors` from per-stimulus means and sds
-    on the last axis, which the results drop."""
+    """Expected (bias, cv) of the empirical estimators at ``n`` trials per
+    stimulus, from per-stimulus means and sds on the last axis, which the
+    results drop.
+
+    The per-stimulus bias estimator is the absolute value of a noisy group
+    mean, so its expectation is a folded-normal mean; the CV estimator is a
+    population sd, deflated by the normal small-sample factor.  The folding
+    sd always carries the full response variability (sensory + motor in
+    quadrature) because motor noise is in the responses regardless of how
+    the CV combination is configured.
+    """
     if n < 2:
         raise ValueError("trials_per_stimulus must be >= 2")
     s = np.asarray(stimuli.lengths)
@@ -122,29 +129,6 @@ def _finite_sample_errors(mean, sd, stimuli: StimulusSet, motor: MotorNoiseSpec,
     bias = np.mean(_folded_mean(mean - s, full_sd / math.sqrt(n)), axis=-1) / s_bar
     cv = np.mean(sd, axis=-1) * _sd_deflation(n) / s_bar
     return bias, (cv + motor.sd_cm / s_bar if linear else cv)
-
-
-def expected_pipeline_errors(
-    noise: NoiseModel,
-    prior: GaussianBelief,
-    stimuli: StimulusSet,
-    motor: MotorNoiseSpec,
-    trials_per_stimulus: int,
-):
-    """Expected (bias, cv) of the empirical estimators at finite group size.
-
-    The per-stimulus bias estimator is the absolute value of a noisy group
-    mean, so its expectation is a folded-normal mean; the CV estimator is a
-    population sd, deflated by the normal small-sample factor.  The folding
-    sd always carries the full response variability (sensory + motor in
-    quadrature) because motor noise is in the responses regardless of how
-    the CV combination is configured.
-    """
-    mean, sd = _closed_form(
-        prior.sd, noise.magnitude, stimuli, motor, prior.mean, noise.mode
-    )
-    bias, cv = _finite_sample_errors(mean, sd, stimuli, motor, trials_per_stimulus)
-    return float(bias), float(cv)
 
 
 # sigma_p rows that _model_table evaluates at a time

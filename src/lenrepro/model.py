@@ -23,7 +23,7 @@ class DegenerateFusionError(ValueError):
 
 
 class BracketError(ValueError):
-    """Inversion target lies outside the achievable range on the bracket."""
+    """Inversion target not found on the bracket."""
 
 
 def _check_nonnegative(name: str, values) -> None:
@@ -223,18 +223,24 @@ def closed_form(sigma_p, wf, stimuli: StimulusSet,
     """The observer over arrays of prior widths (cm) and Weber fractions.
 
     They broadcast to a grid shape G; the prior sits on the mean stimulus.
-    Returns the per-stimulus mean response and response sd of
-    :func:`predict_per_stimulus`, each of shape G + (n_stimuli,).  The grid
-    is checked as each GaussianBelief and NoiseModel in it would be."""
+    Returns the per-stimulus mean response w*s + (1-w)*prior_mean (w at the
+    true stimulus s) and response sd, each of shape G + (n_stimuli,); the sd
+    holds the motor constant under QUADRATURE only.  The grid is checked as
+    each GaussianBelief and NoiseModel in it would be."""
     _check_nonnegative("sd", sigma_p)
     _check_noise(NoiseMode.WEBER, wf)
     return _closed_form(sigma_p, wf, stimuli, motor, None, NoiseMode.WEBER)
 
 
 def normalized_errors(mean, sd, stimuli: StimulusSet, motor: MotorNoiseSpec):
-    """The (bias, cv) of :func:`predict_errors` from per-stimulus means and
-    sds on the last axis, as returned by :func:`closed_form`; the results
-    drop that axis."""
+    """Normalized (bias, cv) averaged over the stimulus set, from
+    per-stimulus means and sds on the last axis, as returned by
+    :func:`closed_form`; the results drop that axis.
+
+    bias = mean |mean - s| / mean stimulus; cv = mean sd / mean stimulus.
+    Under LINEAR_CV the motor term sd/mean-stimulus is added to the cv
+    after averaging; under QUADRATURE it is already inside each sd.
+    """
     s_bar = stimuli.mean_stimulus
     bias = np.mean(np.abs(mean - np.asarray(stimuli.lengths)), axis=-1) / s_bar
     cv = np.mean(sd, axis=-1) / s_bar
@@ -244,10 +250,13 @@ def normalized_errors(mean, sd, stimuli: StimulusSet, motor: MotorNoiseSpec):
 
 
 def regression_index(mean, stimuli: StimulusSet):
-    """1 minus the OLS slope of predicted mean responses on the stimuli.
+    """1 minus the OLS slope of predicted mean responses on the stimuli,
+    the estimator of the empirical pipeline.
 
     ``mean`` holds per-stimulus means on its last axis, as returned by
-    :func:`closed_form`; the result drops that axis.
+    :func:`closed_form`; the result drops that axis.  Under constant noise
+    the means are exactly linear in the stimulus and the index reduces to
+    sigma_l^2 / (sigma_l^2 + sigma_p^2).
     """
     s = np.asarray(stimuli.lengths)
     xc = s - s.mean()
@@ -261,57 +270,6 @@ def regression_index(mean, stimuli: StimulusSet):
 def _ri(sigma_p, wf, stimuli, prior_mean=None, mode=NoiseMode.WEBER):
     mean = _closed_form(sigma_p, wf, stimuli, NO_MOTOR_NOISE, prior_mean, mode)[0]
     return regression_index(mean, stimuli)
-
-
-def predict_per_stimulus(
-    noise: NoiseModel,
-    prior: GaussianBelief,
-    stimuli: StimulusSet,
-    motor: MotorNoiseSpec = NO_MOTOR_NOISE,
-):
-    """Predicted (stimulus, mean response, response sd) per stimulus.
-
-    The fusion weight is evaluated at the true stimulus, so the predicted
-    mean is exactly w*s + (1-w)*prior_mean.  Under QUADRATURE the motor
-    constant enters each response sd; under LINEAR_CV the sds here are
-    sensory-only and the motor term is applied by :func:`predict_errors`.
-    """
-    mean, sd = _closed_form(
-        prior.sd, noise.magnitude, stimuli, motor, prior.mean, noise.mode
-    )
-    return tuple(zip(stimuli.lengths, mean.tolist(), sd.tolist()))
-
-
-def predict_regression_index(
-    noise: NoiseModel, prior: GaussianBelief, stimuli: StimulusSet
-) -> float:
-    """1 minus the OLS slope of predicted mean responses on the stimuli.
-
-    Uses the same estimator as the empirical pipeline; under constant
-    noise the predicted means are exactly linear in the stimulus and the
-    index reduces to sigma_l^2 / (sigma_l^2 + sigma_p^2).
-    """
-    return float(_ri(prior.sd, noise.magnitude, stimuli, prior.mean, noise.mode))
-
-
-def predict_errors(
-    noise: NoiseModel,
-    prior: GaussianBelief,
-    stimuli: StimulusSet,
-    motor: MotorNoiseSpec = NO_MOTOR_NOISE,
-):
-    """Normalized (bias, cv, rmse) averaged over the stimulus set.
-
-    bias = mean |predicted mean - s| / mean stimulus; cv = mean response
-    sd / mean stimulus.  Under LINEAR_CV the motor term sd/mean-stimulus
-    is added to the cv after averaging; under QUADRATURE it is already
-    inside each per-stimulus sd.
-    """
-    mean, sd = _closed_form(
-        prior.sd, noise.magnitude, stimuli, motor, prior.mean, noise.mode
-    )
-    bias, cv = normalized_errors(mean, sd, stimuli, motor)
-    return float(bias), float(cv), math.hypot(bias, cv)
 
 
 def grid_values(lo: float, hi: float, step: float) -> np.ndarray:
@@ -395,7 +353,7 @@ def wf_from_ri(
     """Invert the regression index for the Weber fraction at fixed prior
     width: ``prior_sd`` times the target's ratio r = wf / sigma_p.  The
     index rises with r from 0 towards 1; the returned wf round-trips through
-    :func:`predict_regression_index` to within 1e-9."""
+    :func:`regression_index` to within 1e-9."""
     if not (0 <= target_ri < 1):
         raise ValueError(f"target_ri must be in [0, 1), got {target_ri}")
     if not (prior_sd > 0):
@@ -432,16 +390,20 @@ def sigma_p_from_ri(
 ) -> float:
     """Invert the regression index for the prior width at fixed noise: the
     noise magnitude over the target's ratio r = magnitude / sigma_p, if that
-    width lies on ``bracket`` (cm)."""
+    width lies on ``bracket`` (cm).  For a prior mean off the stimuli's mean
+    the index need not be monotone in sigma_p, and a target reached only
+    between the bracket ends may not be found."""
     for b in bracket:
         _check_nonnegative("sd", b)
     r = _ratio_for_ri(target_ri, stimuli, prior_mean, noise.mode)
     sp = _sigma_p_for_ri(r, noise.magnitude, bracket)
     if np.isnan(sp):
-        ri_wide, ri_narrow = (_ri(b, noise.magnitude, stimuli, prior_mean, noise.mode)
-                              for b in bracket[::-1])
-        raise BracketError(f"target {target_ri} unreachable: achievable range is "
-                           f"[{ri_wide:.12f}, {ri_narrow:.12f}] on the bracket")
+        ri_lo, ri_hi = (_ri(b, noise.magnitude, stimuli, prior_mean, noise.mode)
+                        for b in bracket)
+        raise BracketError(
+            f"target {target_ri} not found on the bracket: the index is {ri_lo:.12f} "
+            f"at sigma_p {bracket[0]:g} and {ri_hi:.12f} at sigma_p {bracket[1]:g}; "
+            "for a prior mean off the stimuli's mean it need not be monotone in sigma_p")
     return float(sp)
 
 
@@ -489,8 +451,8 @@ def _surface_rows(wf, ri, r, stimuli, motor, prior_mean):
     )
     bias, cv = normalized_errors(mean, sd, stimuli, motor)
     out = np.full(sp.shape, np.nan)
-    # math.hypot as in predict_errors; np.hypot rounds differently for ~0.6 %
-    # of inputs.
+    # math.hypot, as the pipeline's rmse; np.hypot rounds differently for
+    # ~0.6 % of inputs.
     out[defined] = [math.hypot(b, c) for b, c in zip(bias.tolist(), cv.tolist())]
     lo = np.fmin.reduce(out, axis=1, keepdims=True)  # NaN only for all-NaN rows
     with np.errstate(divide="ignore", invalid="ignore"):

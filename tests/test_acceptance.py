@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from lenrepro.analysis import analyze_session, per_stimulus_errors, summarize_cohort
+from lenrepro.analysis import summarize_cohort
 from lenrepro.cli import main as cli_main
 from lenrepro.fitting import FitConfig, ObservedErrors, fit_shared_prior
 from lenrepro.model import (
@@ -20,9 +20,10 @@ from lenrepro.model import (
     MotorNoiseSpec,
     NO_MOTOR_NOISE,
     NoiseModel,
+    closed_form,
     error_curve,
     fuse_gaussians,
-    predict_regression_index,
+    regression_index,
     ri_curve,
     rmse_surface,
     wf_from_ri,
@@ -65,23 +66,23 @@ def test_criterion_2_constant_noise_regression_index():
     obs = ObserverParams(NoiseModel.constant(1.0), 10.0, 2.0)
     recs = simulate_observer(sched, obs, seed=7)
     assert len(recs) == 11 * 600
-    summary = analyze_session(recs)
-    assert summary.fit.regression_index == pytest.approx(0.2, abs=0.01)
-    _report("criterion 2: fitted RI "
-            f"{summary.fit.regression_index:.5f} within 0.01 of 0.2")
+    ri = summarize_cohort(recs).sessions.regression_index[0]
+    assert ri == pytest.approx(0.2, abs=0.01)
+    _report(f"criterion 2: fitted RI {ri:.5f} within 0.01 of 0.2")
 
 
 def test_criterion_3_error_decomposition_hand_oracle():
-    """Three responses {9, 10, 11} at stimulus 10: bias 0, cv = sqrt(2/3)/10."""
-    recs = Trials(["p01"] * 3, ["a"] * 3, [0, 1, 2], [10.0] * 3, [10.0] * 3,
-                  [9.0, 10.0, 11.0])
-    dec = per_stimulus_errors(recs)
-    g = dec.per_stimulus[0]
-    expected_cv = math.sqrt(2.0 / 3.0) / 10.0
-    assert g.bias == pytest.approx(0.0, abs=1e-6)
-    assert g.cv == pytest.approx(expected_cv, abs=1e-6)
-    assert g.rmse == pytest.approx(expected_cv, abs=1e-6)
-    assert g.cv == pytest.approx(0.08165, abs=1e-5)
+    """Responses {9, 10, 11} at stimulus 10 and {19, 20, 21} at 20: the
+    session's mean stimulus is 15, so bias 0 and cv = rmse = sqrt(2/3)/15."""
+    stimuli = [10.0] * 3 + [20.0] * 3
+    recs = Trials(["p01"] * 6, ["a"] * 6, range(6), stimuli, stimuli,
+                  [9.0, 10.0, 11.0, 19.0, 20.0, 21.0])
+    s = summarize_cohort(recs).sessions
+    expected_cv = math.sqrt(2.0 / 3.0) / 15.0
+    assert s.bias[0] == pytest.approx(0.0, abs=1e-6)
+    assert s.cv[0] == pytest.approx(expected_cv, abs=1e-6)
+    assert s.rmse[0] == pytest.approx(expected_cv, abs=1e-6)
+    assert s.cv[0] == pytest.approx(0.05443, abs=1e-5)
     _report("criterion 3: hand-computed bias/cv/rmse reproduced to 1e-6")
 
 
@@ -140,9 +141,7 @@ def test_criterion_6_ri_curve_structure_and_inversion():
     recovered = {}
     for label, target in targets.items():
         wf = wf_from_ri(target, 1.5)
-        back = predict_regression_index(
-            NoiseModel.weber(wf), GaussianBelief(10.0, 1.5), DEFAULT_STIMULI
-        )
+        back = regression_index(closed_form(1.5, wf, DEFAULT_STIMULI)[0], DEFAULT_STIMULI)
         assert abs(back - target) < 1e-9
         recovered[label] = wf
     assert recovered["social"] < recovered["mechanical"] < recovered["individual"]
@@ -179,15 +178,10 @@ def test_criterion_8_null_cohort_false_positive_rate():
     significant = 0
     for run in range(200):
         recs = simulate_cohort(12, params, master_seed=10_000 + run)
-        pids = sorted(set(recs.participant_id.tolist()))
-        ri = {
-            (pid, cond): analyze_session(
-                recs[(recs.participant_id == pid) & (recs.condition == cond)]
-            ).fit.regression_index
-            for pid in pids for cond in params
-        }
-        a = [ri[(pid, "a")] for pid in pids]
-        b = [ri[(pid, "b")] for pid in pids]
+        sessions = summarize_cohort(recs, k=math.inf).sessions
+        # rows in (participant, condition) order: each participant's a, then b
+        a, b = sessions.regression_index.reshape(-1, 2).T
+        assert sessions.condition.tolist() == ["a", "b"] * 12
         _, _, p = paired_t(a, b)
         significant += p < 0.05
     assert 4 <= significant <= 16  # 2-8% of 200

@@ -10,6 +10,7 @@ import string
 import tempfile
 import tracemalloc
 import warnings
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
@@ -20,18 +21,10 @@ from hypothesis import strategies as st
 from lenrepro import analysis
 from lenrepro.analysis import (
     DegenerateDataError,
-    ErrorDecomposition,
     GroupStats,
     IngestionError,
     PairedContrast,
-    RegressionFit,
-    SessionSummary,
-    StimulusErrors,
-    analyze_session,
-    debias_session,
-    fit_regression_index,
     ingest,
-    per_stimulus_errors,
     render_report,
     screen_outliers,
     summarize_cohort,
@@ -57,6 +50,13 @@ def _trials(*recs):
 
 def _relabel(trials, pid):
     return dataclasses.replace(trials, participant_id=np.full(len(trials), pid))
+
+
+def _one_session(trials):
+    """The SessionTable values of a table of one session, by column name."""
+    sessions = summarize_cohort(trials).sessions
+    assert len(sessions) == 1
+    return {f.name: getattr(sessions, f.name)[0].item() for f in dataclasses.fields(sessions)}
 
 
 class TestIngest:
@@ -507,12 +507,14 @@ class TestIngestWarningState:
 
 class TestDebias:
     def test_constant_offset_removed(self):
+        # debiased responses 8 and 12 lie on the identity line
         recs = _trials(
             _rec("p01", "a", 0, 8.0, 9.0),
             _rec("p01", "a", 1, 12.0, 13.0),
         )
-        adj = debias_session(recs)
-        assert [r.response for r in adj] == [8.0, 12.0]
+        with pytest.warns(UserWarning, match="single trial"):
+            s = _one_session(recs)
+        assert (s["slope"], s["intercept"], s["bias"]) == (1.0, 0.0, 0.0)
 
     def test_idempotent(self):
         recs = _trials(
@@ -520,39 +522,43 @@ class TestDebias:
             _rec("p01", "a", 1, 12.0, 11.1),
             _rec("p01", "a", 2, 10.0, 10.4),
         )
-        once = debias_session(recs)
-        twice = debias_session(once)
-        for r1, r2 in zip(once, twice):
-            assert r1.response == pytest.approx(r2.response, abs=1e-12)
+        once = dataclasses.replace(
+            recs, response=recs.response - recs.response.mean() + recs.actual_length.mean())
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # single-trial groups
+            a, b = _one_session(recs), _one_session(once)
+        for name in ("regression_index", "slope", "intercept", "r_squared", "bias", "cv", "rmse"):
+            assert a[name] == pytest.approx(b[name], abs=1e-12), name
 
     def test_mean_response_equals_mean_actual(self):
+        # the fit passes through the mean point, so with the mean response
+        # at the mean actual length the intercept is that length times the index
         recs = _trials(*(_rec("p01", "a", i, 6.0 + i, 5.0 + 2 * i) for i in range(5)))
-        adj = debias_session(recs)
-        assert np.mean([r.response for r in adj]) == pytest.approx(
-            np.mean([r.actual_length for r in adj]), abs=1e-12
-        )
-
-    def test_empty_session_rejected(self):
-        with pytest.raises(DegenerateDataError):
-            debias_session(_trials())
+        with pytest.warns(UserWarning, match="single trial"):
+            s = _one_session(recs)
+        assert s["intercept"] == pytest.approx(
+            recs.actual_length.mean() * s["regression_index"], abs=1e-12)
 
 
 class TestPerStimulusErrors:
     def test_pythagorean_hand_case(self):
-        # one group at 10, responses {9, 17}: mean 13, bias 0.3, cv 0.4
-        recs = _trials(_rec("p01", "a", 0, 10.0, 9.0), _rec("p01", "a", 1, 10.0, 17.0))
-        dec = per_stimulus_errors(recs)
-        g = dec.per_stimulus[0]
-        assert g.bias == pytest.approx(0.3)
-        assert g.cv == pytest.approx(0.4)
-        assert g.rmse == pytest.approx(0.5)
+        # responses {9, 17} at 10 and {13, 21} at 20: no offset to remove,
+        # mean stimulus 15, each group |bias| 3 and sd 4, so bias 0.2, cv 4/15
+        recs = _trials(*(_rec("p01", "a", i, x, r) for i, (x, r) in enumerate(
+            ((10.0, 9.0), (10.0, 17.0), (20.0, 13.0), (20.0, 21.0)))))
+        s = _one_session(recs)
+        assert s["bias"] == pytest.approx(0.2)
+        assert s["cv"] == pytest.approx(4 / 15)
+        assert s["rmse"] == pytest.approx(1 / 3)
 
     def test_population_sd_convention(self):
-        # responses {9, 10, 11} at stimulus 10: population sd sqrt(2/3)
-        recs = _trials(*(_rec("p01", "a", i, 10.0, r) for i, r in enumerate((9.0, 10.0, 11.0))))
-        dec = per_stimulus_errors(recs)
-        assert dec.per_stimulus[0].cv == pytest.approx(math.sqrt(2 / 3) / 10, abs=1e-12)
-        assert dec.per_stimulus[0].bias == pytest.approx(0.0, abs=1e-15)
+        # responses {9, 10, 11} at 10 and {19, 20, 21} at 20: population sd
+        # sqrt(2/3) in each group, over the mean stimulus 15
+        recs = _trials(*(_rec("p01", "a", i, x, x + d) for i, (x, d) in enumerate(
+            itertools.product((10.0, 20.0), (-1.0, 0.0, 1.0)))))
+        s = _one_session(recs)
+        assert s["cv"] == pytest.approx(math.sqrt(2 / 3) / 15, abs=1e-12)
+        assert s["bias"] == pytest.approx(0.0, abs=1e-15)
 
     def test_session_values_are_unweighted_group_means(self):
         recs = _trials(
@@ -562,14 +568,14 @@ class TestPerStimulusErrors:
             _rec("p01", "a", 3, 12.0, 13.0),
             _rec("p01", "a", 4, 12.0, 12.0),
         )
-        dec = per_stimulus_errors(recs)
+        s = _one_session(recs)
         s_bar = np.mean([8.0, 8.0, 12.0, 12.0, 12.0])
-        assert dec.mean_stimulus == pytest.approx(s_bar)
-        b8 = abs(9.0 - 8.0) / s_bar
-        b12 = abs(12.0 - 12.0) / s_bar
-        assert dec.session_bias == pytest.approx((b8 + b12) / 2, abs=1e-12)
+        shift = s_bar - np.mean([9.0, 9.0, 11.0, 13.0, 12.0])  # debiasing
+        b8 = abs(9.0 + shift - 8.0) / s_bar
+        b12 = abs(12.0 + shift - 12.0) / s_bar
+        assert s["bias"] == pytest.approx((b8 + b12) / 2, abs=1e-12)
         cv12 = float(np.std([11.0, 13.0, 12.0])) / s_bar
-        assert dec.session_cv == pytest.approx((0.0 + cv12) / 2, abs=1e-12)
+        assert s["cv"] == pytest.approx((0.0 + cv12) / 2, abs=1e-12)
 
     def test_singleton_group_warns(self):
         recs = _trials(
@@ -577,32 +583,31 @@ class TestPerStimulusErrors:
             _rec("p01", "a", 1, 12.0, 11.0),
             _rec("p01", "a", 2, 12.0, 13.0),
         )
-        with pytest.warns(UserWarning, match="single trial"):
-            dec = per_stimulus_errors(recs)
-        assert dec.singleton_groups == (8.0,)
-        assert dec.per_stimulus[0].cv == 0.0
+        with pytest.warns(UserWarning, match=r"single trial \(cv set to 0\): \[8\.0\]$"):
+            s = _one_session(recs)
+        s_bar = np.mean([8.0, 12.0, 12.0])
+        assert s["cv"] == pytest.approx((0.0 + 1.0 / s_bar) / 2, abs=1e-12)
 
     def test_groups_use_actual_lengths(self):
+        # each group's mean response equals its mean actual length, not its
+        # nominal length
         recs = _trials(
             _rec("p01", "a", 0, 10.0, 10.5, actual=10.2),
             _rec("p01", "a", 1, 10.0, 10.5, actual=10.8),
+            _rec("p01", "a", 2, 14.0, 14.0, actual=13.8),
+            _rec("p01", "a", 3, 14.0, 14.0, actual=14.2),
         )
-        dec = per_stimulus_errors(recs)
-        assert dec.per_stimulus[0].mean_actual == pytest.approx(10.5)
-        assert dec.per_stimulus[0].bias == pytest.approx(0.0, abs=1e-12)
+        assert _one_session(recs)["bias"] == pytest.approx(0.0, abs=1e-12)
 
     def test_nan_nominals_form_one_group(self):
-        """Rows whose nominal length is NaN are one stimulus group, last,
-        as ``np.unique`` groups NaNs; not one group per row."""
+        """Rows whose nominal length is NaN are one stimulus group, as
+        ``np.unique`` groups NaNs; not one group of a single trial per row."""
         nan = math.nan
         trials = Trials(["p01"] * 6, ["a"] * 6, range(6), [8.0, nan, 12.0, 8.0, nan, 12.0],
                         [8.0, 10.0, 12.0, 8.0, 10.0, 12.0], [9.0, 10.5, 11.0, 8.5, 9.5, 12.5])
-        dec = per_stimulus_errors(trials)
-        assert [g.n for g in dec.per_stimulus] == [2, 2, 2]
-        assert [g.nominal for g in dec.per_stimulus][:2] == [8.0, 12.0]
-        assert math.isnan(dec.per_stimulus[2].nominal)
-        rmse = summarize_cohort(trials).sessions.rmse.tolist()
-        assert rmse == [per_stimulus_errors(debias_session(trials)).session_rmse]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a group of a single trial warns
+            rmse = summarize_cohort(trials).sessions.rmse.tolist()
         assert rmse[0] == pytest.approx(0.067322, abs=5e-7)
 
 
@@ -613,11 +618,12 @@ class TestRegressionIndex:
             _rec("p01", "a", 1, 10.0, 10.0),
             _rec("p01", "a", 2, 14.0, 12.0),
         )
-        fit = fit_regression_index(recs)
-        assert fit.slope == pytest.approx(0.5, abs=1e-12)
-        assert fit.regression_index == pytest.approx(0.5, abs=1e-12)
-        assert fit.intercept == pytest.approx(5.0, abs=1e-12)
-        assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
+        with pytest.warns(UserWarning, match="single trial"):
+            s = _one_session(recs)
+        assert s["slope"] == pytest.approx(0.5, abs=1e-12)
+        assert s["regression_index"] == pytest.approx(0.5, abs=1e-12)
+        assert s["intercept"] == pytest.approx(5.0, abs=1e-12)
+        assert s["r_squared"] == pytest.approx(1.0, abs=1e-12)
 
     def test_translation_invariance_of_slope(self):
         rng = np.random.default_rng(0)
@@ -630,28 +636,15 @@ class TestRegressionIndex:
                  r.nominal_length, r.response + 2.0, actual=r.actual_length)
             for r in recs
         ))
-        a = fit_regression_index(recs)
-        b = fit_regression_index(shifted)
-        assert a.slope == pytest.approx(b.slope, abs=1e-12)
-        assert a.regression_index == pytest.approx(b.regression_index, abs=1e-12)
-
-    def test_per_group_option(self):
-        recs = _trials(
-            _rec("p01", "a", 0, 6.0, 7.0),
-            _rec("p01", "a", 1, 6.0, 9.0),
-            _rec("p01", "a", 2, 14.0, 12.0),
-            _rec("p01", "a", 3, 14.0, 12.0),
-        )
-        trial = fit_regression_index(recs)
-        grouped = fit_regression_index(recs, per_group=True)
-        # group means (6, 8) and (14, 12): slope 0.5 either way here
-        assert grouped.slope == pytest.approx(0.5, abs=1e-12)
-        assert trial.slope == pytest.approx(grouped.slope, abs=1e-12)
+        a = _one_session(recs)
+        b = _one_session(shifted)
+        assert a["slope"] == pytest.approx(b["slope"], abs=1e-12)
+        assert a["regression_index"] == pytest.approx(b["regression_index"], abs=1e-12)
 
     def test_degenerate_stimuli(self):
         recs = _trials(*(_rec("p01", "a", i, 10.0, 10.0) for i in range(4)))
-        with pytest.raises(DegenerateDataError):
-            fit_regression_index(recs)
+        with pytest.raises(DegenerateDataError, match="^all stimulus values identical$"):
+            summarize_cohort(recs)
 
 
 class TestScreenOutliers:
@@ -705,10 +698,17 @@ def _cohort(n=12, master_seed=0, wf=(0.3, 0.18, 0.14)):
     return simulate_cohort(n, params, master_seed=master_seed)
 
 
+# a session of the row reference: its SessionTable values, the sizes of its
+# stimulus groups in nominal order, and the nominals of its single-trial groups
+_RefSession = namedtuple("_RefSession", "regression_index slope intercept r_squared "
+                                        "bias cv rmse group_sizes singletons")
+
+
 def _reference_summary(trials, k=2.5):
     """summarize_cohort restated over rows, as the list-of-records pipeline
     computed it: dict grouping, np.mean over Python lists and a per-row
-    debias.  Returns (sessions, condition_stats, contrasts, excluded)."""
+    debias.  Returns (sessions, condition_stats, contrasts, excluded), with
+    sessions a dict of :data:`_RefSession` by (participant id, condition)."""
     by_session = {}
     for r in trials:
         by_session.setdefault((r.participant_id, r.condition), []).append(r)
@@ -734,16 +734,8 @@ def _reference_summary(trials, k=2.5):
                 singletons.append(nominal)
             else:
                 cv = float(resp.std(ddof=0)) / s_bar
-            per.append(StimulusErrors(nominal, s_mi, r_mi, bias, cv,
-                                      math.hypot(bias, cv), resp.size))
-        errors = ErrorDecomposition(
-            tuple(per),
-            float(np.mean([g.bias for g in per])),
-            float(np.mean([g.cv for g in per])),
-            float(np.mean([g.rmse for g in per])),
-            s_bar,
-            tuple(singletons),
-        )
+            per.append((bias, cv, math.hypot(bias, cv), resp.size))
+        bias, cv, rmse, sizes = zip(*per)
         x = np.array([r.actual_length for r in rows])
         y = np.array([r.response for r in rows])
         xc = x - x.mean()
@@ -751,14 +743,14 @@ def _reference_summary(trials, k=2.5):
         intercept = float(y.mean() - slope * x.mean())
         resid = y - (intercept + slope * x)
         r2 = 1.0 - float(np.sum(resid**2)) / float(np.sum((y - y.mean()) ** 2))
-        fit = RegressionFit(slope, intercept, 1.0 - slope, r2)
-        sessions[key] = SessionSummary(key[0], key[1], fit, errors)
+        sessions[key] = _RefSession(
+            1.0 - slope, slope, intercept, r2, float(np.mean(list(bias))),
+            float(np.mean(list(cv))), float(np.mean(list(rmse))), sizes, tuple(singletons))
 
     participants = sorted({pid for pid, _ in sessions})
     conditions = sorted({cond for _, cond in sessions})
     metric = {
-        pid: float(np.mean([s.errors.session_rmse
-                            for (p, _), s in sessions.items() if p == pid]))
+        pid: float(np.mean([s.rmse for (p, _), s in sessions.items() if p == pid]))
         for pid in participants
     }
     values = np.array([metric[pid] for pid in participants])
@@ -767,17 +759,12 @@ def _reference_summary(trials, k=2.5):
                 for pid in participants if metric[pid] > threshold}
     kept = [pid for pid in participants if pid not in excluded]
 
-    def value(s, m):
-        if m == "regression_index":
-            return s.fit.regression_index
-        return getattr(s.errors, f"session_{m}")
-
     metrics = ("regression_index", "bias", "cv", "rmse")
     condition_stats = {}
     for cond in conditions:
         condition_stats[cond] = {}
         for m in metrics:
-            arr = np.array([value(sessions[(pid, cond)], m)
+            arr = np.array([getattr(sessions[(pid, cond)], m)
                             for pid in kept if (pid, cond) in sessions])
             condition_stats[cond][m] = GroupStats(
                 arr.size, float(arr.mean()), float(arr.std(ddof=1))
@@ -788,43 +775,31 @@ def _reference_summary(trials, k=2.5):
             common = [pid for pid in kept
                       if (pid, ca) in sessions and (pid, cb) in sessions]
             for m in metrics:
-                a = [value(sessions[(pid, ca)], m) for pid in common]
-                b = [value(sessions[(pid, cb)], m) for pid in common]
+                a = [getattr(sessions[(pid, ca)], m) for pid in common]
+                b = [getattr(sessions[(pid, cb)], m) for pid in common]
                 t, df, p = paired_t(a, b)
                 contrasts.append(PairedContrast(ca, cb, m, len(common), t, df, p,
                                                 cohens_d_paired(a, b)))
     return sessions, condition_stats, tuple(contrasts), excluded
 
 
-_SESSION_COLUMNS = {  # SessionTable column: its value in a SessionSummary
-    "regression_index": lambda s: s.fit.regression_index,
-    "slope": lambda s: s.fit.slope,
-    "intercept": lambda s: s.fit.intercept,
-    "r_squared": lambda s: s.fit.r_squared,
-    "bias": lambda s: s.errors.session_bias,
-    "cv": lambda s: s.errors.session_cv,
-    "rmse": lambda s: s.errors.session_rmse,
-}
-
-
 def _assert_session_table(table, sessions):
-    """The SessionTable holds the values of the reference's SessionSummary
-    dict, bit for bit and in its key order."""
+    """The SessionTable holds the values of the reference's sessions, bit
+    for bit and in their key order."""
     assert len(table) == len(sessions)
     assert list(zip(table.participant_id.tolist(), table.condition.tolist())) == list(sessions)
-    for name, value in _SESSION_COLUMNS.items():
-        expected = np.array([value(s) for s in sessions.values()])
+    for name in _RefSession._fields[:7]:
+        expected = np.array([getattr(s, name) for s in sessions.values()])
         assert getattr(table, name).tobytes() == expected.tobytes(), name
 
 
 def _assert_sessions_alone(trials, sessions):
-    """Each session analyzed alone is the reference's SessionSummary,
-    per-stimulus groups included."""
+    """Each session summarized alone holds the reference's values."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # singleton groups warn
-        for pid, cond in sessions:
-            alone = trials[(trials.participant_id == pid) & (trials.condition == cond)]
-            assert analyze_session(alone) == sessions[(pid, cond)]
+        for key in sessions:
+            alone = trials[(trials.participant_id == key[0]) & (trials.condition == key[1])]
+            _assert_session_table(summarize_cohort(alone).sessions, {key: sessions[key]})
 
 
 def _ragged_cohort(seed=0):
@@ -928,13 +903,12 @@ class TestSegments:
 
 
 class TestCohortSummary:
-    def test_analyze_session_shape(self):
+    def test_session_shape(self):
         recs = _cohort(1)
-        first = recs[recs.condition == "individual"]
-        s = analyze_session(first)
-        assert s.participant_id == "p01"
-        assert 0.0 < s.fit.regression_index < 1.0
-        assert s.errors.session_rmse > 0
+        s = _one_session(recs[recs.condition == "individual"])
+        assert (s["participant_id"], s["condition"]) == ("p01", "individual")
+        assert 0.0 < s["regression_index"] < 1.0
+        assert s["rmse"] > 0
 
     def test_condition_ordering_tracks_weber_fractions(self):
         summary = summarize_cohort(_cohort(20, master_seed=2))
@@ -1012,7 +986,7 @@ class TestCohortSummary:
             summary = summarize_cohort(recs)
             sessions, condition_stats, contrasts, excluded = _reference_summary(recs)
         assert "p99" in excluded
-        assert sessions[("p01", "individual")].errors.singleton_groups == (6.0,)
+        assert sessions[("p01", "individual")].singletons == (6.0,)
         _assert_session_table(summary.sessions, sessions)
         assert summary.condition_stats == condition_stats
         assert summary.contrasts == contrasts
@@ -1031,9 +1005,9 @@ class TestCohortSummary:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             sessions, condition_stats, contrasts, excluded = _reference_summary(recs)
-        sizes = {g.n for s in sessions.values() for g in s.errors.per_stimulus}
+        sizes = {n for s in sessions.values() for n in s.group_sizes}
         assert {1, 8, 9, 16, 17, 130} <= sizes
-        assert len({len(s.errors.per_stimulus) for s in sessions.values()}) > 8
+        assert len({len(s.group_sizes) for s in sessions.values()}) > 8
         _assert_session_table(summary.sessions, sessions)
         assert summary.condition_stats == condition_stats
         assert summary.contrasts == contrasts
@@ -1041,30 +1015,10 @@ class TestCohortSummary:
         # one singleton warning per session that has any, in session order
         assert [str(w.message) for w in caught] == [
             f"stimulus groups with a single trial (cv set to 0): "
-            f"{list(s.errors.singleton_groups)}"
-            for s in sessions.values() if s.errors.singleton_groups
+            f"{list(s.singletons)}"
+            for s in sessions.values() if s.singletons
         ]
         _assert_sessions_alone(recs, sessions)
-
-    def test_ragged_group_mean_fit_matches_row_reference(self):
-        recs = _ragged_cohort(seed=1)
-        for cond in ("individual", "mechanical", "social"):
-            session = recs[(recs.participant_id == "p03") & (recs.condition == cond)]
-            groups = {}
-            for r in session:
-                groups.setdefault(r.nominal_length, []).append(r)
-            x = np.array([np.mean([r.actual_length for r in groups[g]])
-                          for g in sorted(groups)])
-            y = np.array([np.mean([r.response for r in groups[g]])
-                          for g in sorted(groups)])
-            xc = x - x.mean()
-            slope = float(np.dot(xc, y - y.mean()) / float(np.dot(xc, xc)))
-            intercept = float(y.mean() - slope * x.mean())
-            ss_res = float(np.sum((y - (intercept + slope * x)) ** 2))
-            r2 = 1.0 - ss_res / float(np.sum((y - y.mean()) ** 2))
-            assert fit_regression_index(session, per_group=True) == RegressionFit(
-                slope, intercept, 1.0 - slope, r2
-            )
 
     def test_single_participant_no_contrasts(self):
         summary = summarize_cohort(_cohort(1))
@@ -1075,23 +1029,20 @@ class TestCohortSummary:
         # many repetitions per stimulus: empirical session errors approach
         # the asymptotic model predictions
         from lenrepro.model import (
-            DEFAULT_STIMULI, GaussianBelief, MotorCombination, MotorNoiseSpec,
-            predict_errors, predict_regression_index,
+            DEFAULT_STIMULI, MotorCombination, MotorNoiseSpec, closed_form,
+            normalized_errors, regression_index,
         )
         cfg = ScheduleConfig(reps=400, seed=1)
         params = {"a": ObserverParams(NoiseModel.weber(0.2), 10.0, 1.5, 1.2)}
         recs = simulate_cohort(1, params, cfg=cfg, master_seed=6)
-        s = analyze_session(recs)
-        noise = NoiseModel.weber(0.2)
-        prior = GaussianBelief(10.0, 1.5)
-        exp_ri = predict_regression_index(noise, prior, DEFAULT_STIMULI)
-        b, c, _ = predict_errors(
-            noise, prior, DEFAULT_STIMULI,
-            MotorNoiseSpec(1.2, MotorCombination.QUADRATURE),
-        )
-        assert s.fit.regression_index == pytest.approx(exp_ri, abs=0.02)
-        assert s.errors.session_bias == pytest.approx(b, abs=0.01)
-        assert s.errors.session_cv == pytest.approx(c, abs=0.01)
+        s = _one_session(recs)
+        motor = MotorNoiseSpec(1.2, MotorCombination.QUADRATURE)
+        mean, sd = closed_form(1.5, 0.2, DEFAULT_STIMULI, motor)
+        b, c = normalized_errors(mean, sd, DEFAULT_STIMULI, motor)
+        assert s["regression_index"] == pytest.approx(regression_index(mean, DEFAULT_STIMULI),
+                                                      abs=0.02)
+        assert s["bias"] == pytest.approx(b, abs=0.01)
+        assert s["cv"] == pytest.approx(c, abs=0.01)
 
     def test_empty_rejected(self):
         with pytest.raises(DegenerateDataError):
@@ -1146,16 +1097,6 @@ class TestCohortSummary:
         report = render_report(summary)
         assert report.startswith("# cohort summary\n\n## exclusions\np99: session_rmse ")
         assert "\ncondition rare: no session kept\n\n## condition statistics\n" in report
-
-    def test_builds_no_session_objects(self, monkeypatch):
-        import lenrepro.analysis as analysis
-
-        def forbidden(*args):
-            raise AssertionError("summarize_cohort built a per-session object")
-
-        for name in ("StimulusErrors", "ErrorDecomposition", "RegressionFit", "SessionSummary"):
-            monkeypatch.setattr(analysis, name, forbidden)
-        assert len(summarize_cohort(_cohort(3, master_seed=1)).sessions) == 3 * 3
 
 
 def _degenerate_cohort(replace=None):

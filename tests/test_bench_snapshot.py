@@ -76,6 +76,19 @@ def test_unpaired_or_repeated_arguments_rejected(snap, argv):
     assert calls == []
 
 
+def test_line_counts_of_src_and_tests(snap):
+    module, _, tmp_path = snap
+    root = tmp_path / "a"
+    for name, text in (("src/lenrepro/model.py", "a\nb\n"), ("src/lenrepro/notes.txt", "x\n"),
+                       ("tests/test_model.py", "x\n"), ("tests/test_cli.py", "")):
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_text(text)
+    assert module.main(["--number", "9", "--root", str(root)]) == 0
+    bench = json.loads((tmp_path / "BENCH_9.json").read_text())
+    assert bench["src_lines"] == {"model.py": 2, "total": 2}
+    assert bench["tests_lines"] == {"test_cli.py": 0, "test_model.py": 1, "total": 1}
+
+
 @pytest.mark.parametrize("flag", [0, 1])
 def test_bytecode_flag_recorded(snap, monkeypatch, flag):
     # PYTHONDONTWRITEBYTECODE makes every CLI process compile lenrepro again

@@ -150,13 +150,10 @@ class TestSimulateAnalyze:
 class TestFit:
     def test_fit_from_plain_summary(self, tmp_path):
         from lenrepro.fitting import FitConfig
-        from lenrepro.model import (
-            DEFAULT_STIMULI, GaussianBelief, NoiseModel, predict_errors,
-        )
-        b, c, _ = predict_errors(
-            NoiseModel.weber(0.2), GaussianBelief(10, 1.5), DEFAULT_STIMULI,
-            FitConfig().motor,
-        )
+        from lenrepro.model import DEFAULT_STIMULI, closed_form, normalized_errors
+        motor = FitConfig().motor
+        b, c = (float(v) for v in normalized_errors(
+            *closed_form(1.5, 0.2, DEFAULT_STIMULI, motor), DEFAULT_STIMULI, motor))
         summary = tmp_path / "obs.csv"
         summary.write_text(f"condition,bias,cv\nsolo,{b!r},{c!r}\n")
         outdir = tmp_path / "fit"
@@ -608,6 +605,15 @@ class TestWarningLocation:
 
 
 class TestCommandImports:
+    def test_import_leaves_json_unloaded(self):
+        """Only --config and --dump-config read or write JSON, so importing
+        the CLI does not import json."""
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, lenrepro.cli; print('json' in sys.modules)"],
+            capture_output=True, text=True, env=_src_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
     @pytest.mark.parametrize("argv", [
         ["schedule", "--seed", "3"],
         ["simulate", "--seed", "3"],

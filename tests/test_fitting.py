@@ -19,7 +19,6 @@ from lenrepro.fitting import (
     _folded_mean,
     _model_table,
     _sd_deflation,
-    expected_pipeline_errors,
     fit_shared_prior,
     goodness_of_fit,
     grid_values,
@@ -27,13 +26,12 @@ from lenrepro.fitting import (
 )
 from lenrepro.model import (
     DEFAULT_STIMULI,
-    GaussianBelief,
     MotorCombination,
     MotorNoiseSpec,
     NO_MOTOR_NOISE,
-    NoiseModel,
-    predict_errors,
-    predict_regression_index,
+    closed_form,
+    normalized_errors,
+    regression_index,
 )
 
 DEFAULT_MOTOR = MotorNoiseSpec(1.2, MotorCombination.LINEAR_CV)
@@ -58,11 +56,18 @@ class TestGridValues:
 
 
 def _forward(sigma_p, wf, motor=DEFAULT_MOTOR):
-    noise = NoiseModel.weber(wf)
-    prior = GaussianBelief(10.0, sigma_p)
-    b, c, _ = predict_errors(noise, prior, DEFAULT_STIMULI, motor)
-    ri = predict_regression_index(noise, prior, DEFAULT_STIMULI)
-    return ObservedErrors(bias=b, cv=c, ri=ri)
+    mean, sd = closed_form(sigma_p, wf, DEFAULT_STIMULI, motor)
+    b, c = normalized_errors(mean, sd, DEFAULT_STIMULI, motor)
+    ri = regression_index(mean, DEFAULT_STIMULI)
+    return ObservedErrors(bias=float(b), cv=float(c), ri=float(ri))
+
+
+def _finite(sigma_p, wf, motor, n):
+    """Expected (bias, cv) at n trials per stimulus: the finite-sample
+    table on a 1 x 1 grid."""
+    cfg = FitConfig(motor=motor, trials_per_stimulus=n)
+    bias, cv, _ = _model_table(np.array([sigma_p]), np.array([wf]), DEFAULT_STIMULI, cfg)
+    return bias[0, 0].item(), cv[0, 0].item()
 
 
 class TestSelfConsistency:
@@ -84,11 +89,8 @@ class TestSelfConsistency:
         cfg = FitConfig(objective=Objective.RI)
         with pytest.warns(UserWarning, match="cannot identify them all"):
             res = fit_shared_prior(observed, DEFAULT_STIMULI, cfg)
-        prior = GaussianBelief(10.0, res.shared_sigma_p)
         for k in truth:
-            ri_fit = predict_regression_index(
-                NoiseModel.weber(res.per_condition_wf[k]), prior, DEFAULT_STIMULI
-            )
+            ri_fit = _forward(res.shared_sigma_p, res.per_condition_wf[k]).ri
             assert ri_fit == pytest.approx(observed[k].ri, abs=1e-3)
         assert res.residual < 1e-6
 
@@ -141,31 +143,23 @@ class TestSelfConsistency:
 
 class TestExpectedPipelineErrors:
     def test_converges_to_asymptotic_values(self):
-        noise = NoiseModel.weber(0.15)
-        prior = GaussianBelief(10.0, 1.5)
-        b_inf, c_inf, _ = predict_errors(noise, prior, DEFAULT_STIMULI, DEFAULT_MOTOR)
-        b_n, c_n = expected_pipeline_errors(noise, prior, DEFAULT_STIMULI,
-                                            DEFAULT_MOTOR, 100_000)
-        assert b_n == pytest.approx(b_inf, abs=1e-2)
-        assert c_n == pytest.approx(c_inf, abs=1e-4)
+        asymptotic = _forward(1.5, 0.15)
+        b_n, c_n = _finite(1.5, 0.15, DEFAULT_MOTOR, 100_000)
+        assert b_n == pytest.approx(asymptotic.bias, abs=1e-2)
+        assert c_n == pytest.approx(asymptotic.cv, abs=1e-4)
 
     def test_small_n_shrinks_cv_and_inflates_bias(self):
-        noise = NoiseModel.weber(0.15)
-        prior = GaussianBelief(10.0, 1.5)
-        b_inf, c_inf, _ = predict_errors(noise, prior, DEFAULT_STIMULI, DEFAULT_MOTOR)
-        b6, c6 = expected_pipeline_errors(noise, prior, DEFAULT_STIMULI,
-                                          DEFAULT_MOTOR, 6)
-        assert b6 > b_inf
-        assert c6 < c_inf
+        asymptotic = _forward(1.5, 0.15)
+        b6, c6 = _finite(1.5, 0.15, DEFAULT_MOTOR, 6)
+        assert b6 > asymptotic.bias
+        assert c6 < asymptotic.cv
 
     def test_matches_monte_carlo_estimators(self):
         # simulate many 6-trial groups and average the empirical estimators
         rng = np.random.default_rng(12)
-        noise = NoiseModel.weber(0.15)
-        prior = GaussianBelief(10.0, 1.5)
         motor = MotorNoiseSpec(1.2, MotorCombination.QUADRATURE)
-        from lenrepro.model import predict_per_stimulus
-        per = predict_per_stimulus(noise, prior, DEFAULT_STIMULI, motor)
+        per = list(zip(DEFAULT_STIMULI.lengths,
+                       *(v.tolist() for v in closed_form(1.5, 0.15, DEFAULT_STIMULI, motor))))
         s_bar = DEFAULT_STIMULI.mean_stimulus
         n_mc = 40_000
         biases = np.zeros(n_mc)
@@ -176,16 +170,13 @@ class TestExpectedPipelineErrors:
             cvs += x.std(axis=1, ddof=0) / s_bar
         biases /= len(per)
         cvs /= len(per)
-        b6, c6 = expected_pipeline_errors(noise, prior, DEFAULT_STIMULI, motor, 6)
+        b6, c6 = _finite(1.5, 0.15, motor, 6)
         assert biases.mean() == pytest.approx(b6, abs=3 * biases.std() / math.sqrt(n_mc))
         assert cvs.mean() == pytest.approx(c6, abs=3 * cvs.std() / math.sqrt(n_mc))
 
     def test_needs_two_trials(self):
-        with pytest.raises(ValueError):
-            expected_pipeline_errors(
-                NoiseModel.weber(0.1), GaussianBelief(10, 1.5),
-                DEFAULT_STIMULI, DEFAULT_MOTOR, 1,
-            )
+        with pytest.raises(ValueError, match="^trials_per_stimulus must be >= 2$"):
+            _finite(1.5, 0.1, DEFAULT_MOTOR, 1)
 
 
 class TestSpecialFunctions:

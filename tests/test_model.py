@@ -15,14 +15,15 @@ from lenrepro.model import (
     MotorCombination,
     MotorNoiseSpec,
     NO_MOTOR_NOISE,
+    NoiseMode,
     NoiseModel,
     StimulusSet,
+    closed_form,
     error_curve,
     fuse_gaussians,
     fusion_weight,
-    predict_errors,
-    predict_per_stimulus,
-    predict_regression_index,
+    normalized_errors,
+    regression_index,
     ri_curve,
     rmse_surface,
     sigma_l_at,
@@ -32,6 +33,24 @@ from lenrepro.model import (
 
 finite_means = st.floats(-50, 50)
 pos_sds = st.floats(0.01, 20)
+
+
+def _index(sigma_p, wf, stimuli=DEFAULT_STIMULI):
+    """The regression index of the observer with its prior on the mean
+    stimulus, as the curves compute it."""
+    return float(regression_index(closed_form(sigma_p, wf, stimuli)[0], stimuli))
+
+
+def _errors(mean, sd, stimuli=DEFAULT_STIMULI, motor=NO_MOTOR_NOISE):
+    """(bias, cv, rmse) of per-stimulus means and sds, rmse as the pipeline
+    and the surface take it."""
+    bias, cv = normalized_errors(mean, sd, stimuli, motor)
+    return float(bias), float(cv), math.hypot(bias, cv)
+
+
+def _constant(sd_cm, sigma_p, stimuli=DEFAULT_STIMULI, motor=NO_MOTOR_NOISE):
+    """closed_form's per-stimulus means and sds under constant noise."""
+    return model._closed_form(sigma_p, sd_cm, stimuli, motor, None, NoiseMode.CONSTANT)
 
 
 class TestFuseGaussians:
@@ -139,42 +158,38 @@ class TestFusionWeight:
 
 
 class TestPredictPerStimulus:
+    """closed_form's per-stimulus means and sds."""
+
     def test_weber_hand_value(self):
-        prior = GaussianBelief(10, 1.5)
-        per = predict_per_stimulus(NoiseModel.weber(0.2), prior, DEFAULT_STIMULI)
-        s, mean, _ = per[0]
-        assert s == 6.0
+        mean, _ = closed_form(1.5, 0.2, DEFAULT_STIMULI)
+        assert DEFAULT_STIMULI.lengths[0] == 6.0
         # w = 2.25 / (2.25 + 1.44)
-        assert mean == pytest.approx(2.25 / 3.69 * 6 + 1.44 / 3.69 * 10, abs=1e-12)
-        assert mean == pytest.approx(7.561, abs=1e-3)
+        assert mean[0] == pytest.approx(2.25 / 3.69 * 6 + 1.44 / 3.69 * 10, abs=1e-12)
+        assert mean[0] == pytest.approx(7.561, abs=1e-3)
 
     def test_perfect_sensing(self):
-        prior = GaussianBelief(10, 1.5)
-        per = predict_per_stimulus(NoiseModel.weber(0.0), prior, DEFAULT_STIMULI)
-        s, mean, sd = per[-1]
-        assert (s, mean, sd) == (14.0, 14.0, 0.0)
+        mean, sd = closed_form(1.5, 0.0, DEFAULT_STIMULI)
+        assert (DEFAULT_STIMULI.lengths[-1], mean[-1], sd[-1]) == (14.0, 14.0, 0.0)
 
     def test_constant_noise_at_prior_mean(self):
-        prior = GaussianBelief(10, 2.0)
-        per = predict_per_stimulus(NoiseModel.constant(1.0), prior, DEFAULT_STIMULI)
-        s, mean, sd = per[5]
-        assert s == 10.0
-        assert mean == pytest.approx(10.0)
-        assert sd == pytest.approx(0.8)
+        mean, sd = _constant(1.0, 2.0)
+        assert DEFAULT_STIMULI.lengths[5] == 10.0
+        assert mean[5] == pytest.approx(10.0)
+        assert sd[5] == pytest.approx(0.8)
 
     def test_quadrature_motor_noise_in_sd(self):
-        prior = GaussianBelief(10, 2.0)
         motor = MotorNoiseSpec(1.2, MotorCombination.QUADRATURE)
-        per = predict_per_stimulus(NoiseModel.constant(1.0), prior, DEFAULT_STIMULI, motor)
-        assert per[5][2] == pytest.approx(math.hypot(0.8, 1.2))
+        _, sd = _constant(1.0, 2.0, motor=motor)
+        assert sd[5] == pytest.approx(math.hypot(0.8, 1.2))
 
     @pytest.mark.parametrize("wf", [0.05, 0.15, 0.3, 0.6])
     @pytest.mark.parametrize("sp", [0.5, 1.5, 3.5])
     def test_mean_between_stimulus_and_prior(self, wf, sp):
-        prior = GaussianBelief(10, sp)
-        for s, mean, _ in predict_per_stimulus(NoiseModel.weber(wf), prior, DEFAULT_STIMULI):
-            lo, hi = min(s, prior.mean), max(s, prior.mean)
-            assert lo - 1e-12 <= mean <= hi + 1e-12
+        prior_mean = DEFAULT_STIMULI.mean_stimulus
+        mean, _ = closed_form(sp, wf, DEFAULT_STIMULI)
+        for s, m in zip(DEFAULT_STIMULI.lengths, mean.tolist()):
+            lo, hi = min(s, prior_mean), max(s, prior_mean)
+            assert lo - 1e-12 <= m <= hi + 1e-12
 
 
 def _oracle_ols_slope(x, y):
@@ -185,52 +200,39 @@ def _oracle_ols_slope(x, y):
 
 class TestRegressionIndex:
     def test_constant_noise_closed_form(self):
-        ri = predict_regression_index(
-            NoiseModel.constant(1.0), GaussianBelief(10, 2.0), DEFAULT_STIMULI
-        )
+        ri = model._ri(2.0, 1.0, DEFAULT_STIMULI, mode=NoiseMode.CONSTANT)
         assert ri == pytest.approx(1.0 / 5.0, abs=1e-12)
 
     def test_zero_noise(self):
-        ri = predict_regression_index(
-            NoiseModel.weber(0.0), GaussianBelief(10, 1.5), DEFAULT_STIMULI
-        )
-        assert ri == pytest.approx(0.0, abs=1e-15)
+        assert _index(1.5, 0.0) == pytest.approx(0.0, abs=1e-15)
 
     def test_weber_matches_ols_oracle(self):
-        prior = GaussianBelief(10, 1.5)
-        ri = predict_regression_index(NoiseModel.weber(0.2), prior, DEFAULT_STIMULI)
+        ri = _index(1.5, 0.2)
         # independent recomputation of the predicted means + OLS
         s = np.array(DEFAULT_STIMULI.lengths)
-        w = prior.sd**2 / (prior.sd**2 + (0.2 * s) ** 2)
-        means = w * s + (1 - w) * prior.mean
+        w = 1.5**2 / (1.5**2 + (0.2 * s) ** 2)
+        means = w * s + (1 - w) * 10.0
         assert 0 < ri < 1
         assert ri == pytest.approx(1.0 - _oracle_ols_slope(s, means), abs=1e-12)
 
     def test_degenerate_stimuli(self):
         with pytest.raises(ValueError):
-            predict_regression_index(
-                NoiseModel.weber(0.1), GaussianBelief(10, 1.5), StimulusSet((10.0, 10.0))
-            )
+            _index(1.5, 0.1, StimulusSet((10.0, 10.0)))
 
 
 class TestPredictErrors:
     def test_motor_only_endpoint(self):
         motor = MotorNoiseSpec(1.2, MotorCombination.LINEAR_CV)
-        bias, cv, rmse = predict_errors(
-            NoiseModel.weber(0.0), GaussianBelief(10, 1.5), DEFAULT_STIMULI, motor
-        )
+        bias, cv, rmse = _errors(*closed_form(1.5, 0.0, DEFAULT_STIMULI, motor), motor=motor)
         assert (bias, cv, rmse) == (0.0, 0.12, 0.12)
 
     def test_all_zero(self):
-        bias, cv, rmse = predict_errors(
-            NoiseModel.weber(0.0), GaussianBelief(10, 1.5), DEFAULT_STIMULI
-        )
+        bias, cv, rmse = _errors(*closed_form(1.5, 0.0, DEFAULT_STIMULI))
         assert (bias, cv, rmse) == (0.0, 0.0, 0.0)
 
     def test_singleton_stimulus_at_prior_mean(self):
-        bias, cv, rmse = predict_errors(
-            NoiseModel.constant(1.0), GaussianBelief(10, 2.0), StimulusSet((10.0,))
-        )
+        single = StimulusSet((10.0,))
+        bias, cv, rmse = _errors(*_constant(1.0, 2.0, single), single)
         assert bias == pytest.approx(0.0, abs=1e-15)
         assert cv == pytest.approx(0.08, abs=1e-12)
         assert rmse == pytest.approx(0.08, abs=1e-12)
@@ -242,10 +244,8 @@ class TestPredictErrors:
         (0.45, 2.5, 0.7, MotorCombination.LINEAR_CV),
     ])
     def test_pythagoras(self, wf, sp, motor_sd, comb):
-        bias, cv, rmse = predict_errors(
-            NoiseModel.weber(wf), GaussianBelief(10, sp), DEFAULT_STIMULI,
-            MotorNoiseSpec(motor_sd, comb),
-        )
+        motor = MotorNoiseSpec(motor_sd, comb)
+        bias, cv, rmse = _errors(*closed_form(sp, wf, DEFAULT_STIMULI, motor), motor=motor)
         assert rmse**2 == pytest.approx(bias**2 + cv**2, abs=1e-12)
 
 
@@ -290,9 +290,7 @@ class TestRiCurve:
         assert ri_curve(2.0, [0.0])[0][1] == pytest.approx(0.0, abs=1e-15)
 
     def test_equal_variances(self):
-        ri = predict_regression_index(
-            NoiseModel.constant(2.0), GaussianBelief(10, 2.0), DEFAULT_STIMULI
-        )
+        ri = model._ri(2.0, 2.0, DEFAULT_STIMULI, mode=NoiseMode.CONSTANT)
         assert ri == pytest.approx(0.5, abs=1e-12)
 
     def test_strictly_increasing(self):
@@ -312,11 +310,7 @@ class TestWfFromRi:
 
     @pytest.mark.parametrize("target", [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9])
     def test_round_trip(self, target):
-        wf = wf_from_ri(target, 1.5)
-        ri = predict_regression_index(
-            NoiseModel.weber(wf), GaussianBelief(10, 1.5), DEFAULT_STIMULI
-        )
-        assert abs(ri - target) < 1e-9
+        assert abs(_index(1.5, wf_from_ri(target, 1.5)) - target) < 1e-9
 
     def test_ordering_matches_targets(self):
         wf_soc = wf_from_ri(0.234, 1.5)
@@ -353,8 +347,7 @@ class TestSigmaPFromRi:
     def test_round_trip_off_centre_prior(self, prior_mean, target):
         noise = NoiseModel.weber(0.2)
         sp = sigma_p_from_ri(target, noise, prior_mean=prior_mean)
-        ri = predict_regression_index(noise, GaussianBelief(prior_mean, sp), DEFAULT_STIMULI)
-        assert abs(ri - target) < 1e-9
+        assert abs(model._ri(sp, 0.2, DEFAULT_STIMULI, prior_mean) - target) < 1e-9
 
     def test_zero_target_reachable_above_the_stimuli(self):
         # a prior mean above every stimulus takes the index below 0 for wide
@@ -362,8 +355,19 @@ class TestSigmaPFromRi:
         noise = NoiseModel.weber(0.2)
         sp = sigma_p_from_ri(0.0, noise, prior_mean=25.0)
         assert sp == pytest.approx(1.2909718, rel=1e-7)
-        ri = predict_regression_index(noise, GaussianBelief(25.0, sp), DEFAULT_STIMULI)
-        assert abs(ri) < 1e-9
+        assert abs(model._ri(sp, 0.2, DEFAULT_STIMULI, 25.0)) < 1e-9
+
+    def test_target_missed_off_centre_names_the_bracket_ends(self):
+        # a prior mean below the stimuli lifts the index above 1 between the
+        # bracket ends (1.018 near sigma_p 0.69), where the bisection, which
+        # takes the index to fall with sigma_p, does not look
+        peak = model._ri(np.geomspace(1e-3, 1e3, 2001), 0.2, DEFAULT_STIMULI, 3.0).max()
+        assert peak == pytest.approx(1.018, abs=5e-4)
+        with pytest.raises(BracketError, match=(
+                r"^target 1.005 not found on the bracket: the index is 1\.000000090269 at "
+                r"sigma_p 0\.001 and 0\.000010055603 at sigma_p 1000; for a prior mean off "
+                r"the stimuli's mean it need not be monotone in sigma_p$")):
+            sigma_p_from_ri(1.005, NoiseModel.weber(0.2), prior_mean=3.0)
 
     @pytest.mark.parametrize("sigma_p", [0.3, 1.5, 50.0])
     @pytest.mark.parametrize("target", [0.1, 0.5, 0.9])
@@ -481,9 +485,8 @@ def test_rmse_surface_matches_per_cell_inversion(monkeypatch):
                 except BracketError:
                     sp = None
             if sp is not None:
-                ref[i, j] = predict_errors(
-                    noise, GaussianBelief(10.0, sp), DEFAULT_STIMULI, motor
-                )[2]
+                ref[i, j] = _errors(*closed_form(sp, float(wf), DEFAULT_STIMULI, motor),
+                                    motor=motor)[2]
         ref[i] /= np.nanmin(ref[i])
     S = rmse_surface(wf_grid, ri_grid, DEFAULT_STIMULI, motor)
     assert np.array_equal(S, ref, equal_nan=True)

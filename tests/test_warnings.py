@@ -11,8 +11,7 @@ import pytest
 
 import lenrepro
 from lenrepro import model
-from lenrepro.analysis import (analyze_session, ingest, per_stimulus_errors, summarize_cohort,
-                               summarize_file)
+from lenrepro.analysis import ingest, summarize_cohort, summarize_file
 from lenrepro.fitting import (FitConfig, ObservedErrors, _fit_with_goodness, fit_shared_prior,
                               goodness_of_fit)
 from lenrepro.model import (DEFAULT_STIMULI, NoiseMode, NoiseModel, closed_form, error_curve,
@@ -63,8 +62,6 @@ ENTRY_POINTS = {
     "ingest(str)": (lambda path: ingest(str(path)), 1),
     "ingest(Path)": (lambda path: ingest(path), 1),
     "ingest(stream)": (lambda path: ingest(io.StringIO(path.read_text())), 1),
-    "per_stimulus_errors": (lambda path: per_stimulus_errors(_session()), 1),
-    "analyze_session": (lambda path: analyze_session(_session()), 1),
     "summarize_cohort": (lambda path: summarize_cohort(_session()), 1),
     "summarize_file": (lambda path: summarize_file(_session_file(path)), 1),
 }
