@@ -300,7 +300,7 @@ def _fit_with_goodness(
     return result, _equal_wf_fit(result, sigma_ps, wfs, residuals)
 
 
-def render_fit_report(result: FitResult, goodness: GoodnessReport | None = None) -> str:
+def render_fit_report(result: FitResult, goodness: GoodnessReport) -> str:
     f = "{:.6f}".format
     lines = ["# shared-prior fit", ""]
     lines.append(f"shared_sigma_p_cm: {f(result.shared_sigma_p)}")
@@ -312,11 +312,8 @@ def render_fit_report(result: FitResult, goodness: GoodnessReport | None = None)
             f"residual={f(result.per_condition_residual[label])} "
             f"pred_bias={f(b)} pred_cv={f(c)} pred_ri={f(ri)}"
         )
-    if goodness is not None:
-        lines.append("")
-        lines.append("## equal-wf constrained fit")
-        lines.append(f"sigma_p_cm: {f(goodness.equal_wf_sigma_p)}")
-        lines.append(f"wf: {f(goodness.equal_wf)}")
-        lines.append(f"residual: {f(goodness.equal_wf_residual)}")
-    lines.append("")
+    lines += ["", "## equal-wf constrained fit",
+              f"sigma_p_cm: {f(goodness.equal_wf_sigma_p)}",
+              f"wf: {f(goodness.equal_wf)}",
+              f"residual: {f(goodness.equal_wf_residual)}", ""]
     return "\n".join(lines)

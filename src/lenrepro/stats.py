@@ -76,19 +76,30 @@ def _two_sided_p(t: float, df: int) -> float:
     return 1.0 - front * _beta_cf(b, a, y) / b
 
 
-def _check(values, name="values"):
+def _sample(values):
+    """The values as an array of n >= 2, and their sample (n-1) sd, which
+    must not be zero."""
     v = np.asarray(values, dtype=float)
     if v.size < 2:
-        raise ValueError(f"{name} needs n >= 2, got n={v.size}")
-    return v
+        raise ValueError(f"values needs n >= 2, got n={v.size}")
+    sd = v.std(ddof=1)
+    if sd == 0:
+        raise DegenerateTestError("zero standard deviation")
+    return v, sd
+
+
+def _differences(a, b):
+    """a - b for two samples of the same shape."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.shape != b.shape:
+        raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
+    return a - b
 
 
 def one_sample_t(values, mu0: float):
     """Returns (t, df, two-sided p) with the sample (n-1) sd."""
-    v = _check(values)
-    sd = v.std(ddof=1)
-    if sd == 0:
-        raise DegenerateTestError("zero standard deviation")
+    v, sd = _sample(values)
     n = v.size
     t = (v.mean() - mu0) / (sd / math.sqrt(n))
     df = n - 1
@@ -98,24 +109,13 @@ def one_sample_t(values, mu0: float):
 
 def paired_t(a, b):
     """Paired-sample t-test on a - b; returns (t, df, two-sided p)."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
-    return one_sample_t(a - b, 0.0)
+    return one_sample_t(_differences(a, b), 0.0)
 
 
 def cohens_d_one_sample(values, mu0: float) -> float:
-    v = _check(values)
-    sd = v.std(ddof=1)
-    if sd == 0:
-        raise DegenerateTestError("zero standard deviation")
+    v, sd = _sample(values)
     return float((v.mean() - mu0) / sd)
 
 
 def cohens_d_paired(a, b) -> float:
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
-    return cohens_d_one_sample(a - b, 0.0)
+    return cohens_d_one_sample(_differences(a, b), 0.0)
