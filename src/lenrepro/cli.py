@@ -9,12 +9,11 @@ ends), so reruns are byte-identical.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
 from typing import NamedTuple
-
-import numpy as np
 
 # Each command imports the modules only it uses (`simulate`, `analysis`,
 # `fitting`) itself, so the other commands skip them.
@@ -289,8 +288,8 @@ def cmd_curves(cfg) -> int:
     # a cell whose ri is unreachable at its wf is NaN, and is written empty
     surface = model.rmse_surface(wf_grid, ri_grid, stimuli, motor)
     records.write_csv(outdir / "rmse_surface.csv", "wf,ri,normalized_rmse", "%.6f,%.6f,%s", (
-        (wf, ri, "" if np.isnan(surface[i, j]) else "%.6f" % surface[i, j])
-        for i, wf in enumerate(wf_grid) for j, ri in enumerate(ri_grid)
+        (wf, ri, "" if math.isnan(value) else "%.6f" % value)
+        for wf, row in zip(wf_grid, surface) for ri, value in zip(ri_grid, row.tolist())
     ))
     return 0
 

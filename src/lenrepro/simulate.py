@@ -4,9 +4,10 @@ Randomness contract: all sampling uses numpy's PCG64 generator; per
 (participant, condition) substreams are derived with SeedSequence from
 (master_seed, participant_index, condition_index), so cohort output is
 independent of evaluation order.  A cohort derives the generator states of
-a block of sessions in one pass of numpy's seeding arithmetic over arrays,
-each equal to the state of ``default_rng(_session_seed(...))``, and
-``lenrepro simulate`` streams the cohort to its file block by block.
+a chunk of 64 participants' sessions in numpy's seeding arithmetic over
+arrays, each equal to the state of ``default_rng(_session_seed(...))``,
+simulates about 1,024 rows at a time, and ``lenrepro simulate`` streams the
+cohort to its file block by block.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .model import NoiseModel, fusion_weight, sigma_l_at
+from .model import NoiseMode, NoiseModel, fusion_weight
 from .records import Trials
 
 
@@ -130,22 +131,37 @@ def generate_schedule(cfg: ScheduleConfig) -> list:
     return list(map(Trial, *(column.tolist() for column in _schedule_columns(cfg))))
 
 
-def _observe(nominal, actual, sensory, response, obs: ObserverParams,
+def _observers(params: Sequence[ObserverParams]) -> tuple:
+    """The parameters of observers as (observers, 1) columns, in the order
+    :func:`_observe` takes them, so that they broadcast over the trials of
+    each observer's session: whether the sensory noise is Weber, its
+    magnitude, the prior mean and sd, the motor sd and the response floor."""
+    rows = [(o.noise.mode is NoiseMode.WEBER, o.noise.magnitude, o.prior_mean, o.prior_sd,
+             o.motor_sd, o.response_floor) for o in params]
+    weber, *values = zip(*rows)
+    return (np.array(weber)[:, None], *(np.array(v, float)[:, None] for v in values))
+
+
+def _observe(nominal, actual, sensory, response, observers: tuple,
              demo: DemonstratorNoise) -> None:
-    """The observer arithmetic, in place over arrays of one shape: the
-    standard normal draws held in ``actual``, ``sensory`` and ``response``
-    become the presented length, the measurement and the response."""
+    """The observer arithmetic, in place over arrays of one shape whose
+    next-to-last axis runs over the ``observers`` (see :func:`_observers`):
+    the standard normal draws held in ``actual``, ``sensory`` and
+    ``response`` become the presented length, the measurement and the
+    response.  Each element takes the operations that its observer's
+    scalar parameters would give it."""
+    weber, magnitude, prior_mean, prior_sd, motor_sd, floor = observers
     actual *= demo.sd
     actual += nominal
     np.maximum(actual, 1e-9, out=actual)
-    sig_l = sigma_l_at(obs.noise, actual)
+    sig_l = np.where(weber, actual, 1.0) * magnitude  # model.sigma_l_at, per observer
     sensory *= sig_l
     sensory += actual
-    w = fusion_weight(sig_l, obs.prior_sd)
-    estimate = w * sensory + (1.0 - w) * obs.prior_mean
-    response *= obs.motor_sd
+    w = fusion_weight(sig_l, prior_sd)
+    estimate = w * sensory + (1.0 - w) * prior_mean
+    response *= motor_sd
     response += estimate
-    np.maximum(response, obs.response_floor, out=response)
+    np.maximum(response, floor, out=response)
 
 
 def simulate_observer(
@@ -166,14 +182,15 @@ def simulate_observer(
     index, nominal, _, is_practice = list(zip(*schedule)) or [()] * 4
     main = ~np.array(is_practice, dtype=bool)
     nominal = np.array(nominal)[main]
-    n, rng = nominal.size, np.random.default_rng(seed)
-    actual, sensory, response = (rng.standard_normal(n) for _ in range(3))
-    _observe(nominal, actual, sensory, response, obs, demo)
+    n = nominal.size
+    draws = np.random.default_rng(seed).standard_normal((3, 1, n))
+    _observe(nominal, *draws, _observers([obs]), demo)
     return Trials(np.full(n, participant_id), np.full(n, condition),
-                  np.array(index, dtype=np.int64)[main], nominal, actual, response)
+                  np.array(index, dtype=np.int64)[main], nominal, draws[0, 0], draws[2, 0])
 
 
-_BLOCK_ROWS = 1 << 12  # rows of a block of participants (one at least), simulated at a time
+_BLOCK_ROWS = 1 << 10  # rows of a block of participants (one at least), simulated at a time
+_SEED_CHUNK = 64  # participants whose generator states are hashed at a time
 
 
 def _session_seed(master_seed: int, p_idx: int, c_idx: int, stream: int) -> int:
@@ -231,17 +248,17 @@ def _seed_sequence(entropy: list, n_words: int) -> list:
     return state
 
 
-def _pcg64_states(seeds: np.ndarray) -> list:
+def _pcg64_states(seeds: np.ndarray) -> Iterator[tuple]:
     """The (state, inc) pair that ``PCG64(seed)``, and so
-    ``default_rng(seed)``, starts from, for each uint32 seed: the seed's
-    SeedSequence gives a 128-bit initial state and sequence, and PCG64's
-    ``srandom`` steps them in."""
+    ``default_rng(seed)``, starts from, for each uint32 seed in turn: the
+    seed's SeedSequence gives a 128-bit initial state and sequence, and
+    PCG64's ``srandom`` steps them in."""
     words = np.array(_seed_sequence([seeds], 8), np.uint64)
-    states = []
-    for s_hi, s_lo, i_hi, i_lo in zip(*(words[0::2] | words[1::2] << np.uint64(32)).tolist()):
-        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-        states.append(((((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc) & _MASK128, inc))
-    return states
+    halves = words[0::2] | words[1::2] << np.uint64(32)  # state and inc, high half first
+    for start in range(0, seeds.size, 64):  # as Python ints 64 seeds at a time
+        for s_hi, s_lo, i_hi, i_lo in zip(*halves[:, start:start + 64].tolist()):
+            inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+            yield ((((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc) & _MASK128, inc)
 
 
 class _Cohort:
@@ -264,38 +281,47 @@ class _Cohort:
             raise ConfigError("need at least one condition")
         if "" in condition_params:
             raise ConfigError("empty condition label")
-        self.demo = demo
-        self.params, self.labels = list(condition_params.values()), np.array(list(condition_params))
+        self.n, self.demo = n_participants, demo
+        self.observers = _observers(list(condition_params.values()))
+        self.labels = np.array(list(condition_params))
         self.lengths = np.repeat(cfg.lengths, cfg.reps)  # the main trials, unshuffled
         self.trial_index = np.arange(cfg.practice, cfg.practice + self.lengths.size)
-        self.block = max(1, _BLOCK_ROWS // (len(self.params) * self.lengths.size))
+        self.block = max(1, _BLOCK_ROWS // (len(self.labels) * self.lengths.size))
         self.master_words = _words(int(master_seed))
         self.width = max(2, len(str(n_participants)))
         self.rng = np.random.Generator(np.random.PCG64(0))  # set to each session's state
+        self.states = self._states()
 
-    def fill(self, first: int, nominal, actual, response, sensory) -> None:
-        """Simulate participants ``first, first + 1, ...`` into the
-        (participants, conditions, trials) arrays given, ``sensory`` as
-        scratch."""
+    def _states(self) -> Iterator[tuple]:
+        """The PCG64 (state, inc) pairs of every session's two generators,
+        in (participant, condition, stream) order.  Both passes of the
+        seeding arithmetic run over ``_SEED_CHUNK`` participants at a time,
+        when their first state is taken."""
+        for first in range(0, self.n, _SEED_CHUNK):
+            lanes = np.indices((min(_SEED_CHUNK, self.n - first), len(self.labels), 2),
+                               np.uint32).reshape(3, -1)
+            lanes[0] += np.uint32(first)
+            entropy = [np.full(lanes.shape[1], w, np.uint32) for w in self.master_words]
+            yield from _pcg64_states(_seed_sequence(entropy + list(lanes), 1)[0])
+
+    def fill(self, nominal, actual, response, draws) -> None:
+        """Simulate the next participants into the (participants,
+        conditions, trials) arrays given, through ``draws``, scratch of
+        shape (participants, conditions, 3, trials)."""
         n_block, n_conditions = nominal.shape[:2]
-        lanes = np.indices((n_block, n_conditions, 2), np.uint32).reshape(3, -1)
-        lanes[0] += np.uint32(first)
-        entropy = [np.full(lanes.shape[1], w, np.uint32) for w in self.master_words]
-        states = iter(_pcg64_states(_seed_sequence(entropy + list(lanes), 1)[0]))
         state = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
         bit_generator, shuffle, normal = (self.rng.bit_generator, self.rng.shuffle,
                                           self.rng.standard_normal)
         for p, c in itertools.product(range(n_block), range(n_conditions)):
             nominal[p, c] = self.lengths
-            state["state"]["state"], state["state"]["inc"] = next(states)
+            state["state"]["state"], state["state"]["inc"] = next(self.states)
             bit_generator.state = state
             shuffle(nominal[p, c])
-            state["state"]["state"], state["state"]["inc"] = next(states)
+            state["state"]["state"], state["state"]["inc"] = next(self.states)
             bit_generator.state = state
-            for out in (actual[p, c], sensory[p, c], response[p, c]):
-                normal(out=out)
-        for c, params in enumerate(self.params):
-            _observe(nominal[:, c], actual[:, c], sensory[:, c], response[:, c], params, self.demo)
+            normal(out=draws[p, c])  # the demonstrator, sensory and motor noise
+        _observe(nominal, *draws.transpose(2, 0, 1, 3), self.observers, self.demo)
+        actual[:], response[:] = draws[:, :, 0], draws[:, :, 2]
 
     def ids(self, first: int, stop: int) -> tuple:
         """The participant and condition columns of participants
@@ -307,19 +333,21 @@ class _Cohort:
 
     def table(self, first: int, stop: int) -> Trials:
         """The table of participants ``first .. stop - 1``, simulated a
-        block at a time into columns that the table adopts."""
+        block at a time into columns that the table adopts.  Tables are
+        taken in the order of the participants, from the first, since the
+        sessions take their generator states in that order."""
         # every session has the same main trials, so each fills the next n
         # rows of one table, which is checked once and adopts its columns
-        shape = (stop - first, len(self.params), self.lengths.size)
+        shape = (stop - first, len(self.labels), self.lengths.size)
         size = math.prod(shape)
         index, nominal, actual, response = (np.empty(size, np.int64), np.empty(size),
                                             np.empty(size), np.empty(size))
         index.reshape(-1, shape[2])[:] = self.trial_index
         columns = [c.reshape(shape) for c in (nominal, actual, response)]
-        sensory = np.empty((min(self.block, shape[0]), *shape[1:]))
+        draws = np.empty((min(self.block, shape[0]), shape[1], 3, shape[2]))
         for start in range(0, shape[0], self.block):
             rows = [c[start:start + self.block] for c in columns]
-            self.fill(first + start, *rows, sensory[:len(rows[0])])
+            self.fill(*rows, draws[:len(rows[0])])
         columns = (*self.ids(first, stop), index, nominal, actual, response)
         for column in columns:
             column.flags.writeable = False  # so the table adopts it
@@ -352,12 +380,16 @@ def simulate_cohort(
     they are not made.  The observer generator draws the demonstrator,
     sensory and motor noise, one standard normal per main trial each.
 
-    The sessions run a block of participants at a time: one pass of numpy's
-    seeding arithmetic over arrays gives every generator state of the
-    block, each equal to that of ``default_rng(_session_seed(...))``, one
-    reused generator is set to each in turn for its draws, and the observer
-    arithmetic runs once per condition.  :func:`cohort_blocks` yields the
-    same rows block by block.
+    The sessions run a block of participants at a time, as many as fill
+    1,024 rows (one at least: 5 for three conditions of 66 trials).  numpy's
+    seeding arithmetic runs over arrays, both of its passes once per chunk
+    of 64 participants, when the chunk's first session is simulated; it
+    gives each generator state equal to that of
+    ``default_rng(_session_seed(...))``.  One reused generator is set to
+    each state in turn, and a session's three noise draws are one call.
+    The observer arithmetic runs once per block, each condition's
+    parameters broadcast over its sessions.  :func:`cohort_blocks` yields
+    the same rows block by block.
     """
     return _Cohort(n_participants, condition_params, cfg, demo, master_seed).table(
         0, n_participants)

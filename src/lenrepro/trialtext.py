@@ -4,17 +4,19 @@ Only :func:`lenrepro.records.write_trial_csv` imports this module, so the
 commands that write no trials never load it.
 
 :func:`rows_text` gives the bytes that ``"%s,%s,%d,%.6f,%.6f,%.6f\\n" % row``
-gives for every row, UTF-8 encoded.  A block of rows is laid out in fixed
-slots, one ``uint8`` character per slot and slot-major, so that each slot of
-all rows is written by one array operation.  A slot a row leaves unused (an
-id's padding, a leading zero, the sign of a positive float) holds NUL, which
-no written character is, and the block's bytes are its rows with the NULs
-removed.  A float is written from ``n = rint(|x|·1e6)``: its integer part
-``n // 10**6`` and its six fraction digits, two digits at a time from a
-table of the 100 digit pairs.  ``%.6f`` rounds the exact binary value
-correctly, and ``n`` is that rounding whenever ``|x|·1e6`` lies further than
-one ulp from a half-integer, since the product is then on the same side of
-it as the exact value.
+gives for every row, UTF-8 encoded.  :func:`write` formats each table
+``BLOCK_ROWS`` = 1,024 rows at a time, so that the text it holds is bounded
+by one block: about 250 bytes a row at the peak of :func:`rows_text`.  A
+block of rows is laid out in fixed slots, one ``uint8`` character per slot
+and slot-major, so that each slot of all rows is written by one array
+operation.  A slot a row leaves unused (an id's padding, a leading zero, the
+sign of a positive float) holds NUL, which no written character is, and the
+block's bytes are its rows with the NULs removed.  A float is written from
+``n = rint(|x|·1e6)``: its integer part ``n // 10**6`` and its six fraction
+digits, two digits at a time from a table of the 100 digit pairs.  ``%.6f``
+rounds the exact binary value correctly, and ``n`` is that rounding whenever
+``|x|·1e6`` lies further than one ulp from a half-integer, since the product
+is then on the same side of it as the exact value.
 
 A cell outside that exact domain is formatted by ``%`` alone and put in its
 place: a float within one ulp of a rounding tie, at least ``2**53`` after
@@ -29,7 +31,7 @@ import numpy as np
 
 from .records import TRIAL_CSV_HEADER
 
-BLOCK_ROWS = 1 << 12  # rows formatted at a time
+BLOCK_ROWS = 1 << 10  # rows formatted at a time
 
 _TENS, _ONES = np.array([divmod(k, 10) for k in range(100)], np.uint8).T + ord("0")
 _FORMATS = ("%s", "%s", "%d", "%.6f", "%.6f", "%.6f")

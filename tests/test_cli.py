@@ -144,7 +144,7 @@ class TestSimulateAnalyze:
         assert main(["simulate", "--seed", "1", "--participants", "45",
                      "--conditions", "a,b,c", "--out", str(out)]) == 1
         assert capsys.readouterr().err == "error: second block\n"
-        assert calls == [0, 20] and not out.exists()
+        assert calls == [0, simulate._BLOCK_ROWS // (3 * 66)] and not out.exists()
 
 
 class TestFit:

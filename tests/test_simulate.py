@@ -181,26 +181,31 @@ class TestSimulateCohort:
 
     def test_matches_per_session_reference(self, monkeypatch):
         # 101 participants fill no whole number of blocks, whether a block
-        # holds 1, 5 or 16 (one condition) participants, or all of them
-        for block_rows, params, demo_sd in itertools.product(
-                [1, 100, simulate._BLOCK_ROWS], [self.MIXED, self.MIXED[1:2]], [0.0, 0.2]):
-            monkeypatch.setattr(simulate, "_BLOCK_ROWS", block_rows)
-            cfg, demo = ScheduleConfig(num_lengths=3, reps=2), DemonstratorNoise(demo_sd)
-            sessions = [
+        # holds 1, 5 or 16 (one condition) participants, 56 or all of them,
+        # nor of seed chunks of 2, 7 or 64 participants; the chunk edges fall
+        # inside blocks and the block edges inside chunks
+        cfg = ScheduleConfig(num_lengths=3, reps=2)
+        blocks, chunks = [1, 100, simulate._BLOCK_ROWS], [1, 2, 7, simulate._SEED_CHUNK]
+        for params, demo_sd in itertools.product([self.MIXED, self.MIXED[1:2]], [0.0, 0.2]):
+            demo = DemonstratorNoise(demo_sd)
+            sessions = Trials.concatenate([
                 simulate_observer(
                     generate_schedule(dataclasses.replace(cfg, seed=_session_seed(7, p, c, 0))),
                     obs, demo, seed=_session_seed(7, p, c, 1),
                     participant_id=f"p{p + 1:03d}", condition=label)
                 for p in range(101) for c, (label, obs) in enumerate(params)
-            ]
-            recs = simulate_cohort(101, params, cfg, demo, master_seed=7)
-            assert recs == Trials.concatenate(sessions)
-            assert [c.dtype.str for c in recs.columns[:2]] == (
-                ["<U4", "<U10"] if len(params) == 3 else ["<U4", "<U1"])
-            assert not any(c.flags.writeable for c in recs.columns)
-            floor = recs.response[recs.condition == "a"] == 7.5
-            assert 0 < floor.sum() < floor.size  # the floor clamps some responses
-            assert (recs.actual_length != recs.nominal_length).any() == (demo_sd > 0)
+            ])
+            for block_rows, chunk in itertools.product(blocks, chunks):
+                monkeypatch.setattr(simulate, "_BLOCK_ROWS", block_rows)
+                monkeypatch.setattr(simulate, "_SEED_CHUNK", chunk)
+                recs = simulate_cohort(101, params, cfg, demo, master_seed=7)
+                assert recs == sessions
+                assert [c.dtype.str for c in recs.columns[:2]] == (
+                    ["<U4", "<U10"] if len(params) == 3 else ["<U4", "<U1"])
+                assert not any(c.flags.writeable for c in recs.columns)
+                floor = recs.response[recs.condition == "a"] == 7.5
+                assert 0 < floor.sum() < floor.size  # the floor clamps some responses
+                assert (recs.actual_length != recs.nominal_length).any() == (demo_sd > 0)
 
     @pytest.mark.parametrize("master_seed", [3, 2 ** 64 + 5])
     def test_large_master_seeds_match_reference(self, master_seed):
@@ -217,12 +222,14 @@ class TestSimulateCohort:
             Trials.concatenate(sessions)
 
     def test_blocks_concatenate_to_the_cohort(self, monkeypatch):
-        monkeypatch.setattr(simulate, "_BLOCK_ROWS", 300)  # 16 participants of 3 x 6 trials
         cfg = ScheduleConfig(num_lengths=3, reps=2)
-        blocks = list(simulate.cohort_blocks(41, self.MIXED, cfg, DemonstratorNoise(0.3), 5))
-        assert [len(b) for b in blocks] == [16 * 18, 16 * 18, 9 * 18]
-        assert Trials.concatenate(blocks) == simulate_cohort(
-            41, self.MIXED, cfg, DemonstratorNoise(0.3), master_seed=5)
+        cohort = simulate_cohort(41, self.MIXED, cfg, DemonstratorNoise(0.3), master_seed=5)
+        monkeypatch.setattr(simulate, "_BLOCK_ROWS", 300)  # 16 participants of 3 x 6 trials
+        for chunk in [1, 2, 7, simulate._SEED_CHUNK]:
+            monkeypatch.setattr(simulate, "_SEED_CHUNK", chunk)
+            blocks = list(simulate.cohort_blocks(41, self.MIXED, cfg, DemonstratorNoise(0.3), 5))
+            assert [len(b) for b in blocks] == [16 * 18, 16 * 18, 9 * 18]
+            assert Trials.concatenate(blocks) == cohort
 
     @pytest.mark.parametrize("n, params, master_seed, message", [
         (0, PARAMS, 0, "n_participants must be >= 1"),
@@ -246,8 +253,25 @@ class TestSimulateCohort:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # 1.046 measured; a column that the table copies adds 0.09
+        # 1.06 measured; a column that the table copies adds 0.09
         assert peak <= 1.08 * sum(c.nbytes for c in recs.columns)
+
+    def test_streamed_write_holds_about_one_block(self, tmp_path):
+        from lenrepro import records
+
+        path = tmp_path / "trials.csv"
+        records.write_trial_csv(simulate.cohort_blocks(1, self.PARAMS), path)  # first-call imports
+        tracemalloc.start()
+        try:
+            records.write_trial_csv(simulate.cohort_blocks(400, self.PARAMS, master_seed=1), path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.read_bytes().count(b"\n") == 1 + 400 * 3 * 66
+        # 79,200 rows, held a block of 1,024 at a time: per row of a block,
+        # about 250 B for its text and 88 B for its table, and the seed
+        # chunk's states; 440 B measured
+        assert peak <= 512 * 1024
 
     def test_sessions_use_distinct_streams(self):
         recs = simulate_cohort(2, self.PARAMS, master_seed=0)
