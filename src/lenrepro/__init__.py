@@ -1,11 +1,11 @@
 """Bayesian-observer toolkit for length-reproduction experiments.
 
 Modules: model (closed-form observer), records (the columnar trial table
-and the CSV writer of every output table but the trial CSV, whose text
-trialtext builds), simulate (seeded schedules and synthetic cohorts),
-analysis (empirical error-decomposition pipeline), stats (t-tests and
-effect sizes), fitting (shared-prior grid fits), cli (command-line
-pipeline).  The only runtime dependency is numpy.
+and the one CSV writer of every output table), trialtext (the numpy text
+of a block of trial CSV rows), simulate (seeded schedules and synthetic
+cohorts), analysis (empirical error-decomposition pipeline), stats
+(t-tests and effect sizes), fitting (shared-prior grid fits), cli
+(command-line pipeline).  The only runtime dependency is numpy.
 """
 from .model import (
     DEFAULT_STIMULI,

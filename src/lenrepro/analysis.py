@@ -42,7 +42,7 @@ import numpy as np
 
 from . import stats
 from .model import _warn
-from .records import TRIAL_CSV_HEADER, Trials, write_csv
+from .records import _UNWRITABLE, TRIAL_CSV_HEADER, Trials, write_csv
 
 _TRUTHY = {"1", "true", "yes"}
 
@@ -125,7 +125,8 @@ def ingest(source) -> Trials:
     response_cm columns; actual_length_cm defaults to the nominal with a
     warning when absent.  Rows flagged by an is_practice column are
     dropped.  Errors name the offending 1-based data row, and the column
-    of a non-numeric, non-finite or out-of-range cell.
+    of a non-numeric, non-finite or out-of-range cell, or of an id holding
+    a comma, a double quote, CR or LF, which no output CSV can hold.
 
     A path is read as UTF-8, with or without a byte-order mark.  Files in
     the ``records`` contract are scanned, then parsed in one pass by
@@ -410,12 +411,20 @@ def _read_cells(source) -> Trials:
     pid, cond = where["participant_id"], where["condition"]
     practice = where.get("is_practice")
     columns = ([], [], [], [], [], [])
-    seen = set()
+    seen, plain = set(), set()  # trial keys, and the id pairs checked once each
     # blank lines are skipped and not counted
     for rownum, row in enumerate(filter(None, reader), start=1):
         row += [""] * (len(header) - len(row))  # missing trailing cells read empty
         if practice is not None and row[practice].strip().lower() in _TRUTHY:
             continue
+        # one shared string per id: a copy per row would dominate peak memory
+        ids = (sys.intern(row[pid]), sys.intern(row[cond]))
+        if ids not in plain:
+            for col, value in zip(("participant_id", "condition"), ids):
+                if not _UNWRITABLE.isdisjoint(value):
+                    raise IngestionError(f"row {rownum}: {col} {value!r} holds a comma, a "
+                                         "double quote, CR or LF, which no output CSV can hold")
+            plain.add(ids)
         trial_index, nominal, actual, response = [
             _cell(row[i], rownum, col, cast) for i, col, cast in numeric
         ]
@@ -423,8 +432,7 @@ def _read_cells(source) -> Trials:
             raise IngestionError(f"row {rownum}: {actual_col} must be > 0, got {actual}")
         if response < 0:
             raise IngestionError(f"row {rownum}: response must be >= 0, got {response}")
-        # one shared string per id: a copy per row would dominate peak memory
-        key = (sys.intern(row[pid]), sys.intern(row[cond]), trial_index)
+        key = ids + (trial_index,)
         if key in seen:
             raise IngestionError(f"row {rownum}: duplicate trial key {key}")
         seen.add(key)

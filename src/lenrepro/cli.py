@@ -276,6 +276,9 @@ def cmd_curves(cfg) -> int:
     wf_grid = model.grid_values(*_grid(cfg, "wf"))
     ri_grid = model.grid_values(*_grid(cfg, "ri"))
     motor, stimuli = _motor_and_stimuli(cfg)
+    # first, so that its ri-grid and regression-index checks fail before a
+    # file is opened
+    surface = model.rmse_surface(wf_grid, ri_grid, stimuli, motor)
     outdir.mkdir(parents=True, exist_ok=True)
     records.write_csv(outdir / "error_curves.csv", "sigma_p,wf,bias,cv", "%.6f,%.6f,%.6f,%.6f", (
         (sp, *point) for sp in sigma_ps
@@ -286,7 +289,6 @@ def cmd_curves(cfg) -> int:
         for point in model.ri_curve(sp, wf_grid, stimuli)
     ))
     # a cell whose ri is unreachable at its wf is NaN, and is written empty
-    surface = model.rmse_surface(wf_grid, ri_grid, stimuli, motor)
     records.write_csv(outdir / "rmse_surface.csv", "wf,ri,normalized_rmse", "%.6f,%.6f,%s", (
         (wf, ri, "" if math.isnan(value) else "%.6f" % value)
         for wf, row in zip(wf_grid, surface) for ri, value in zip(ri_grid, row.tolist())

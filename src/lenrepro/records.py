@@ -3,9 +3,12 @@
 The CSV format is bit-exact: UTF-8, ``.`` decimal separator, 6-decimal
 floats, LF line endings.  The trial CSV contract adds the header
 ``participant_id,condition,trial_index,nominal_length_cm,
-actual_length_cm,response_cm``.  :func:`write_csv` formats each row with
-``%``; :func:`write_trial_csv` builds the same text with numpy, equal to
-``"%s"``, ``"%d"`` and ``"%.6f"`` cell for cell.
+actual_length_cm,response_cm``.  One private writer opens every file,
+writes the header and the text, and removes a partial file when a row
+fails.  :func:`write_csv` formats each row with ``%``;
+:func:`write_trial_csv` builds the same text with numpy, equal to
+``"%s"``, ``"%d"`` and ``"%.6f"`` cell for cell, and a block that numpy
+cannot match exactly is formatted with ``%`` by the same helper.
 """
 from __future__ import annotations
 
@@ -132,32 +135,56 @@ def _read_only(column: np.ndarray) -> bool:
     return column is None
 
 
-_CHUNK_ROWS = 1024  # rows formatted at a time; more rows add memory, not speed
+_BLOCK_ROWS = 1 << 10  # rows simulated and formatted at a time; more add memory, not speed
+# the writers quote no cell, so an id holding one of these would shift or
+# split its row
+_UNWRITABLE = frozenset(',"\r\n')
+
+
+def _write(path: str | Path, header: str, chunks) -> None:
+    """Write ``header`` and then each byte chunk of ``chunks`` to ``path``.
+    If a chunk fails to come or to be written, the partial file is removed
+    before the error propagates (a path that is not a regular file, such as
+    a device, is left in place)."""
+    path = Path(path)
+    fh = open(path, "wb")  # a file that cannot be opened is not removed
+    try:
+        with fh:
+            fh.write((header + "\n").encode("utf-8"))
+            fh.writelines(chunks)  # drops each chunk before it takes the next
+    except BaseException:
+        if path.is_file():
+            path.unlink()
+        raise
+
+
+def _rows_text(line: str, rows) -> bytes:
+    """The rows as ``line % row`` each, UTF-8 encoded."""
+    return "".join(line % row for row in rows).encode("utf-8")
 
 
 def write_csv(path: str | Path, header: str, row_format: str, rows) -> None:
     """Write a table in the CSV wire format: UTF-8, LF line ends, and each
     row as ``row_format % row`` (``%.6f`` for every float column).
 
-    ``rows`` is read lazily, ``_CHUNK_ROWS`` rows at a time, so neither the
-    rows nor the text of the whole table sit in memory at once.
+    ``rows`` is read lazily, ``_BLOCK_ROWS`` rows at a time, so neither the
+    rows nor the text of the whole table sit in memory at once.  If a row
+    fails to come or to format, the partial file is removed.
     """
     line, rows = row_format + "\n", iter(rows)
-    with open(path, "wb") as fh:
-        fh.write((header + "\n").encode("utf-8"))
-        while text := "".join(line % row for row in islice(rows, _CHUNK_ROWS)):
-            fh.write(text.encode("utf-8"))
+    _write(path, header, iter(lambda: _rows_text(line, islice(rows, _BLOCK_ROWS)), b""))
 
 
 def write_trial_csv(trials, path: str | Path) -> None:
     """Write a table, or the rows of an iterable of tables in turn, in the
     bit-exact trial CSV contract: each row as ``"%s,%s,%d,%.6f,%.6f,%.6f" %
-    row``.  The text is built with numpy in blocks (see
-    :mod:`lenrepro.trialtext`); a cell whose ``%`` text that arithmetic
-    cannot match exactly (a float near a rounding tie or not finite, a
-    negative index, an id that is not ASCII or holds a NUL) is formatted by
-    ``%`` itself.  If a table fails to come, the partial file is removed.
+    row``.  The text is built with numpy ``_BLOCK_ROWS`` rows at a time
+    (see :mod:`lenrepro.trialtext`).  If a table fails to come, the partial
+    file is removed.
     """
-    from . import trialtext
+    from .trialtext import rows_text
 
-    trialtext.write(path, (trials,) if isinstance(trials, Trials) else trials)
+    tables = (trials,) if isinstance(trials, Trials) else trials
+    _write(path, ",".join(TRIAL_CSV_HEADER), (
+        rows_text([c[start:start + _BLOCK_ROWS] for c in table.columns])
+        for table in tables for start in range(0, len(table), _BLOCK_ROWS)))

@@ -19,7 +19,7 @@ from typing import Iterator, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .model import NoiseMode, NoiseModel, fusion_weight
-from .records import Trials
+from .records import _BLOCK_ROWS, _UNWRITABLE, Trials
 
 
 class ConfigError(ValueError):
@@ -189,7 +189,6 @@ def simulate_observer(
                   np.array(index, dtype=np.int64)[main], nominal, draws[0, 0], draws[2, 0])
 
 
-_BLOCK_ROWS = 1 << 10  # rows of a block of participants (one at least), simulated at a time
 _SEED_CHUNK = 64  # participants whose generator states are hashed at a time
 
 
@@ -281,6 +280,10 @@ class _Cohort:
             raise ConfigError("need at least one condition")
         if "" in condition_params:
             raise ConfigError("empty condition label")
+        for label in condition_params:
+            if not _UNWRITABLE.isdisjoint(label):
+                raise ConfigError(f"condition label {label!r} holds a comma, a double quote, "
+                                  "CR or LF, which the trial CSV cannot hold")
         self.n, self.demo = n_participants, demo
         self.observers = _observers(list(condition_params.values()))
         self.labels = np.array(list(condition_params))
@@ -367,8 +370,9 @@ def simulate_cohort(
     ``condition_params`` maps condition label -> ObserverParams; condition
     index follows insertion order.  Accepts a sequence of (label, params)
     pairs too, in which case duplicate labels are rejected.  An empty label
-    is rejected either way, and so is a master seed that is not a
-    non-negative integer.  ``workers`` is ignored.
+    is rejected either way, and so is a label holding a comma, a double
+    quote, CR or LF, which the trial CSV cannot hold, and a master seed that
+    is not a non-negative integer.  ``workers`` is ignored.
 
     Substream contract: session (p, c) draws from two generators, seeded
     by ``_session_seed(master_seed, p, c, 0)`` for its schedule and

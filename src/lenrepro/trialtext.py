@@ -4,11 +4,11 @@ Only :func:`lenrepro.records.write_trial_csv` imports this module, so the
 commands that write no trials never load it.
 
 :func:`rows_text` gives the bytes that ``"%s,%s,%d,%.6f,%.6f,%.6f\\n" % row``
-gives for every row, UTF-8 encoded.  :func:`write` formats each table
-``BLOCK_ROWS`` = 1,024 rows at a time, so that the text it holds is bounded
-by one block: about 250 bytes a row at the peak of :func:`rows_text`.  A
-block of rows is laid out in fixed slots, one ``uint8`` character per slot
-and slot-major, so that each slot of all rows is written by one array
+gives for every row of a block, UTF-8 encoded.  The writer passes it blocks
+of ``records._BLOCK_ROWS`` = 1,024 rows, so the text it holds is bounded by
+one block: about 250 bytes a row at the peak of :func:`rows_text`.  A block
+of rows is laid out in fixed slots, one ``uint8`` character per slot and
+slot-major, so that each slot of all rows is written by one array
 operation.  A slot a row leaves unused (an id's padding, a leading zero, the
 sign of a positive float) holds NUL, which no written character is, and the
 block's bytes are its rows with the NULs removed.  A float is written from
@@ -18,42 +18,19 @@ rounds the exact binary value correctly, and ``n`` is that rounding whenever
 ``|x|·1e6`` lies further than one ulp from a half-integer, since the product
 is then on the same side of it as the exact value.
 
-A cell outside that exact domain is formatted by ``%`` alone and put in its
-place: a float within one ulp of a rounding tie, at least ``2**53`` after
-scaling, or not finite; a negative index; an id that is not ASCII or holds a
-NUL before its last character.
+A block with a cell outside that exact domain is formatted by ``%`` alone,
+through the writer's own helper: a float within one ulp of a rounding tie,
+at least ``2**53`` after scaling, or not finite; a negative index; an id
+that is not ASCII or holds a NUL before a later character.
 """
 from __future__ import annotations
 
-from pathlib import Path
-
 import numpy as np
 
-from .records import TRIAL_CSV_HEADER
+from .records import _rows_text
 
-BLOCK_ROWS = 1 << 10  # rows formatted at a time
-
+_LINE = "%s,%s,%d,%.6f,%.6f,%.6f\n"
 _TENS, _ONES = np.array([divmod(k, 10) for k in range(100)], np.uint8).T + ord("0")
-_FORMATS = ("%s", "%s", "%d", "%.6f", "%.6f", "%.6f")
-
-
-def write(path: str | Path, tables) -> None:
-    """Write the header and then every row of ``tables``, in order, to
-    ``path``.  If a table fails to come or to format, the partial file is
-    removed before the error propagates (a path that is not a regular file,
-    such as a device, is left in place)."""
-    path = Path(path)
-    fh = open(path, "wb")
-    try:
-        with fh:
-            fh.write((",".join(TRIAL_CSV_HEADER) + "\n").encode("utf-8"))
-            for table in tables:
-                for start in range(0, len(table), BLOCK_ROWS):
-                    fh.write(rows_text([c[start:start + BLOCK_ROWS] for c in table.columns]))
-    except BaseException:
-        if path.is_file():
-            path.unlink()
-        raise
 
 
 def rows_text(columns) -> bytes:
@@ -63,13 +40,10 @@ def rows_text(columns) -> bytes:
     index, floats = columns[2], np.stack(columns[3:])
     with np.errstate(over="ignore", invalid="ignore"):
         scaled = np.abs(floats) * 1e6
-        tie = ~(np.abs(scaled - np.floor(scaled) - 0.5) > np.spacing(scaled))
-        bad_float = tie | ~(scaled < 2.0 ** 53)
-    bad_index = index < 0
-    if bad_float.any():
-        scaled[bad_float] = 0.0
-    if bad_index.any():
-        index = np.where(bad_index, 0, index)
+        exact = ((np.abs(scaled - np.floor(scaled) - 0.5) > np.spacing(scaled)).all()
+                 and (scaled < 2.0 ** 53).all())
+    if not (exact and (index >= 0).all() and all(map(_plain_ascii, ids))):
+        return _rows_text(_LINE, zip(*(c.tolist() for c in columns)))
     whole, fraction = np.divmod(np.rint(scaled).astype(np.int64), 10 ** 6)
     whole_width = _width(whole)
     widths = np.array([ids[0].shape[1], ids[1].shape[1], _width(index)]
@@ -82,31 +56,13 @@ def rows_text(columns) -> bytes:
     text[-1] = ord("\n")
     for k, codes in enumerate(ids):
         text[begins[k]:ends[k] - 1] = codes.T
-    bad_ids = [_bad_ids(codes, text[begins[k]:ends[k] - 1]) for k, codes in enumerate(ids)]
     _put_digits(index, text[begins[2]:ends[2] - 1])
     f = text[begins[3]:].reshape(3, whole_width + 9, n)  # sign, digits, '.', fraction, ','
     np.multiply(np.signbit(floats), ord("-"), out=f[:, 0], casting="unsafe")
     _put_digits(whole, f[:, 1:whole_width + 1])
     f[:, whole_width + 1] = ord(".")
     _put_digits(fraction.astype(np.uint32), f[:, whole_width + 2:-1], leading_zeros=True)
-
-    bad = sorted([(row, k) for k, rows in enumerate(bad_ids) for row in rows]
-                 + [(row, 2) for row in np.flatnonzero(bad_index)]
-                 + [(row, 3 + k) for k, row in zip(*np.nonzero(bad_float))])
-    for row, k in bad:
-        text[begins[k]:ends[k] - 1, row] = 0
-    data = text.T.tobytes().translate(None, b"\0")
-    if not bad:
-        return data
-    # put each cell that % formats where its slots would have been
-    filled = text.T != 0
-    row_starts = np.concatenate([[0], np.cumsum(filled.sum(axis=1))])
-    pieces, last = [], 0
-    for row, k in bad:
-        at = int(row_starts[row] + filled[row, :begins[k]].sum())
-        pieces += [data[last:at], (_FORMATS[k] % columns[k][row].item()).encode("utf-8")]
-        last = at
-    return b"".join(pieces + [data[last:]])
+    return text.T.tobytes().translate(None, b"\0")
 
 
 def _width(values: np.ndarray) -> int:
@@ -131,12 +87,8 @@ def _put_digits(values: np.ndarray, out: np.ndarray, leading_zeros: bool = False
         out[..., slot, :] *= values >= 10 ** (width - 1 - slot)
 
 
-def _bad_ids(codes: np.ndarray, chars: np.ndarray) -> np.ndarray:
-    """Rows of UCS-4 ``codes`` (rows, width) that are not ASCII or hold a NUL
-    before a later character, given their low bytes as slots ``chars``
-    (width, rows)."""
-    filled = chars != 0
-    gap = filled[1:] > filled[:-1]
-    if codes.max(initial=0) < 128 and not gap.any():
-        return np.empty(0, np.intp)
-    return np.flatnonzero((codes > 127).any(axis=1) | gap.any(axis=0))
+def _plain_ascii(codes: np.ndarray) -> bool:
+    """Whether every row of UCS-4 ``codes`` (rows, width) is ASCII with no
+    NUL before a later character."""
+    filled = codes != 0
+    return codes.max(initial=0) < 128 and not (filled[:, 1:] > filled[:, :-1]).any()

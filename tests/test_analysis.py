@@ -319,6 +319,17 @@ _NAMED_FILES = {
     "tab around a number": (_text(_CONTRACT, "p01,social,3,6.0,6.0,\t7.2"), False, 1),
     "invalid UTF-8": (_text(_CONTRACT, _ROW) + b"p\xff,social,4,6,6,6\n", False,
                       "UnicodeDecodeError"),
+    # ids that no output CSV can hold, since the writers quote no cell
+    "comma in a quoted condition": (
+        _text(_CONTRACT, 'p01,"a,b",3,6.0,6.0,7.2'), False,
+        "row 1: condition 'a,b' holds a comma, a double quote, CR or LF"),
+    "quote in a quoted participant id": (
+        _text(_CONTRACT, _ROW, '"p""1",social,4,6.0,6.0,7.2'), False,
+        "row 2: participant_id 'p\"1' holds a comma"),
+    "LF in a quoted condition": (_text(_CONTRACT, 'p01,"a\nb",3,6.0,6.0,7.2'), False,
+                                 "row 1: condition 'a\\nb' holds a comma"),
+    "CR in a quoted participant id": (_text(_CONTRACT, '"p\r1",social,3,6.0,6.0,7.2'), False,
+                                      "row 1: participant_id 'p\\r1' holds a comma"),
 }
 
 
@@ -1251,6 +1262,8 @@ class TestSummarizeFile:
                                        False),
         "invalid UTF-8 in a later block": (_text(_CONTRACT, *_SESSIONS) + b"p\xff,b,9,6,6,6\n",
                                            False),
+        "comma in a quoted condition in a later block": (
+            _text(_CONTRACT, *_SESSIONS, 'p2,"b,c",9,6,6,6'), False),
         "header only": (_text(_CONTRACT), False),
         "empty file": (b"", False),
         "no actual column": (_text(

@@ -92,6 +92,8 @@ class TestSimulateAnalyze:
     @pytest.mark.parametrize("conditions, message", [
         ("a,a", "duplicate condition labels in ['a', 'a']"),
         ("a,,b", "empty condition label"),
+        ('"solo,social', "condition label '\"solo' holds a comma, a double quote, CR or LF, "
+                         "which the trial CSV cannot hold"),
     ])
     def test_bad_condition_labels_rejected(self, tmp_path, capsys, conditions, message):
         out = tmp_path / "t.csv"
@@ -274,6 +276,18 @@ class TestCurves:
         surf = (outdir / "rmse_surface.csv").read_text().splitlines()
         # undefined cells (wf = 0 with ri > 0) are left empty
         assert any(line.endswith(",") for line in surf[1:])
+
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--sigma-p", "1,-1"], "sd must be >= 0, got -1.0"),
+        (["--ri-max", "1.0"], "ri_grid values must lie in [0, 1)"),
+        (["--stim-count", "1"], "degenerate regressor: all x values identical"),
+    ])
+    def test_failure_leaves_no_csv(self, tmp_path, capsys, flags, message):
+        outdir = tmp_path / "curves"
+        assert main(["curves", *flags, "--out", str(outdir)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not list(tmp_path.rglob("*.csv"))
 
 
 class TestNonFiniteGrid:

@@ -34,7 +34,7 @@ PUBLIC = {
                  "simulate_observer"],
     "stats": ["DegenerateTestError", "cohens_d_one_sample", "cohens_d_paired",
               "one_sample_t", "paired_t"],
-    "trialtext": ["BLOCK_ROWS", "rows_text", "write"],
+    "trialtext": ["rows_text"],
 }
 
 

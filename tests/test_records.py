@@ -8,7 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lenrepro import records, trialtext
+from lenrepro.model import NoiseModel
 from lenrepro.records import TrialRow, Trials, write_csv, write_trial_csv
+from lenrepro.simulate import (DemonstratorNoise, ObserverParams, ScheduleConfig, cohort_blocks,
+                               simulate_cohort)
 
 
 def _table(**columns):
@@ -135,8 +138,7 @@ class TestTrials:
             yield from ((f"s{i}", i, i / 3, -i / 7) for i in range(5))
 
         write_csv(tmp_path / "rows_whole.csv", "s,i,x,y", "%s,%d,%.6f,%.6f", rows())
-        monkeypatch.setattr(records, "_CHUNK_ROWS", chunk)
-        monkeypatch.setattr(trialtext, "BLOCK_ROWS", chunk)
+        monkeypatch.setattr(records, "_BLOCK_ROWS", chunk)
         write_trial_csv(trials, chunked)
         assert chunked.read_bytes() == whole.read_bytes()
         assert whole.read_bytes().count(b"\n") == len(trials) + 1
@@ -155,6 +157,20 @@ class TestTrials:
         write_csv(tmp_path / "x.csv", "x", "%.6f", ((v,) for v in values))
         assert (tmp_path / "x.csv").read_text().splitlines()[1:] == list(
             map("{:.6f}".format, values))
+
+    def test_failed_rows_leave_no_file(self, tmp_path, monkeypatch):
+        def rows():
+            yield from ((i, i / 3) for i in range(3))
+            raise RuntimeError("fourth row")
+
+        monkeypatch.setattr(records, "_BLOCK_ROWS", 2)  # a block is written before the failure
+        path = tmp_path / "t.csv"
+        with pytest.raises(RuntimeError, match="fourth row"):
+            write_csv(path, "i,x", "%d,%.6f", rows())
+        assert not path.exists()
+        with pytest.raises(TypeError):  # a row that fails to format
+            write_csv(path, "i,x", "%d,%.6f", [(1, 0.5), (2, 0.5), ("3", 0.5)])
+        assert not path.exists()
 
 
 
@@ -196,7 +212,7 @@ class TestTrialText:
                         column(_floats(allow_nan=False, allow_infinity=False)))
         path = tmp_path_factory.mktemp("text") / "t.csv"
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(trialtext, "BLOCK_ROWS", block)
+            mp.setattr(records, "_BLOCK_ROWS", block)
             write_trial_csv(trials, path)
         assert path.read_bytes() == _HEADER + _percent_text(trials)
 
@@ -218,6 +234,21 @@ class TestTrialText:
         assert parts.read_bytes() == whole.read_bytes() == _HEADER + _percent_text(trials)
         write_trial_csv(iter(()), parts)
         assert parts.read_bytes() == _HEADER
+
+    def test_simulated_cohort_takes_the_numpy_path(self, tmp_path, monkeypatch):
+        """No block of a simulated cohort holds a cell outside the exact
+        domain, so none is formatted by ``%``."""
+        params = {c: ObserverParams(NoiseModel.weber(0.15), 10.0, 1.5, 1.2)
+                  for c in ("individual", "mechanical", "social")}
+        args = (20, params, ScheduleConfig(), DemonstratorNoise(0.2), 3)
+
+        def refuse(line, rows):
+            raise AssertionError("a block was formatted by %")
+
+        monkeypatch.setattr(trialtext, "_rows_text", refuse)
+        path = tmp_path / "t.csv"
+        write_trial_csv(cohort_blocks(*args), path)
+        assert path.read_bytes() == _HEADER + _percent_text(simulate_cohort(*args))
 
     def test_failed_table_leaves_no_file(self, tmp_path):
         def tables():

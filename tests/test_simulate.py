@@ -2,6 +2,7 @@
 import dataclasses
 import itertools
 import math
+import re
 import tracemalloc
 from collections import Counter
 
@@ -244,6 +245,17 @@ class TestSimulateCohort:
         for simulate_ in (simulate_cohort, simulate.cohort_blocks):
             with pytest.raises(ConfigError, match=f"^{message}$"):
                 simulate_(n, params, master_seed=master_seed)
+
+    @pytest.mark.parametrize("label", ["a,b", 'a"b', "a\rb", "a\nb"])
+    def test_labels_no_csv_can_hold_rejected(self, monkeypatch, label):
+        monkeypatch.setattr(simulate, "_seed_sequence", None)  # a draw would fail otherwise
+        message = (f"condition label {label!r} holds a comma, a double quote, CR or LF, "
+                   "which the trial CSV cannot hold")
+        params = {"solo": self.PARAMS["social"], label: self.PARAMS["social"]}
+        for simulate_, given in itertools.product((simulate_cohort, simulate.cohort_blocks),
+                                                  (params, list(params.items()))):
+            with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+                simulate_(2, given)
 
     def test_peak_memory_is_about_one_table(self):
         simulate_cohort(1, self.PARAMS)  # first-call imports are not the table's
