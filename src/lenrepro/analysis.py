@@ -42,7 +42,7 @@ import numpy as np
 
 from . import stats
 from .model import _warn
-from .records import _UNWRITABLE, TRIAL_CSV_HEADER, Trials, write_csv
+from .records import _UNWRITABLE, TRIAL_CSV_HEADER, Trials, _unwritable, write_csv
 
 _TRUTHY = {"1", "true", "yes"}
 
@@ -422,8 +422,7 @@ def _read_cells(source) -> Trials:
         if ids not in plain:
             for col, value in zip(("participant_id", "condition"), ids):
                 if not _UNWRITABLE.isdisjoint(value):
-                    raise IngestionError(f"row {rownum}: {col} {value!r} holds a comma, a "
-                                         "double quote, CR or LF, which no output CSV can hold")
+                    raise IngestionError(f"row {rownum}: {_unwritable(col, value)}")
             plain.add(ids)
         trial_index, nominal, actual, response = [
             _cell(row[i], rownum, col, cast) for i, col, cast in numeric

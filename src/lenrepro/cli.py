@@ -23,8 +23,9 @@ ENV_PREFIX = "LENREPRO_"
 
 
 def number_list(text) -> str:
-    """Comma-separated numbers, kept as the text that lists them."""
-    [float(s) for s in str(text).split(",")]
+    """Comma-separated finite numbers, kept as the text that lists them."""
+    if not all(math.isfinite(float(s)) for s in str(text).split(",")):
+        raise ValueError(f"not all finite: {text!r}")
     return str(text)
 
 

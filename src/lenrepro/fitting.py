@@ -4,7 +4,9 @@ fractions from observed (bias, cv) pairs or regression indices.
 The search is an exhaustive least-squares scan: for each candidate prior
 width, each condition picks the Weber fraction minimizing its own squared
 residual; the prior width minimizing the summed residual wins, ties going
-to the smaller width.  Fully deterministic.
+to the smaller width.  Fully deterministic.  One streamed pass over the
+grid serves the free and the equal-Weber-fraction fit; no (sigma_p, wf)
+table or residual grid is held.
 """
 from __future__ import annotations
 
@@ -40,14 +42,15 @@ class Objective(Enum):
 class FitConfig:
     """Grid ranges are (min, max, step) inclusive.
 
-    ``trials_per_stimulus``, when set, switches the model table from the
+    ``trials_per_stimulus``, when set, switches the model from the
     asymptotic closed forms to the expected value of the empirical
     estimators at that group size (folded-normal mean for the per-stimulus
     bias, small-sample-deflated population sd for the CV).  Use it when the
     observations come from few repetitions per stimulus; with 6 reps the
-    raw estimators are biased enough to derail the fit.  Either table is
-    built in blocks of sigma_p rows, so a longer sigma_p grid costs time,
-    not peak memory.
+    raw estimators are biased enough to derail the fit; fewer than 2 is
+    refused here, before any grid work.  The fit scans the grid in blocks
+    of sigma_p rows and keeps only each block's reductions, so a longer
+    sigma_p grid costs time, not peak memory.
     """
 
     sigma_p_grid: tuple = (0.1, 5.0, 0.05)
@@ -55,6 +58,10 @@ class FitConfig:
     motor: MotorNoiseSpec = MotorNoiseSpec(1.2, MotorCombination.LINEAR_CV)
     objective: Objective = Objective.BIAS_CV
     trials_per_stimulus: int | None = None
+
+    def __post_init__(self):
+        if self.trials_per_stimulus is not None and self.trials_per_stimulus < 2:
+            raise ValueError("trials_per_stimulus must be >= 2")
 
 
 @dataclass(frozen=True)
@@ -86,9 +93,11 @@ class GoodnessReport:
 
 
 def _erf(z):
-    """math.erf elementwise (numpy has no erf)."""
-    z = np.asarray(z, dtype=float)
-    return np.fromiter(map(math.erf, z.ravel().tolist()), float, z.size).reshape(z.shape)
+    """math.erf elementwise (numpy has no erf), read from the array's own
+    buffer, so no list of the values is built."""
+    z = np.ascontiguousarray(z, dtype=float)
+    return np.fromiter(map(math.erf, memoryview(z.reshape(-1))), float,
+                       z.size).reshape(z.shape)
 
 
 def _sd_deflation(n: int) -> float:
@@ -120,8 +129,6 @@ def _finite_sample_errors(mean, sd, stimuli: StimulusSet, motor: MotorNoiseSpec,
     quadrature) because motor noise is in the responses regardless of how
     the CV combination is configured.
     """
-    if n < 2:
-        raise ValueError("trials_per_stimulus must be >= 2")
     s = np.asarray(stimuli.lengths)
     s_bar = stimuli.mean_stimulus
     linear = motor.combination is MotorCombination.LINEAR_CV
@@ -131,38 +138,35 @@ def _finite_sample_errors(mean, sd, stimuli: StimulusSet, motor: MotorNoiseSpec,
     return bias, (cv + motor.sd_cm / s_bar if linear else cv)
 
 
-# sigma_p rows that _model_table evaluates at a time
-_TABLE_ROWS = 8
+def _model_block(sigma_ps: np.ndarray, wfs: np.ndarray, stimuli: StimulusSet,
+                 cfg: FitConfig, objective: Objective | None = None) -> tuple:
+    """The model columns that ``objective`` reads on the grid ``sigma_ps`` x
+    ``wfs``, each of shape (sigma_p, wf): (bias, cv) for BIAS_CV, (ri,) for
+    RI, and (bias, cv, ri) for None.  The grids are not checked here.  Each
+    cell is elementwise work plus reductions over the stimuli, so any split
+    of the sigma_p rows gives the same bits."""
+    mean, sd = _closed_form(sigma_ps[:, None], wfs, stimuli, cfg.motor, None,
+                            NoiseMode.WEBER)
+    n, columns = cfg.trials_per_stimulus, ()
+    if objective is not Objective.RI:
+        columns = (normalized_errors(mean, sd, stimuli, cfg.motor) if n is None
+                   else _finite_sample_errors(mean, sd, stimuli, cfg.motor, n))
+    if objective is not Objective.BIAS_CV:
+        columns += (regression_index(mean, stimuli),)
+    return columns
 
 
-def _model_table(sigma_ps: np.ndarray, wfs: np.ndarray, stimuli: StimulusSet,
-                 cfg: FitConfig):
-    """Model (bias, cv, ri) on the whole grid, each of shape (sigma_p, wf).
-
-    The grids are checked once, as ``model.closed_form`` checks them.  Each
-    cell is elementwise work plus reductions over the stimuli, so blocks of
-    ``_TABLE_ROWS`` sigma_p rows give the same bits, and the peak no longer
-    grows with the sigma_p grid."""
-    _check_nonnegative("sd", sigma_ps)
-    _check_noise(NoiseMode.WEBER, wfs)
-    n, blocks = cfg.trials_per_stimulus, []
-    for i in range(0, sigma_ps.size, _TABLE_ROWS):
-        mean, sd = _closed_form(sigma_ps[i:i + _TABLE_ROWS, None], wfs, stimuli,
-                                cfg.motor, None, NoiseMode.WEBER)
-        bias, cv = (normalized_errors(mean, sd, stimuli, cfg.motor) if n is None
-                    else _finite_sample_errors(mean, sd, stimuli, cfg.motor, n))
-        blocks.append((bias, cv, regression_index(mean, stimuli)))
-    return tuple(np.concatenate(column) for column in zip(*blocks))
-
-
-def _condition_residuals(observed: ObservedErrors, bias, cv, ri,
+def _condition_residuals(observed: ObservedErrors, columns: tuple,
                          objective: Objective) -> np.ndarray:
+    """Squared residual of one condition on the columns ``objective`` reads."""
     if objective is Objective.BIAS_CV:
         if observed.bias is None or observed.cv is None:
             raise ValueError("BIAS_CV objective needs observed bias and cv")
+        bias, cv = columns
         return (bias - observed.bias) ** 2 + (cv - observed.cv) ** 2
     if observed.ri is None:
         raise ValueError("RI objective needs an observed regression index")
+    (ri,) = columns
     return (ri - observed.ri) ** 2
 
 
@@ -175,16 +179,43 @@ def _warn_on_grid_edge(name: str, grid: np.ndarray, k: int) -> None:
               f"[{grid[0]:.6f}, {grid[-1]:.6f}]")
 
 
-def _grid_residuals(observed: Mapping[str, ObservedErrors], stimuli: StimulusSet,
-                    cfg: FitConfig):
-    """The sigma_p and wf grids, the model (bias, cv, ri) table on them, and
-    each condition's squared residual on the table, in observation order."""
+# sigma_p rows that _scan evaluates at a time: of 2, 4 and 8, 4 was the
+# fastest finite-sample fit, at half the peak of 8
+_TABLE_ROWS = 4
+
+
+def _scan(observed: Mapping[str, ObservedErrors], stimuli: StimulusSet,
+          cfg: FitConfig):
+    """One pass over the grid for both fits, ``_TABLE_ROWS`` sigma_p rows at
+    a time, each block reduced at once and dropped.  The grids are checked
+    once, as ``model.closed_form`` checks them.
+
+    Returns the sigma_p and wf grids; each condition's best wf index and
+    residual at every sigma_p (ties go to the smaller wf); and the equal-wf
+    fit's sigma_p index, wf index and summed residual: the whole grid's
+    row-major ``np.argmin`` (first minimum, or first NaN), which lies in
+    the first block whose own argmin value is the smallest."""
     sigma_ps = grid_values(*cfg.sigma_p_grid)
     wfs = grid_values(*cfg.wf_grid)
-    table = _model_table(sigma_ps, wfs, stimuli, cfg)
-    residuals = {label: _condition_residuals(obs, *table, cfg.objective)
-                 for label, obs in observed.items()}
-    return sigma_ps, wfs, table, residuals
+    _check_nonnegative("sd", sigma_ps)
+    _check_noise(NoiseMode.WEBER, wfs)
+    best = {label: (np.empty(sigma_ps.size, np.intp), np.empty(sigma_ps.size))
+            for label in observed}
+    equal_at, equal_min = [], []
+    for start in range(0, sigma_ps.size, _TABLE_ROWS):
+        rows = slice(start, start + _TABLE_ROWS)
+        columns = _model_block(sigma_ps[rows], wfs, stimuli, cfg, cfg.objective)
+        residuals = [_condition_residuals(obs, columns, cfg.objective)
+                     for obs in observed.values()]
+        for (k, r_min), r in zip(best.values(), residuals):
+            k[rows] = np.argmin(r, axis=1)
+            r_min[rows] = r[np.arange(r.shape[0]), k[rows]]
+        total = sum(residuals)
+        j = int(np.argmin(total))
+        equal_at.append(start * wfs.size + j)
+        equal_min.append(total.flat[j])
+    b = int(np.argmin(equal_min))
+    return sigma_ps, wfs, best, (*divmod(equal_at[b], wfs.size), float(equal_min[b]))
 
 
 def _check_observed(observed: Mapping[str, ObservedErrors],
@@ -206,40 +237,35 @@ def _check_observed(observed: Mapping[str, ObservedErrors],
               "condition), so the data cannot identify them all")
 
 
-def _free_fit(sigma_ps, wfs, table, residuals) -> FitResult:
+def _free_fit(scan, stimuli: StimulusSet, cfg: FitConfig) -> FitResult:
     # Each condition picks its best wf at every sigma_p; argmin breaks ties
     # to the smaller wf, and then to the smaller sigma_p.
-    rows = np.arange(sigma_ps.size)
+    sigma_ps, wfs, best, _ = scan
     total = np.zeros(sigma_ps.size)
-    best = {}
-    for label, r in residuals.items():
-        k = np.argmin(r, axis=1)
-        best[label] = (k, r[rows, k])
-        total += best[label][1]
+    for _, r in best.values():
+        total += r
     i = int(np.argmin(total))
     picks = {label: int(k[i]) for label, (k, _) in best.items()}
     _warn_on_grid_edge("sigma_p", sigma_ps, i)
     for label, k in picks.items():
         _warn_on_grid_edge(f"wf of condition {label!r}", wfs, k)
-    bias, cv, ri = table
+    # the fitted cells' own values, finite-sample ones included
+    bias, cv, ri = _model_block(sigma_ps[i:i + 1], wfs, stimuli, cfg)
     return FitResult(
         shared_sigma_p=float(sigma_ps[i]),
         per_condition_wf={label: float(wfs[k]) for label, k in picks.items()},
         residual=float(total[i]),
         per_condition_residual={label: float(r[i]) for label, (_, r) in best.items()},
-        # the fitted cell's own values, finite-sample ones included
         per_condition_predicted={
-            label: (float(bias[i, k]), float(cv[i, k]), float(ri[i, k]))
+            label: (float(bias[0, k]), float(cv[0, k]), float(ri[0, k]))
             for label, k in picks.items()
         },
         residual_landscape=tuple(zip(sigma_ps.tolist(), total.tolist())),
     )
 
 
-def _equal_wf_fit(result: FitResult, sigma_ps, wfs, residuals) -> GoodnessReport:
-    total = sum(residuals.values())
-    # row-major argmin: ties go to the smaller sigma_p, then the smaller wf
-    i, k = np.unravel_index(np.argmin(total), total.shape)
+def _equal_wf_fit(result: FitResult, scan) -> GoodnessReport:
+    sigma_ps, wfs, _, (i, k, residual) = scan
     _warn_on_grid_edge("equal-wf sigma_p", sigma_ps, i)
     _warn_on_grid_edge("equal wf", wfs, k)
     return GoodnessReport(
@@ -247,7 +273,7 @@ def _equal_wf_fit(result: FitResult, sigma_ps, wfs, residuals) -> GoodnessReport
         total_residual=result.residual,
         equal_wf_sigma_p=float(sigma_ps[i]),
         equal_wf=float(wfs[k]),
-        equal_wf_residual=float(total[i, k]),
+        equal_wf_residual=residual,
     )
 
 
@@ -263,7 +289,7 @@ def fit_shared_prior(
     than free parameters.
     """
     _check_observed(observed, cfg.objective)
-    return _free_fit(*_grid_residuals(observed, stimuli, cfg))
+    return _free_fit(_scan(observed, stimuli, cfg), stimuli, cfg)
 
 
 def goodness_of_fit(
@@ -283,8 +309,7 @@ def goodness_of_fit(
             f"condition labels mismatch: {sorted(observed)} vs "
             f"{sorted(result.per_condition_wf)}"
         )
-    sigma_ps, wfs, _, residuals = _grid_residuals(observed, stimuli, cfg)
-    return _equal_wf_fit(result, sigma_ps, wfs, residuals)
+    return _equal_wf_fit(result, _scan(observed, stimuli, cfg))
 
 
 def _fit_with_goodness(
@@ -293,11 +318,11 @@ def _fit_with_goodness(
     cfg: FitConfig = FitConfig(),
 ) -> tuple[FitResult, GoodnessReport]:
     """:func:`fit_shared_prior` and then :func:`goodness_of_fit`, with the
-    same results and warnings, from one model table."""
+    same results and warnings, from one pass over the grid."""
     _check_observed(observed, cfg.objective)
-    sigma_ps, wfs, table, residuals = _grid_residuals(observed, stimuli, cfg)
-    result = _free_fit(sigma_ps, wfs, table, residuals)
-    return result, _equal_wf_fit(result, sigma_ps, wfs, residuals)
+    scan = _scan(observed, stimuli, cfg)
+    result = _free_fit(scan, stimuli, cfg)
+    return result, _equal_wf_fit(result, scan)
 
 
 def render_fit_report(result: FitResult, goodness: GoodnessReport) -> str:

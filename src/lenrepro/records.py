@@ -163,24 +163,49 @@ def _rows_text(line: str, rows) -> bytes:
     return "".join(line % row for row in rows).encode("utf-8")
 
 
+def _unwritable(column: str, value) -> ValueError:
+    return ValueError(f"{column} {value!r} holds a comma, a double quote, CR or LF, "
+                      "which no output CSV can hold")
+
+
 def write_csv(path: str | Path, header: str, row_format: str, rows) -> None:
     """Write a table in the CSV wire format: UTF-8, LF line ends, and each
     row as ``row_format % row`` (``%.6f`` for every float column).
 
-    ``rows`` is read lazily, ``_BLOCK_ROWS`` rows at a time, so neither the
-    rows nor the text of the whole table sit in memory at once.  If a row
-    fails to come or to format, the partial file is removed.
+    ``rows`` is read lazily, a quarter of ``_BLOCK_ROWS`` rows at a time,
+    so neither the rows nor the text of the whole table sit in memory at
+    once; a block's rows are held with its text, and a quarter block of
+    both takes less memory than the text of a whole one.  A ``%s`` cell
+    whose text holds a comma, a double quote, CR or LF raises
+    ``ValueError`` naming its column.  If a row fails to come, to format
+    or that check, the partial file is removed.
     """
     line, rows = row_format + "\n", iter(rows)
-    _write(path, header, iter(lambda: _rows_text(line, islice(rows, _BLOCK_ROWS)), b""))
+    cells = list(zip(header.split(","), row_format.split(",")))
+    texts = [(k, name) for k, (name, cell) in enumerate(cells) if cell == "%s"]
+
+    def chunks():
+        while block := list(islice(rows, max(_BLOCK_ROWS // 4, 1))):
+            text = _rows_text(line, block)
+            # only a %s cell can add a comma, a quote, CR or LF to a row
+            if texts and (text.count(b",") + text.count(b"\n") != len(cells) * len(block)
+                          or b'"' in text or b"\r" in text):
+                for row in block:
+                    for k, name in texts:
+                        if not _UNWRITABLE.isdisjoint(str(row[k])):
+                            raise _unwritable(name, row[k])
+            yield text
+
+    _write(path, header, chunks())
 
 
 def write_trial_csv(trials, path: str | Path) -> None:
     """Write a table, or the rows of an iterable of tables in turn, in the
     bit-exact trial CSV contract: each row as ``"%s,%s,%d,%.6f,%.6f,%.6f" %
     row``.  The text is built with numpy ``_BLOCK_ROWS`` rows at a time
-    (see :mod:`lenrepro.trialtext`).  If a table fails to come, the partial
-    file is removed.
+    (see :mod:`lenrepro.trialtext`).  An id holding a comma, a double quote,
+    CR or LF raises ``ValueError`` naming its column.  If a table fails to
+    come or that check, the partial file is removed.
     """
     from .trialtext import rows_text
 

@@ -21,22 +21,36 @@ is then on the same side of it as the exact value.
 A block with a cell outside that exact domain is formatted by ``%`` alone,
 through the writer's own helper: a float within one ulp of a rounding tie,
 at least ``2**53`` after scaling, or not finite; a negative index; an id
-that is not ASCII or holds a NUL before a later character.
+that is not ASCII or holds a NUL before a later character.  Before either
+path, a block whose ids hold a comma, a double quote, CR or LF is refused,
+since the CSV quotes no cell.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .records import _rows_text
+from .records import _UNWRITABLE, TRIAL_CSV_HEADER, _rows_text, _unwritable
 
 _LINE = "%s,%s,%d,%.6f,%.6f,%.6f\n"
 _TENS, _ONES = np.array([divmod(k, 10) for k in range(100)], np.uint8).T + ord("0")
+# True at the codes of the characters no output CSV can hold, all below 128
+_UNWRITABLE_CODES = np.isin(np.arange(128), [ord(c) for c in _UNWRITABLE])
+_UNWRITABLE_BYTES = [c.encode() for c in _UNWRITABLE]
 
 
 def rows_text(columns) -> bytes:
-    """The CSV rows of the six trial columns, as UTF-8 bytes."""
+    """The CSV rows of the six trial columns, as UTF-8 bytes.  An id holding
+    a comma, a double quote, CR or LF raises ``ValueError``."""
     n = columns[0].size
     ids = [c.view(np.uint32).reshape(n, -1) for c in columns[:2]]
+    for name, column, codes in zip(TRIAL_CSV_HEADER, columns, ids):
+        # a byte search first: each of these codes holds its character's
+        # byte, and few other codes do; a code of 128 or more then reads the
+        # table's last entry, False
+        if any(map(codes.tobytes().__contains__, _UNWRITABLE_BYTES)):
+            bad = _UNWRITABLE_CODES.take(codes, mode="clip").any(axis=1)
+            if bad.any():
+                raise _unwritable(name, column[bad.argmax()].item())
     index, floats = columns[2], np.stack(columns[3:])
     with np.errstate(over="ignore", invalid="ignore"):
         scaled = np.abs(floats) * 1e6

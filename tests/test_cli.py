@@ -178,6 +178,21 @@ class TestFit:
         summary.write_bytes("\ufeffcondition,bias,cv\nsolo,0.1,0.2\n".encode("utf-8"))
         assert _read_observations(summary) == {"solo": ObservedErrors(bias=0.1, cv=0.2, ri=None)}
 
+    @pytest.mark.parametrize("objective", ["biascv", "ri"])
+    def test_one_trial_per_stimulus_fails_before_any_warning(self, tmp_path, capsys,
+                                                             objective):
+        summary = tmp_path / "obs.csv"
+        summary.write_text("condition,bias,cv,ri\na,0.1,0.2,0.3\n")
+        out = tmp_path / "fit"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["fit", "--in", str(summary), "--objective", objective,
+                       "--trials-per-stimulus", "1", "--out", str(out)])
+        assert rc == 1
+        assert caught == []
+        assert capsys.readouterr().err == "error: trials_per_stimulus must be >= 2\n"
+        assert not out.exists()
+
     def test_fit_requires_input(self, capsys):
         assert main(["fit"]) == 1
         assert "error:" in capsys.readouterr().err
@@ -288,6 +303,21 @@ class TestCurves:
         assert main(["curves", *flags, "--out", str(outdir)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not list(tmp_path.rglob("*.csv"))
+
+
+class TestNonFiniteSigmaP:
+    """A non-finite prior width fails as a non-number does: argparse's usage
+    error, exit 2, before any directory is made."""
+
+    @pytest.mark.parametrize("value", ["x", "inf", "nan", "-inf", "1.5,inf", "1e309"])
+    def test_flag_is_a_usage_error(self, tmp_path, capsys, value):
+        out = tmp_path / "curves"
+        with pytest.raises(SystemExit) as exc:
+            main(["curves", f"--sigma-p={value}", "--out", str(out)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            f"error: argument --sigma-p: invalid number_list value: {value!r}\n")
+        assert not out.exists()
 
 
 class TestNonFiniteGrid:
@@ -405,6 +435,12 @@ class TestConfigErrors:
          "config key sigma_p in {cfg}: expected number_list, got [0.5, 1.5]"),
         (["curves"], {"sigma_p": "1.5,x"}, {},
          "config key sigma_p in {cfg}: expected number_list, got '1.5,x'"),
+        (["curves"], {"sigma_p": "1.5,nan"}, {},
+         "config key sigma_p in {cfg}: expected number_list, got '1.5,nan'"),
+        (["curves"], {}, {"LENREPRO_SIGMA_P": "inf"},
+         "LENREPRO_SIGMA_P: expected number_list, got 'inf'"),
+        (["curves"], {}, {"LENREPRO_SIGMA_P": "0.5,-inf"},
+         "LENREPRO_SIGMA_P: expected number_list, got '0.5,-inf'"),
         (["simulate", "--seed", "1"], {"conditions": ["a", "b"]}, {},
          "config key conditions in {cfg}: expected str, got ['a', 'b']"),
         (["simulate", "--seed", "1", "--conditions", "social"], {"social.wf": "high"}, {},
@@ -415,6 +451,7 @@ class TestConfigErrors:
          "LENREPRO_MOTOR_COMBINATION: expected one of linear_cv, quadrature, got 'sum'"),
     ], ids=["not-an-object", "unknown-key", "unknown-condition-key", "env-not-int",
             "float-for-int", "bool-for-int", "list-for-numbers", "bad-numbers",
+            "nan-in-numbers", "env-inf-numbers", "env-minus-inf-in-numbers",
             "list-for-str", "condition-key-not-float", "bad-choice", "env-bad-choice"])
     def test_bad_config_is_one_named_error(self, tmp_path, monkeypatch, capsys,
                                            argv, config, env, message):

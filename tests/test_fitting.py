@@ -17,7 +17,7 @@ from lenrepro.fitting import (
     ObservedErrors,
     _fit_with_goodness,
     _folded_mean,
-    _model_table,
+    _model_block,
     _sd_deflation,
     fit_shared_prior,
     goodness_of_fit,
@@ -64,9 +64,10 @@ def _forward(sigma_p, wf, motor=DEFAULT_MOTOR):
 
 def _finite(sigma_p, wf, motor, n):
     """Expected (bias, cv) at n trials per stimulus: the finite-sample
-    table on a 1 x 1 grid."""
+    model on a 1 x 1 grid."""
     cfg = FitConfig(motor=motor, trials_per_stimulus=n)
-    bias, cv, _ = _model_table(np.array([sigma_p]), np.array([wf]), DEFAULT_STIMULI, cfg)
+    bias, cv = _model_block(np.array([sigma_p]), np.array([wf]), DEFAULT_STIMULI, cfg,
+                            Objective.BIAS_CV)
     return bias[0, 0].item(), cv[0, 0].item()
 
 
@@ -177,6 +178,17 @@ class TestExpectedPipelineErrors:
     def test_needs_two_trials(self):
         with pytest.raises(ValueError, match="^trials_per_stimulus must be >= 2$"):
             _finite(1.5, 0.1, DEFAULT_MOTOR, 1)
+
+    @pytest.mark.parametrize("n", [1, 0, -1])
+    def test_fewer_than_two_trials_refused_by_the_config(self, n):
+        # before any observation is checked or any grid is built, so no
+        # fit can warn first, whichever objective it would run
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for objective in Objective:
+                with pytest.raises(ValueError, match="^trials_per_stimulus must be >= 2$"):
+                    FitConfig(objective=objective, trials_per_stimulus=n)
+        assert caught == []
 
 
 class TestSpecialFunctions:
@@ -337,7 +349,7 @@ def _reference_cell(sigma_p, wf, motor, n=None, stimuli=DEFAULT_STIMULI):
 
 
 class TestKernelEquivalence:
-    """The broadcast fit table against the scalar closed form, cell by cell."""
+    """The broadcast model block against the scalar closed form, cell by cell."""
 
     OBSERVED = {
         "individual": ObservedErrors(bias=0.110696, cv=0.204131, ri=0.41),
@@ -351,8 +363,13 @@ class TestKernelEquivalence:
         cfg = FitConfig(motor=MotorNoiseSpec(1.2, comb), trials_per_stimulus=n)
         sigma_ps = grid_values(*cfg.sigma_p_grid)
         wfs = grid_values(*cfg.wf_grid)
-        bias, cv, ri = _model_table(sigma_ps, wfs, DEFAULT_STIMULI, cfg)
+        bias, cv, ri = _model_block(sigma_ps, wfs, DEFAULT_STIMULI, cfg)
         assert bias.shape == cv.shape == ri.shape == (99, 121)
+        # an objective's block holds its own columns, with the same bits
+        for objective, want in [(Objective.BIAS_CV, (bias, cv)), (Objective.RI, (ri,))]:
+            got = _model_block(sigma_ps, wfs, DEFAULT_STIMULI, cfg, objective)
+            assert len(got) == len(want)
+            assert all(map(np.array_equal, got, want))
         ref = np.array([
             [_reference_cell(float(sp), float(wf), cfg.motor, n) for wf in wfs]
             for sp in sigma_ps
@@ -498,7 +515,7 @@ class TestGridEdgeWarning:
 
 
 class TestOneTable:
-    """`_fit_with_goodness` builds one model table for both fits and returns
+    """`_fit_with_goodness` scans the grid once for both fits and returns
     what `fit_shared_prior` and then `goodness_of_fit` return."""
 
     @pytest.mark.parametrize("objective", list(Objective))
@@ -532,8 +549,9 @@ def _fit_recorded(observed, cfg):
 
 
 class TestBlockedTable:
-    """`_model_table` evaluates `_TABLE_ROWS` sigma_p rows at a time; any
-    block size gives the same bits, the same fits and the same warnings."""
+    """The fit scans `_TABLE_ROWS` sigma_p rows at a time; model blocks of
+    any size give the same bits, and any block size the same fits and the
+    same warnings."""
 
     OBSERVED = TestKernelEquivalence.OBSERVED
 
@@ -547,30 +565,70 @@ class TestBlockedTable:
                 for objective in Objective]
         sigma_ps = grid_values(*sigma_p_grid)
         wfs = grid_values(*cfgs[0].wf_grid)
-        table = _model_table(sigma_ps, wfs, DEFAULT_STIMULI, cfgs[0])
+        table = _model_block(sigma_ps, wfs, DEFAULT_STIMULI, cfgs[0])
         fits = [_fit_recorded(self.OBSERVED, cfg) for cfg in cfgs]
-        # 99 rows is not a multiple of 7 or of the default 8: a short last block
+        # 99 rows is not a multiple of 7 or of the default 4: a short last block
         for rows in (1, 7, 99):
             monkeypatch.setattr(fitting, "_TABLE_ROWS", rows)
-            blocked = _model_table(sigma_ps, wfs, DEFAULT_STIMULI, cfgs[0])
+            blocked = [np.concatenate(column) for column in zip(*(
+                _model_block(sigma_ps[i:i + rows], wfs, DEFAULT_STIMULI, cfgs[0])
+                for i in range(0, sigma_ps.size, rows)))]
             assert all(np.array_equal(a, b) for a, b in zip(blocked, table))
             assert [a.shape for a in blocked] == [(sigma_ps.size, wfs.size)] * 3
             assert [_fit_recorded(self.OBSERVED, cfg) for cfg in cfgs] == fits
 
+    @pytest.mark.parametrize("rows", [1, 4, 7, 99])
+    @pytest.mark.parametrize("nan_cells", [[], [(40, 30), (13, 90), (13, 100)]])
+    def test_scan_reduces_as_argmin_over_the_whole_grid(self, monkeypatch, rows,
+                                                        nan_cells):
+        # NaN cells, marked on the whole grid by index, must win in both fits
+        # and the first must win, as np.argmin over the whole grid picks it
+        cfg = FitConfig(trials_per_stimulus=6)
+        sigma_ps = grid_values(*cfg.sigma_p_grid)
+        wfs = grid_values(*cfg.wf_grid)
+        nan_at = np.zeros((sigma_ps.size, wfs.size), bool)
+        for cell in nan_cells:
+            nan_at[cell] = True
+        model_block = fitting._model_block
+
+        def with_nans(block_sigma_ps, *args):
+            rows_at = np.searchsorted(sigma_ps, block_sigma_ps)
+            return tuple(np.where(nan_at[rows_at], np.nan, column)
+                         for column in model_block(block_sigma_ps, *args))
+
+        monkeypatch.setattr(fitting, "_model_block", with_nans)
+        monkeypatch.setattr(fitting, "_TABLE_ROWS", rows)
+        residuals = [fitting._condition_residuals(obs, with_nans(sigma_ps, wfs,
+                                                                 DEFAULT_STIMULI, cfg,
+                                                                 cfg.objective),
+                                                  cfg.objective)
+                     for obs in self.OBSERVED.values()]
+        _, _, best, (i, k, residual) = fitting._scan(self.OBSERVED, DEFAULT_STIMULI, cfg)
+        total = sum(residuals)
+        assert (i, k) == np.unravel_index(np.argmin(total), total.shape)
+        assert np.array_equal(residual, total[i, k], equal_nan=True)
+        for (picks, r_min), r in zip(best.values(), residuals):
+            assert np.array_equal(picks, np.argmin(r, axis=1))
+            assert np.array_equal(r_min, np.min(r, axis=1), equal_nan=True)
+
+    def _peak(self, cfg):
+        tracemalloc.start()
+        try:
+            _fit_recorded(self.OBSERVED, cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
     def test_peak_memory_does_not_grow_with_the_sigma_p_grid(self, monkeypatch):
         cfg = FitConfig(trials_per_stimulus=6)
-
-        def peak():
-            tracemalloc.start()
-            try:
-                _fit_recorded(self.OBSERVED, cfg)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        blocked = peak()
+        blocked = self._peak(cfg)
         monkeypatch.setattr(fitting, "_TABLE_ROWS", grid_values(*cfg.sigma_p_grid).size)
-        assert blocked <= peak() / 4
+        assert blocked <= self._peak(cfg) / 4
+
+    def test_finite_sample_fit_holds_no_table(self):
+        # one 4-row block and its reductions peak near 420 KB; the whole
+        # (sigma_p, wf) table with its residual grids takes 1,290 KB
+        assert self._peak(FitConfig(trials_per_stimulus=6)) <= 600_000
 
 
 class TestIdentifiabilityWarning:

@@ -1,5 +1,6 @@
 """The Trials table and the trial CSV format."""
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -172,6 +173,34 @@ class TestTrials:
             write_csv(path, "i,x", "%d,%.6f", [(1, 0.5), (2, 0.5), ("3", 0.5)])
         assert not path.exists()
 
+    @pytest.mark.parametrize("value", ["a,b", 'a"b', "a\rb", "a\nb", "é,"])
+    @pytest.mark.parametrize("column", ["participant_id", "condition"])
+    def test_ids_no_csv_can_hold_are_refused(self, tmp_path, monkeypatch, column, value):
+        # in the second block, so a block is written before the failure; an
+        # "é" sends the block to the % path
+        monkeypatch.setattr(records, "_BLOCK_ROWS", 1)
+        message = "^" + re.escape(f"{column} {value!r} holds a comma, a double quote, "
+                                  "CR or LF, which no output CSV can hold") + "$"
+        path = tmp_path / "t.csv"
+        with pytest.raises(ValueError, match=message):
+            write_trial_csv(_table(**{column: ["ok", value]}), path)
+        assert not path.exists()
+        ids = {"participant_id": "p01", "condition": "a"}
+        rows = [(ids["participant_id"], ids["condition"], 1),
+                tuple({**ids, column: value}.values()) + (2,)]
+        with pytest.raises(ValueError, match=message):
+            write_csv(path, "participant_id,condition,n", "%s,%s,%d", rows)
+        assert not path.exists()
+
+    def test_ids_sharing_a_byte_with_those_characters_are_written(self, tmp_path):
+        # U+012C, U+0122, U+010A and U+010D each hold the byte of a comma, a
+        # double quote, LF or CR in their UCS-4 code, and no such character
+        trials = _table(participant_id=["Ĭ", "Ģp"], condition=["Ċ", "ač"])
+        path = tmp_path / "t.csv"
+        write_trial_csv(trials, path)
+        assert path.read_bytes() == _HEADER + _percent_text(trials)
+        write_csv(path, "participant_id,condition", "%s,%s", zip(*trials.columns[:2]))
+        assert path.read_text("utf-8").splitlines()[1:] == ["Ĭ,Ċ", "Ģp,ač"]
 
 
 def _percent_text(trials):
@@ -211,8 +240,15 @@ class TestTrialText:
                         column(_floats(lambda x: x > 0, min_value=0.0, exclude_min=True)),
                         column(_floats(allow_nan=False, allow_infinity=False)))
         path = tmp_path_factory.mktemp("text") / "t.csv"
+        # the CSV quotes no cell, so an id holding a comma is refused
+        unwritable = any("," in value for c in trials.columns[:2] for value in c.tolist())
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(records, "_BLOCK_ROWS", block)
+            if unwritable:
+                with pytest.raises(ValueError, match="holds a comma"):
+                    write_trial_csv(trials, path)
+                assert not path.exists()
+                return
             write_trial_csv(trials, path)
         assert path.read_bytes() == _HEADER + _percent_text(trials)
 
